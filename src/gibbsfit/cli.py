@@ -19,6 +19,7 @@ GIBBSFIT_MAX_QUBITS lowers the register cap below 12; it never raises it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -86,6 +87,11 @@ def max_qubits() -> int:
     if value < 1:
         raise UsageError(f"GIBBSFIT_MAX_QUBITS must be at least 1, got {value}")
     return min(value, linalg.MAX_QUBITS)
+
+
+def _check_tol(tol: float | None):
+    if tol is not None and not 0 < tol < math.inf:
+        raise UsageError(f"--tol must be a positive finite number, got {tol}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -177,6 +183,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_tol(args.tol)
+    if args.max_iter < 1:
+        raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     problem, raw = fileio.load_problem(args.problem, max_qubits())
     options = SolveOptions(
         grad_tol=args.tol,
@@ -195,6 +204,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)
     problem, raw = fileio.load_problem(args.problem, max_qubits())
     resdoc = fileio.load_result(args.result)
     if resdoc["input_digest"] != fileio.digest(raw):

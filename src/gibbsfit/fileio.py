@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -38,8 +39,15 @@ def _require(cond: bool, path: str, detail: str):
 
 
 def _as_number(value, path) -> float:
+    """A finite JSON number.  json.loads accepts NaN and Infinity, and an
+    integer literal too long for a double overflows."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _require(math.isfinite(number), path, f"expected a finite number, got {number}")
+    return number
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
@@ -222,12 +230,9 @@ def load_result(path: str) -> dict:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     for key in ("status", "theta", "input_digest"):
         _require(key in doc, key, "missing")
-    theta = doc["theta"]
-    _require(
-        isinstance(theta, list) and all(isinstance(x, (int, float)) for x in theta),
-        "theta",
-        "expected an array of numbers",
-    )
+    _require(isinstance(doc["theta"], list), "theta", "expected an array of numbers")
+    for i, x in enumerate(doc["theta"]):
+        _as_number(x, f"theta[{i}]")
     return doc
 
 

@@ -46,12 +46,17 @@ def _sym(a: np.ndarray) -> np.ndarray:
 def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Return the Hermitian part (A+A')/2 of a square matrix.
 
-    Rejects the input outright when the anti-Hermitian part exceeds
-    `atol` in Frobenius norm: round-off is tolerated, user error is not.
+    Rejects the input outright when an entry is not finite or the
+    anti-Hermitian part exceeds `atol` in Frobenius norm: round-off is
+    tolerated, user error is not.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix entry [{i}, {j}] is not finite: {a[i, j]}")
     skew = 0.5 * (a - a.conj().T)
     drift = float(np.linalg.norm(skew))
     if drift > atol:
@@ -143,12 +148,16 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
     return out.reshape(dk, dk)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum l log2 l in bits, with 0 log 0 := 0."""
-    rho = as_density(rho)
-    w = np.linalg.eigvalsh(rho)
+def spectrum_entropy(w) -> float:
+    """Entropy -sum l log2 l in bits of a density matrix's eigenvalues,
+    with 0 log 0 := 0."""
     w = w[w > 0.0]
     return float(-(w @ np.log2(w))) + 0.0  # +0.0 normalizes -0.0 for pure states
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy of a density matrix in bits (see spectrum_entropy)."""
+    return spectrum_entropy(np.linalg.eigvalsh(as_density(rho)))
 
 
 def psd_modulus(a) -> np.ndarray:

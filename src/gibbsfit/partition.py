@@ -1,6 +1,8 @@
 """Log-partition function and Gibbs-state machinery.
 
-Everything routes through one Hermitian eigendecomposition per theta.
+Everything routes through one Hermitian eigendecomposition per theta:
+GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
+entropy and the minimum eigenvalue need no further eigensolve.
 ObservableSet precomputes signed-permutation data for Pauli observables
 so that building H(theta) and reading off expectations are O(r d) array
 operations, never r dense matmuls.
@@ -23,14 +25,24 @@ from .pauli import PauliString
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
-    """exp(H)/Tr exp(H) with H = sum_i theta_i T_i, plus the scalars the
-    solver reports: psi = log Tr exp(H) and <T_i>."""
+    """exp(H)/Tr exp(H) with H = sum_i theta_i T_i, read from one
+    eigendecomposition of H: rho, its spectrum, psi = log Tr exp(H) and
+    <T_i>.
+
+    `hamiltonian` (H with offsets) is filled in only on a solver's
+    converged result; iterates carry no d x d matrix besides rho.
+    """
 
     theta: np.ndarray
-    hamiltonian: np.ndarray
     rho: np.ndarray
+    spectrum: np.ndarray  # eigenvalues of rho, ascending: exp(w - w_max) / z
     psi: float
     expectations: np.ndarray
+    hamiltonian: np.ndarray | None = None
+
+    @property
+    def entropy_bits(self) -> float:
+        return linalg.spectrum_entropy(self.spectrum)
 
 
 class ObservableSet:
@@ -123,31 +135,31 @@ class ObservableSet:
             out[i] = np.vdot(self._mats[j], rho).real
         return out + self.shifts
 
-    def psi_grad_state(self, theta: np.ndarray):
-        """One eigh gives psi, the gradient, and rho itself.
-
-        Offsets shift the spectrum rigidly, so they are applied to psi
-        and the gradient after the fact and never enter the eigensolve.
-        """
-        theta = np.asarray(theta, dtype=np.float64)
-        w, v = linalg.eigh(self.base_hamiltonian(theta))
-        shifted = w - w[-1]
-        weights = np.exp(shifted)
-        z = weights.sum()
-        psi = float(w[-1] + np.log(z)) + float(theta @ self.shifts)
-        rho = (v * (weights / z)) @ v.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        return psi, self.expectations(rho), rho
-
     def log_partition(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=np.float64)
         return linalg.log_trace_exp(self.base_hamiltonian(theta)) + float(theta @ self.shifts)
 
     def gibbs(self, theta: np.ndarray) -> GibbsState:
+        """One eigh gives rho, its spectrum, psi and the gradient <T>.
+
+        H is Hermitian by construction, so it goes to numpy's eigh with
+        no gate.  Offsets shift the spectrum rigidly, so they are applied
+        to psi and the expectations after the fact and never enter the
+        eigensolve.
+        """
         theta = np.asarray(theta, dtype=np.float64).copy()
-        psi, expect, rho = self.psi_grad_state(theta)
+        w, v = np.linalg.eigh(self.base_hamiltonian(theta))
+        weights = np.exp(w - w[-1])
+        z = weights.sum()
+        spectrum = weights / z
+        rho = (v * spectrum) @ v.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
         return GibbsState(
-            theta=theta, hamiltonian=self.hamiltonian(theta), rho=rho, psi=psi, expectations=expect
+            theta=theta,
+            rho=rho,
+            spectrum=spectrum,
+            psi=float(w[-1] + np.log(z)) + float(theta @ self.shifts),
+            expectations=self.expectations(rho),
         )
 
     def _dense_observables(self) -> list[np.ndarray]:
@@ -161,7 +173,7 @@ class ObservableSet:
         -difference kernel in the eigenbasis.  Offset-free: identity
         components cancel between the two terms."""
         theta = np.asarray(theta, dtype=np.float64)
-        w, v = linalg.eigh(self.base_hamiltonian(theta))
+        w, v = np.linalg.eigh(self.base_hamiltonian(theta))
         shifted = w - w[-1]
         z = float(np.exp(shifted).sum())
         kernel = linalg.divided_difference_kernel(shifted)
@@ -195,9 +207,7 @@ def gibbs_state(theta, observables, shifts=None) -> GibbsState:
 
 
 def gradient(theta, observables, shifts=None) -> np.ndarray:
-    obset = _as_set(observables, shifts)
-    _, grad, _ = obset.psi_grad_state(theta)
-    return grad
+    return _as_set(observables, shifts).gibbs(theta).expectations
 
 
 def hessian(theta, observables, shifts=None) -> np.ndarray:

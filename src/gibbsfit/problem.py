@@ -117,6 +117,10 @@ class ExpectationProblem:
                 f"lengths disagree: {len(obs)} observables, {targets.shape} targets, "
                 f"{shifts.shape} shifts"
             )
+        for name, values in (("target", targets), ("shift", shifts)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"observable {bad[0]}: {name} {float(values[bad[0]])} is not finite")
         if self.dim < 2 or self.dim > linalg.MAX_DIM:
             raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {self.dim}")
         fixed = []

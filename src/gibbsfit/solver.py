@@ -32,7 +32,6 @@ from .problem import (
     check_local_compatibility,
     reduce_to_expectations,
     spectral_interval,
-    translate_to_zero,
 )
 
 CONVERGED = "Converged"
@@ -60,6 +59,9 @@ class DependentObservablesError(ValueError):
 class SolveOptions:
     grad_tol: float = 1e-8
     max_iter: int = 5000
+    # Bound on max_i |theta_i| * (hi_i - lo_i)/2 over spec(T_i) = [lo_i, hi_i]:
+    # the spread theta_i T_i puts into H(theta), so the cap does not depend
+    # on how an observable is scaled.  A Pauli string's half-width is 1.
     theta_cap: float = 50.0
     seed: int = 0
     memory: int = 10
@@ -107,13 +109,15 @@ class VerificationReport:
     marginal_distances: tuple | None = None
 
 
-def _extreme_target_mask(ep: ExpectationProblem) -> np.ndarray:
-    """True where t_i sits at (or beyond) an endpoint of spec(T_i).
+def _target_geometry(ep: ExpectationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Per observable: whether t_i sits at (or beyond) an endpoint of
+    spec(T_i), and the half-width of spec(T_i).
 
     Endpoint targets admit no strictly positive witness: only singular
     states can reach them, so no Gibbs state ever will.
     """
     mask = np.zeros(ep.size, dtype=bool)
+    half_widths = np.empty(ep.size)
     for i, op in enumerate(ep.observables):
         lo, hi = spectral_interval(op, ep.shifts[i])
         scale = max(abs(lo), abs(hi), 1.0)
@@ -121,50 +125,56 @@ def _extreme_target_mask(ep: ExpectationProblem) -> np.ndarray:
         t = ep.targets[i]
         if t >= hi - tol or t <= lo + tol:
             mask[i] = True
-    return mask
+        half_widths[i] = 0.5 * (hi - lo)
+    return mask, half_widths
 
 
-def _armijo(theta, f, grad, direction, residual_fn):
-    """Backtracking line search on f; returns (theta, f, grad, step) or
-    None when the step floor is hit without decrease."""
+def _armijo(theta, f, grad, direction, evaluate):
+    """Backtracking line search on f; returns the accepted
+    (theta, f, grad, state) or None when the step floor is hit without
+    decrease."""
     slope = float(grad @ direction)
     if slope >= 0:
         return None
     step = 1.0
     while step >= _STEP_FLOOR:
         cand = theta + step * direction
-        f_new, g_new = residual_fn(cand)
+        f_new, g_new, state = evaluate(cand)
         if f_new <= f + _ARMIJO_C * step * slope:
-            return cand, f_new, g_new, step
+            return cand, f_new, g_new, state
+        del state  # free the rejected rho before the next evaluation builds one
         step *= 0.5
     return None
 
 
 def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = None) -> SolveResult:
     """Minimize the translated log-partition f(theta) = psi(theta) - theta.t
-    with L-BFGS; grad f_i = <T_i>_theta - t_i is the residual vector."""
+    with L-BFGS; grad f_i = <T_i>_theta - t_i is the residual vector.
+
+    Every reported quantity is read from the Gibbs state of the last
+    accepted iterate, so no eigensolve happens after the loop.
+    """
     options = options or SolveOptions()
     rank = check_independence(ep)
     if not rank.independent:
         raise DependentObservablesError(rank)
 
-    work = translate_to_zero(ep)  # grad of psi' IS the residual vector
-    obset = ObservableSet(work.observables, shifts=work.shifts, dim=work.dim, n=work.n)
-    original = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
+    obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
     targets = ep.targets
-    flagged = bool(_extreme_target_mask(ep).any())
+    extreme, half_widths = _target_geometry(ep)
+    flagged = bool(extreme.any())
     r = ep.size
 
-    def f_and_g(theta):
-        psi, grad, _ = obset.psi_grad_state(theta)
-        return psi, grad
+    def evaluate(theta):
+        state = obset.gibbs(theta)
+        return state.psi - float(theta @ targets), state.expectations - targets, state
 
     theta = (
         np.zeros(r)
         if options.theta0 is None
         else np.asarray(options.theta0, dtype=np.float64).copy()
     )
-    f, grad = f_and_g(theta)
+    f, grad, state = evaluate(theta)
     trace: list[float] = []
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -189,9 +199,12 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
             status = BOUNDARY
             message = "gradient underflowed to zero while chasing an extreme target"
             break
-        if float(np.max(np.abs(theta))) > options.theta_cap:
+        if float(np.max(np.abs(theta) * half_widths)) > options.theta_cap:
             status = BOUNDARY
-            message = f"|theta|_inf exceeded cap {options.theta_cap} with residual {gmax:.3e}"
+            message = (
+                f"max |theta_i| * half-width(T_i) exceeded cap {options.theta_cap} "
+                f"with residual {gmax:.3e}"
+            )
             break
 
         direction = None
@@ -223,9 +236,9 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
             direction = -grad  # stale memory produced an ascent direction
             used_steepest = True
 
-        moved = _armijo(theta, f, grad, direction, f_and_g)
+        moved = _armijo(theta, f, grad, direction, evaluate)
         if moved is None and not used_steepest:
-            moved = _armijo(theta, f, grad, -grad, f_and_g)
+            moved = _armijo(theta, f, grad, -grad, evaluate)
         if moved is None:
             if flagged:
                 # An extreme target drives the optimum to infinity; the
@@ -246,10 +259,10 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
             restarts += 1
             bump = rng.normal(scale=1e-6 * (1.0 + np.abs(theta)))
             theta = theta + bump
-            f, grad = f_and_g(theta)
+            f, grad, state = evaluate(theta)
             continue
 
-        theta_new, f_new, grad_new, _ = moved
+        theta_new, f_new, grad_new, state_new = moved
         s = theta_new - theta
         y = grad_new - grad
         sy = float(s @ y)
@@ -259,19 +272,18 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
             if len(s_hist) > options.memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
-        theta, f, grad = theta_new, f_new, grad_new
+        theta, f, grad, state = theta_new, f_new, grad_new, state_new
 
-    psi_orig, expect, rho = original.psi_grad_state(theta)
-    residuals = expect - targets
-    entropy = linalg.von_neumann_entropy(rho)
-    gibbs = original.gibbs(theta) if status == CONVERGED else None
+    gibbs = None
+    if status == CONVERGED:
+        gibbs = dataclasses.replace(state, hamiltonian=obset.hamiltonian(theta))
     return SolveResult(
         status=status,
         theta=theta,
-        residuals=residuals,
+        residuals=grad,
         iterations=iterations,
-        psi=psi_orig,
-        entropy_bits=entropy,
+        psi=state.psi,
+        entropy_bits=state.entropy_bits,
         gibbs=gibbs,
         trace=trace,
         message=message,
@@ -338,24 +350,22 @@ def verify(
     theta = np.asarray(theta, dtype=np.float64)
     marginal = isinstance(prob, MarginalProblem)
     ep = reduce_to_expectations(prob) if marginal else prob
-    obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
-    psi, expect, rho = obset.psi_grad_state(theta)
-    residuals = expect - ep.targets
-    entropy = linalg.von_neumann_entropy(rho)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    state = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n).gibbs(theta)
+    residuals = state.expectations - ep.targets
+    min_eig = float(state.spectrum[0])
     dists = None
     if marginal:
         pairs = []
         for qubits, rho_target in prob.constraints:
-            achieved = linalg.partial_trace(rho, prob.n, qubits)
+            achieved = linalg.partial_trace(state.rho, prob.n, qubits)
             pairs.append((qubits, float(linalg.trace_distance(achieved, rho_target))))
         dists = tuple(pairs)
     max_res = float(np.max(np.abs(residuals)))
     return VerificationReport(
         residuals=residuals,
         max_residual=max_res,
-        psi=psi,
-        entropy_bits=entropy,
+        psi=state.psi,
+        entropy_bits=state.entropy_bits,
         min_eigenvalue=min_eig,
         tol=tol,
         ok=bool(max_res <= tol and min_eig >= -linalg.PSD_FLOOR),

@@ -175,7 +175,7 @@ def test_criterion_4_calculus_suite():
             oset = ObservableSet(obs, dim=1 << n, n=n)
             theta = rng.normal(size=r)
 
-            _, grad, _ = oset.psi_grad_state(theta)
+            grad = oset.gibbs(theta).expectations
             fd = np.empty(r)
             for j in range(r):
                 e = np.zeros(r)
@@ -193,8 +193,8 @@ def test_criterion_4_calculus_suite():
             for j in range(r):
                 e = np.zeros(r)
                 e[j] = big
-                _, gp, _ = oset.psi_grad_state(theta + e)
-                _, gm, _ = oset.psi_grad_state(theta - e)
+                gp = oset.gibbs(theta + e).expectations
+                gm = oset.gibbs(theta - e).expectations
                 hfd[:, j] = (gp - gm) / (2 * big)
             assert np.abs(hess - hfd).max() < 1e-5
 

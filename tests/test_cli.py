@@ -146,6 +146,41 @@ def test_malformed_inputs_name_the_path(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 65
 
 
+def test_non_finite_inputs_name_the_path(tmp_path, capsys, z_problem):
+    rho = json.loads(json.dumps(BELL_JSON))
+    rho[1][0] = [float("nan"), 0.0]
+    marg = write(tmp_path / "nan.json", {"n": 2, "marginals": [{"qubits": [0, 1], "rho": rho}]})
+    for cmd in ("check", "solve"):
+        assert main([cmd, marg]) == 65
+        assert "marginals[0].rho[1][0]" in capsys.readouterr().err
+
+    target = write(
+        tmp_path / "t.json", {"n": 1, "expectations": [{"pauli": "Z0", "target": float("nan")}]}
+    )
+    assert main(["solve", target]) == 65
+    err = capsys.readouterr().err
+    assert "expectations[0].target" in err and "finite" in err
+
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1, "expectations": [{"pauli": "Z0", "target": 1' + "0" * 400 + "}]}")
+    assert main(["check", str(huge)]) == 65
+    assert "expectations[0].target" in capsys.readouterr().err
+
+    z = [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    mat = write(tmp_path / "m.json", {"n": 1, "observables": [{"matrix": z, "target": 0.1}]})
+    assert main(["check", mat]) == 65
+    assert "observables[0].matrix[0][0]" in capsys.readouterr().err
+
+    res = tmp_path / "res.json"
+    assert main(["solve", z_problem, "--out", str(res)]) == 0
+    doc = read(res)
+    for bad in (float("nan"), True):
+        doc["theta"] = [bad]
+        tampered = write(tmp_path / "bad.json", doc)
+        assert main(["verify", z_problem, tampered]) == 65
+        assert "theta[0]" in capsys.readouterr().err
+
+
 def test_gen_solve_verify_chain(tmp_path):
     prob = tmp_path / "gen.json"
     res = tmp_path / "res.json"
@@ -247,10 +282,19 @@ def test_surface_rejections(tmp_path, chain_problem):
     assert main(["surface", single, "--range", "-1:1:1"]) == 64
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, z_problem):
     assert main([]) == 64
     assert main(["frobnicate"]) == 64
     assert main(["solve"]) == 64
+    for argv in (
+        ["solve", z_problem, "--tol", "-1"],
+        ["solve", z_problem, "--tol", "0"],
+        ["solve", z_problem, "--tol", "nan"],
+        ["solve", z_problem, "--max-iter", "0"],
+        ["verify", z_problem, z_problem, "--tol", "-1"],
+    ):
+        assert main(argv) == 64, argv
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_schema_round_trip(tmp_path):

@@ -34,6 +34,11 @@ def test_as_hermitian_rejects():
         linalg.as_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         linalg.as_hermitian(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = m[0, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\] is not finite"):
+            linalg.as_hermitian(m)
 
 
 def test_as_density_gates():

@@ -75,6 +75,20 @@ def test_gibbs_single_qubit_tanh():
     assert linalg.trace_distance(state.rho, np.diag([0.2, 0.8])) < 1e-14
 
 
+def test_state_spectrum_matches_rho():
+    # entropy and min-eigenvalue come from the Gibbs weights, not from rho
+    rng = np.random.default_rng(36)
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        oset = mixed_observable_set(rng, n, int(rng.integers(2, 6)))
+        state = oset.gibbs(rng.normal(size=oset.size, scale=2.0))
+        w = np.linalg.eigvalsh(state.rho)
+        assert np.all(np.diff(state.spectrum) >= 0)
+        assert np.abs(state.spectrum - w).max() < 1e-14
+        assert state.spectrum[0] > 0
+        assert state.entropy_bits == pytest.approx(linalg.von_neumann_entropy(state.rho), abs=1e-12)
+
+
 def test_gradient_closed_form_and_fd():
     obs = ObservableSet([pauli.parse_label("Z0", 1)], dim=2, n=1)
     for th in (-1.5, 0.0, 0.9):
@@ -88,7 +102,7 @@ def test_gradient_closed_form_and_fd():
         r = int(rng.integers(2, 7))
         oset = mixed_observable_set(rng, n, r)
         theta = rng.normal(size=oset.size)
-        _, g, _ = oset.psi_grad_state(theta)
+        g = oset.gibbs(theta).expectations
         fd = np.empty_like(g)
         for j in range(oset.size):
             e = np.zeros(oset.size)
@@ -150,8 +164,8 @@ def test_hessian_symmetric_psd_and_fd():
         for j in range(oset.size):
             e = np.zeros(oset.size)
             e[j] = eps
-            _, gp, _ = oset.psi_grad_state(theta + e)
-            _, gm, _ = oset.psi_grad_state(theta - e)
+            gp = oset.gibbs(theta + e).expectations
+            gm = oset.gibbs(theta - e).expectations
             fd[:, j] = (gp - gm) / (2 * eps)
         assert np.abs(h - fd).max() < 1e-5
 

@@ -45,6 +45,10 @@ def test_marginal_problem_validation():
         MarginalProblem(2, (((0,), np.eye(4) / 4),))  # dim mismatch
     with pytest.raises(ValueError):
         MarginalProblem(2, (((0, 1), np.eye(4)),))  # trace 4
+    nan_rho = np.eye(4) / 4
+    nan_rho[1, 2] = nan_rho[2, 1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        MarginalProblem(2, (((0, 1), nan_rho),))
 
 
 def test_expectation_problem_validation():
@@ -58,6 +62,9 @@ def test_expectation_problem_validation():
     assert lo == pytest.approx(-np.sqrt(1.25)) and hi == pytest.approx(np.sqrt(1.25))
     with pytest.raises(ValueError):
         ExpectationProblem.from_matrices([Z], [0.5, 0.5], n=1)  # length mismatch
+    for targets, shifts in (([np.nan], [0.0]), ([0.1], [np.inf])):
+        with pytest.raises(ValueError, match="not finite"):
+            ExpectationProblem((p,), targets, shifts, dim=2, n=1)
 
 
 def test_reduce_maximally_mixed_subset():

@@ -234,6 +234,51 @@ def test_solve_options_validation():
         SolveOptions(max_iter=0)
 
 
+def test_theta_cap_is_scale_free():
+    # theta* = 1/s; the cap bounds |theta| times T's half-width, which is s
+    z = np.diag([1.0, -1.0])
+    for s in (1.0, 0.1, 0.01):
+        res = solve_expectations(ExpectationProblem.from_matrices([s * z], [s * np.tanh(1.0)]))
+        assert res.status == CONVERGED, s
+        assert res.theta[0] * s == pytest.approx(1.0, rel=1e-4)
+
+
+def test_one_eigensolve_per_evaluation(monkeypatch):
+    # n = 4, d = 16: no Gram (r + 1 = 40) or marginal (4 x 4, 2 x 2)
+    # matrix is d x d, so every d x d eigensolve is one of theta's spectra
+    n = 4
+    d = 1 << n
+    rng = np.random.default_rng(46)
+    mp, _ = random_marginal_instance(rng, n, ((0, 1), (1, 2), (2, 3)))
+    counts = {"eigensolves": 0, "evaluations": 0}
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            if np.shape(a) == (d, d):
+                counts["eigensolves"] += 1
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    gibbs = ObservableSet.gibbs
+
+    def counted_gibbs(self, theta):
+        counts["evaluations"] += 1
+        return gibbs(self, theta)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(ObservableSet, "gibbs", counted_gibbs)
+
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED and res.iterations > 0
+    assert counts["eigensolves"] == counts["evaluations"] > res.iterations
+    counts["eigensolves"] = 0
+    rep = verify(res, mp)
+    assert rep.ok
+    assert counts["eigensolves"] == 1
+
+
 def test_result_invariants_on_boundary():
     # cap crossing: residual stays large while theta grows
     mp = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
