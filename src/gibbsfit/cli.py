@@ -36,7 +36,6 @@ from .problem import (
     check_independence,
     entropy_diagnostic,
     reduce_to_expectations,
-    translate_to_zero,
 )
 from .solver import (
     BOUNDARY,
@@ -315,21 +314,24 @@ def cmd_surface(args) -> int:
         raise DependentObservablesError(rank)
     lo, hi, steps = _parse_range(args.grid_range)
     grid = np.linspace(lo, hi, steps)
-    translated = translate_to_zero(ep)
-    obset = ObservableSet(
-        translated.observables, shifts=translated.shifts, dim=translated.dim, n=translated.n
-    )
+    obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
+
+    def translated_psi(theta):
+        # psi of T_i - t_i I: the objective the solver minimizes
+        theta = np.array(theta)
+        return obset.log_partition(theta) - float(theta @ ep.targets)
+
     result = solve_expectations(ep, SolveOptions())
     lines = []
     if ep.size == 1:
         lines.append("theta,psi")
         for a in grid:
-            lines.append(f"{float(a)},{obset.log_partition(np.array([a]))}")
+            lines.append(f"{float(a)},{translated_psi([a])}")
     else:
         lines.append("theta,phi,psi")
         for a in grid:
             for b in grid:
-                lines.append(f"{float(a)},{float(b)},{obset.log_partition(np.array([a, b]))}")
+                lines.append(f"{float(a)},{float(b)},{translated_psi([a, b])}")
     if result.status == CONVERGED:
         star = ",".join(str(float(x)) for x in result.theta)
         lines.append(f"# theta_star = {star}")
@@ -378,3 +380,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

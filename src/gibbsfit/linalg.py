@@ -67,20 +67,27 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return a - skew
 
 
+def _density_spectrum(rho, trace_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The gate behind as_density; also returns the ascending spectrum
+    the PSD check computed, so callers that need it pay one eigvalsh."""
+    rho = as_hermitian(rho)
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > trace_atol:
+        raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {trace_atol:g}")
+    w = np.linalg.eigvalsh(rho)
+    wmin = float(w[0])
+    if wmin < -PSD_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
+    return rho, w
+
+
 def as_density(rho, trace_atol: float = 1e-10) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD.
 
     Returns the symmetrized matrix.  Trace must be 1 within
     `trace_atol`; the smallest eigenvalue must be >= -1e-10.
     """
-    rho = as_hermitian(rho)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {trace_atol:g}")
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
-    return rho
+    return _density_spectrum(rho, trace_atol)[0]
 
 
 def eigh(h) -> EigDecomposition:
@@ -157,7 +164,7 @@ def spectrum_entropy(w) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy of a density matrix in bits (see spectrum_entropy)."""
-    return spectrum_entropy(np.linalg.eigvalsh(as_density(rho)))
+    return spectrum_entropy(_density_spectrum(rho)[1])
 
 
 def psd_modulus(a) -> np.ndarray:

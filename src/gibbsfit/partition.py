@@ -104,6 +104,8 @@ class ObservableSet:
     def base_hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """sum_i theta_i op_i, offsets excluded."""
         theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.size,):
+            raise ValueError(f"theta has {theta.size} entries, expected r = {self.size}")
         d = self.dim
         h = np.zeros((d, d), dtype=np.complex128)
         if len(self._pauli_idx):

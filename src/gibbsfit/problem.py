@@ -10,12 +10,12 @@ Hermitian observables with targets — the more general use case.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, pauli
+from .partition import ObservableSet
 from .pauli import PauliString
 
 COMPATIBLE = "Compatible"
@@ -95,8 +95,11 @@ class ExpectationProblem:
 
     An observable is a PauliString or a dense Hermitian matrix; each
     carries an identity offset in `shifts`, so the effective operator is
-    op + shift*I.  Offsets are what observable translation produces —
-    the Gibbs state never depends on them, only psi does.
+    op + shift*I.  Offsets commute with everything, so the Gibbs state
+    never depends on them, only psi does.
+
+    `intervals` is derived, not passed: row i is (min, max) of
+    spec(op_i + s_i I), computed once for the target bound check.
     """
 
     observables: tuple
@@ -104,7 +107,7 @@ class ExpectationProblem:
     shifts: np.ndarray
     dim: int
     n: int | None = None
-    original_targets: np.ndarray | None = None
+    intervals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
@@ -124,6 +127,7 @@ class ExpectationProblem:
         if self.dim < 2 or self.dim > linalg.MAX_DIM:
             raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {self.dim}")
         fixed = []
+        intervals = np.empty((len(obs), 2))
         for i, op in enumerate(obs):
             if isinstance(op, PauliString):
                 if self.n is None or op.n != self.n:
@@ -136,7 +140,7 @@ class ExpectationProblem:
                 if op.shape[0] != self.dim:
                     raise ValueError(f"observable {i}: dim {op.shape[0]} != problem dim {self.dim}")
                 fixed.append(op)
-            lo, hi = spectral_interval(fixed[-1], shifts[i])
+            lo, hi = intervals[i] = spectral_interval(fixed[-1], shifts[i])
             bound = max(abs(lo), abs(hi))
             if abs(targets[i]) > bound + 1e-12:
                 raise ValueError(
@@ -147,10 +151,7 @@ class ExpectationProblem:
         object.__setattr__(self, "observables", tuple(fixed))
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "shifts", shifts)
-        if self.original_targets is not None:
-            object.__setattr__(
-                self, "original_targets", np.asarray(self.original_targets, dtype=np.float64)
-            )
+        object.__setattr__(self, "intervals", intervals)
 
     @classmethod
     def from_paulis(cls, n: int, pairs) -> "ExpectationProblem":
@@ -247,59 +248,42 @@ def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
     )
 
 
-def translate_to_zero(ep: ExpectationProblem) -> ExpectationProblem:
-    """T_i <- T_i - t_i I, t_i <- 0, with the original targets recorded."""
-    return dataclasses.replace(
-        ep,
-        shifts=ep.shifts - ep.targets,
-        targets=np.zeros_like(ep.targets),
-        original_targets=ep.targets.copy(),
-    )
-
-
-def _pair_inner(op_a, s_a, op_b, s_b, dim) -> float:
-    """Hilbert-Schmidt inner product of op_a + s_a I and op_b + s_b I.
-
-    Pauli/Pauli pairs never touch dense matrices: distinct strings are
-    orthogonal, Tr P = 0 unless P = I.
-    """
-
-    def tr(op):
-        if op is None:
-            return 0.0
-        if isinstance(op, PauliString):
-            return float(dim) if op.is_identity else 0.0
-        return float(np.trace(op).real)
-
-    if op_a is None and op_b is None:
-        cross = 0.0
-    elif op_a is None or op_b is None:
-        cross = 0.0
-    elif isinstance(op_a, PauliString) and isinstance(op_b, PauliString):
-        cross = float(dim) if op_a == op_b else 0.0
-    elif isinstance(op_a, PauliString):
-        cross = float(pauli.pauli_trace(op_a, op_b).real)
-    elif isinstance(op_b, PauliString):
-        cross = float(pauli.pauli_trace(op_b, op_a).real)
-    else:
-        cross = float(np.vdot(op_a, op_b).real)
-    return cross + s_a * tr(op_b) + s_b * tr(op_a) + s_a * s_b * dim
-
-
 def check_independence(ep: ExpectationProblem) -> RankReport:
     """Gram-matrix rank check on {I, T_1..T_r}.
 
     Independent iff the smallest Gram eigenvalue exceeds 1e-8 times the
-    largest.  All-Pauli problems never materialize anything: the Gram
-    entries follow from orthogonality.
+    largest.  With T_a = op_a + s_a I and I = 0 + 1*I, the Gram entry is
+    Tr(op_a op_b) + s_a Tr op_b + s_b Tr op_a + s_a s_b d.  Pauli
+    strings are traceless and distinct ones are orthogonal, so no string
+    is ever materialized; a dense observable's inner products are its
+    row of the ObservableSet expectation kernel.
     """
-    ops = [None] + list(ep.observables)  # None stands for the zero operator
-    shifts = np.concatenate(([1.0], ep.shifts))  # identity = 0 + 1*I
-    m = len(ops)
-    gram = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            gram[a, b] = gram[b, a] = _pair_inner(ops[a], shifts[a], ops[b], shifts[b], ep.dim)
+    d = ep.dim
+    m = ep.size + 1
+    shifts = np.concatenate(([1.0], ep.shifts))
+    traces = np.zeros(m)
+    gram = np.zeros((m, m))
+    strings: dict[PauliString, list[int]] = {}
+    dense = []
+    for a, op in enumerate(ep.observables, start=1):
+        if isinstance(op, PauliString):
+            strings.setdefault(op, []).append(a)
+        else:
+            dense.append(a)
+            traces[a] = np.trace(op).real
+    for rows in strings.values():
+        gram[np.ix_(rows, rows)] = d
+    # Built only when a dense row needs it: building it fills the Pauli
+    # table cache, which would otherwise sit next to the Gram matrix in
+    # the eigensolve (8 MB at r = 1983, d = 128).
+    if dense:
+        kernel = ObservableSet(ep.observables, dim=d, n=ep.n)
+        for a in dense:
+            gram[a, 1:] = gram[1:, a] = kernel.expectations(ep.observables[a - 1])
+    # in place: one expression would hold three m x m temporaries at once
+    gram += np.outer(shifts, traces)
+    gram += np.outer(traces, shifts)
+    gram += d * np.outer(shifts, shifts)
     w = np.linalg.eigvalsh(gram)
     return RankReport(
         independent=bool(w[0] > 1e-8 * w[-1]),

@@ -31,7 +31,6 @@ from .problem import (
     check_independence,
     check_local_compatibility,
     reduce_to_expectations,
-    spectral_interval,
 )
 
 CONVERGED = "Converged"
@@ -116,17 +115,10 @@ def _target_geometry(ep: ExpectationProblem) -> tuple[np.ndarray, np.ndarray]:
     Endpoint targets admit no strictly positive witness: only singular
     states can reach them, so no Gibbs state ever will.
     """
-    mask = np.zeros(ep.size, dtype=bool)
-    half_widths = np.empty(ep.size)
-    for i, op in enumerate(ep.observables):
-        lo, hi = spectral_interval(op, ep.shifts[i])
-        scale = max(abs(lo), abs(hi), 1.0)
-        tol = 1e-12 * scale
-        t = ep.targets[i]
-        if t >= hi - tol or t <= lo + tol:
-            mask[i] = True
-        half_widths[i] = 0.5 * (hi - lo)
-    return mask, half_widths
+    lo, hi = ep.intervals.T
+    tol = 1e-12 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    t = ep.targets
+    return (t >= hi - tol) | (t <= lo + tol), 0.5 * (hi - lo)
 
 
 def _armijo(theta, f, grad, direction, evaluate):

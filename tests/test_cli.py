@@ -1,10 +1,15 @@
 """End-to-end command tests, run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gibbsfit import fileio
 from gibbsfit.cli import main
 
 BELL_JSON = [
@@ -181,6 +186,20 @@ def test_non_finite_inputs_name_the_path(tmp_path, capsys, z_problem):
         assert "theta[0]" in capsys.readouterr().err
 
 
+def test_verify_rejects_wrong_theta_length(tmp_path, capsys):
+    prob = tmp_path / "gen.json"
+    res = tmp_path / "res.json"
+    assert main(["gen", "--n", "3", "--out", str(prob)]) == 0
+    assert main(["solve", str(prob), "--out", str(res)]) == 0
+    doc = read(res)
+    assert len(doc["theta"]) == 27
+    for theta in (doc["theta"][:-3], [], doc["theta"] + [0.0, 0.0]):
+        tampered = write(tmp_path / "t.json", dict(doc, theta=theta))
+        assert main(["verify", str(prob), tampered]) == 65, len(theta)
+        err = capsys.readouterr().err
+        assert "theta" in err and str(len(theta)) in err and "27" in err
+
+
 def test_gen_solve_verify_chain(tmp_path):
     prob = tmp_path / "gen.json"
     res = tmp_path / "res.json"
@@ -302,8 +321,6 @@ def test_schema_round_trip(tmp_path):
     prob = tmp_path / "gen.json"
     main(["gen", "--n", "3", "--seed", "4", "--out", str(prob)])
     doc = read(prob)
-    from gibbsfit import fileio
-
     mp = fileio.parse_problem(doc)
     again = {
         "n": mp.n,
@@ -326,3 +343,18 @@ def test_solve_expectation_problem_with_matrix_observable(tmp_path):
     doc = read(out)
     assert doc["status"] == "Converged"
     assert max(abs(r) for r in doc["residuals"]) <= 1e-8
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gibbsfit.cli", "gen", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    problem = fileio.parse_problem(json.loads(proc.stdout))
+    assert problem.n == 2 and problem.subsets == ((0, 1),)

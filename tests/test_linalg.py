@@ -160,6 +160,22 @@ def test_entropy_bits():
     )
 
 
+def test_entropy_takes_one_eigensolve(monkeypatch):
+    # the PSD gate's spectrum is the entropy's spectrum
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for d in (2, 8):
+        calls.clear()
+        linalg.von_neumann_entropy(rand_density(np.random.default_rng(5), d))
+        assert calls == [(d, d)]
+
+
 def test_psd_modulus_and_power():
     m = linalg.psd_modulus(np.diag([3.0, -2.0]))
     assert np.abs(m - np.diag([3.0, 2.0])).max() < 1e-14

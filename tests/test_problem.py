@@ -1,4 +1,4 @@
-"""Problem reduction, translation, and the compatibility diagnostics."""
+"""Problem reduction, the Gram rank check, and the compatibility diagnostics."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from gibbsfit.problem import (
     entropy_diagnostic,
     reduce_to_expectations,
     spectral_interval,
-    translate_to_zero,
 )
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -28,6 +27,11 @@ def rand_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
 
 
 def qubit_state(z):
@@ -110,20 +114,15 @@ def test_reduce_conflict_names_string_and_subsets():
     assert set(err.value.subsets) == {(0, 1), (1, 2)}
 
 
-def test_translate_to_zero():
-    ep = ExpectationProblem.from_paulis(
-        2, [(pauli.parse_label("Z0", 2), -0.6), (pauli.parse_label("X0 X1", 2), 0.25)]
-    )
-    tr = translate_to_zero(ep)
-    assert np.array_equal(tr.targets, np.zeros(2))
-    assert np.array_equal(tr.shifts, np.array([0.6, -0.25]))
-    assert np.array_equal(tr.original_targets, np.array([-0.6, 0.25]))
-    # translated expectations at any state differ from raw ones by the shift
+def test_identity_offsets_shift_expectations():
+    # <op + s I> = <op> + s at any state, for Pauli and dense observables
     rng = np.random.default_rng(20)
+    obs = (pauli.parse_label("Z0", 2), pauli.parse_label("X0 X1", 2), random_hermitian(rng, 4))
+    shifts = np.array([0.6, -0.25, 1.5])
     rho = rand_density(rng, 4)
-    raw = ObservableSet(ep.observables, shifts=ep.shifts, dim=4, n=2).expectations(rho)
-    moved = ObservableSet(tr.observables, shifts=tr.shifts, dim=4, n=2).expectations(rho)
-    assert np.abs(moved - (raw - ep.targets)).max() < 1e-14
+    raw = ObservableSet(obs, dim=4, n=2).expectations(rho)
+    moved = ObservableSet(obs, shifts=shifts, dim=4, n=2).expectations(rho)
+    assert np.abs(moved - (raw + shifts)).max() < 1e-14
 
 
 def test_spectral_interval():
@@ -132,15 +131,42 @@ def test_spectral_interval():
     assert (lo, hi) == (-2.0, 3.0)
 
 
-def test_independence_distinct_paulis():
+@pytest.mark.parametrize("n", [2, 5])
+def test_independence_distinct_paulis(n):
     ep = ExpectationProblem.from_paulis(
-        2, [(p, 0.0) for p in pauli.strings_on((0, 1), 2)]
+        n, [(p, 0.0) for p in pauli.strings_on(tuple(range(n)), n)]
     )
     rep = check_independence(ep)
     assert rep.independent
-    assert rep.size == 16
-    # orthogonal basis: Gram is 4*I exactly
-    assert rep.min_eigenvalue == pytest.approx(4.0) and rep.max_eigenvalue == pytest.approx(4.0)
+    assert rep.size == 4**n
+    # orthogonal basis: Gram is d*I exactly
+    assert rep.min_eigenvalue == rep.max_eigenvalue == 2**n
+
+
+def test_independence_gram_matches_dense_reference():
+    # duplicated Pauli, dense copy of a Pauli, traceful random Hermitian,
+    # nonzero shifts: every kind of Gram entry at once
+    rng = np.random.default_rng(23)
+    zz = pauli.parse_label("Z0 Z1", 2)
+    x0 = pauli.parse_label("X0", 2)
+    herm = random_hermitian(rng, 4) + 0.7 * np.eye(4)
+    obs = (zz, x0, zz, pauli.materialize(x0), herm, pauli.parse_label("Y1", 2))
+    shifts = np.array([0.3, -0.4, 0.0, 1.1, -0.6, 0.25])
+    # without the duplicates (observables 2 and 3) the family is independent
+    for keep, independent in ((range(6), False), ([0, 1, 4, 5], True)):
+        ops = [obs[i] for i in keep]
+        ep = ExpectationProblem(tuple(ops), np.zeros(len(ops)), shifts[keep], dim=4, n=2)
+        mats = [np.eye(4)] + [
+            (pauli.materialize(op) if isinstance(op, pauli.PauliString) else op) + s * np.eye(4)
+            for op, s in zip(ops, shifts[keep])
+        ]
+        want = np.linalg.eigvalsh([[np.trace(a @ b).real for b in mats] for a in mats])
+        rep = check_independence(ep)
+        assert rep.size == len(mats)
+        # a dependent family's smallest eigenvalue is round-off around 0
+        assert rep.min_eigenvalue == pytest.approx(want[0], rel=1e-12, abs=1e-12 * want[-1])
+        assert rep.max_eigenvalue == pytest.approx(want[-1], rel=1e-12)
+        assert rep.independent == bool(want[0] > 1e-8 * want[-1]) == independent
 
 
 def test_independence_rejects_duplicates_and_identity_shift():

@@ -244,18 +244,28 @@ def test_theta_cap_is_scale_free():
 
 
 def test_one_eigensolve_per_evaluation(monkeypatch):
-    # n = 4, d = 16: no Gram (r + 1 = 40) or marginal (4 x 4, 2 x 2)
-    # matrix is d x d, so every d x d eigensolve is one of theta's spectra
+    # n = 4, d = 16: no Gram (r + 1 = 40 for the chain, 5 for the mixed
+    # problem) or marginal (4 x 4, 2 x 2) matrix is d x d, so every d x d
+    # eigensolve is one of theta's spectra
     n = 4
     d = 1 << n
     rng = np.random.default_rng(46)
-    mp, _ = random_marginal_instance(rng, n, ((0, 1), (1, 2), (2, 3)))
-    counts = {"eigensolves": 0, "evaluations": 0}
+    mp, eta = random_marginal_instance(rng, n, ((0, 1), (1, 2), (2, 3)))
+    # a matrix observable's spectrum is taken once, when the problem is built
+    mats = []
+    for _ in range(2):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mats.append((a + a.conj().T) / 2)
+    obs = (pauli.parse_label("Z0 Z1", n), mats[0], pauli.parse_label("X3", n), mats[1])
+    targets = ObservableSet(obs, dim=d, n=n).expectations(eta)
+    mixed = ExpectationProblem(obs, targets, np.zeros(len(obs)), dim=d, n=n)
+    counts = {"eigensolves": 0, "eigvalsh": 0, "evaluations": 0}
 
-    def counting(fn):
+    def counting(fn, *keys):
         def wrapped(a, *args, **kwargs):
             if np.shape(a) == (d, d):
-                counts["eigensolves"] += 1
+                for key in keys:
+                    counts[key] += 1
             return fn(a, *args, **kwargs)
 
         return wrapped
@@ -266,17 +276,22 @@ def test_one_eigensolve_per_evaluation(monkeypatch):
         counts["evaluations"] += 1
         return gibbs(self, theta)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigensolves"))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eigensolves", "eigvalsh")
+    )
     monkeypatch.setattr(ObservableSet, "gibbs", counted_gibbs)
 
-    res = solve_marginals(mp)
-    assert res.status == CONVERGED and res.iterations > 0
-    assert counts["eigensolves"] == counts["evaluations"] > res.iterations
-    counts["eigensolves"] = 0
-    rep = verify(res, mp)
-    assert rep.ok
-    assert counts["eigensolves"] == 1
+    for prob, solve in ((mp, solve_marginals), (mixed, solve_expectations)):
+        counts.update(eigensolves=0, eigvalsh=0, evaluations=0)
+        res = solve(prob)
+        assert res.status == CONVERGED and res.iterations > 0
+        assert counts["eigvalsh"] == 0
+        assert counts["eigensolves"] == counts["evaluations"] > res.iterations
+        counts["eigensolves"] = 0
+        rep = verify(res, prob)
+        assert rep.ok
+        assert counts["eigensolves"] == 1
 
 
 def test_result_invariants_on_boundary():
