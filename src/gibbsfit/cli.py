@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="record per-iteration residuals")
-    p.add_argument("--refine", action="store_true", help="Newton steps once residuals < 1e-3")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="recompute residuals for a result file")
@@ -190,7 +189,6 @@ def cmd_solve(args) -> int:
         grad_tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
-        refine=args.refine,
         keep_trace=args.trace,
     )
     if isinstance(problem, MarginalProblem):
@@ -283,6 +281,8 @@ def cmd_gen(args) -> int:
     cap = max_qubits()
     if not 1 <= args.n <= cap:
         raise UsageError(f"--n must be in 1..{cap}, got {args.n}")
+    if not math.isfinite(args.beta):
+        raise UsageError(f"--beta must be a finite number, got {args.beta}")
     subsets = _parse_subsets(args.subsets, args.n)
     doc, _ = generate_thermal_marginals(args.n, subsets, args.beta, args.seed)
     _emit(fileio.dump_json(doc), args.out)
@@ -309,9 +309,8 @@ def cmd_surface(args) -> int:
     ep = reduce_to_expectations(problem) if isinstance(problem, MarginalProblem) else problem
     if ep.size > 2:
         raise UsageError(f"surface needs 1 or 2 observables, problem has {ep.size}")
-    rank = check_independence(ep)
-    if not rank.independent:
-        raise DependentObservablesError(rank)
+    # before the range, so a dependent problem exits 65 whatever the range
+    result = solve_expectations(ep, SolveOptions())
     lo, hi, steps = _parse_range(args.grid_range)
     grid = np.linspace(lo, hi, steps)
     obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
@@ -321,7 +320,6 @@ def cmd_surface(args) -> int:
         theta = np.array(theta)
         return obset.log_partition(theta) - float(theta @ ep.targets)
 
-    result = solve_expectations(ep, SolveOptions())
     lines = []
     if ep.size == 1:
         lines.append("theta,psi")

@@ -164,33 +164,31 @@ class ObservableSet:
             expectations=self.expectations(rho),
         )
 
-    def _dense_observables(self) -> list[np.ndarray]:
-        out = []
-        for op in self.observables:
-            out.append(pauli.materialize(op) if isinstance(op, PauliString) else op)
-        return out
-
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """H_ij = Tr(T_i T_j rho)_sym - <T_i><T_j> via the exp divided
-        -difference kernel in the eigenbasis.  Offset-free: identity
-        components cancel between the two terms."""
+        """H_ij = d<T_i>/dtheta_j = Tr(op_i D_j)/Z - <op_i><op_j>, where
+        D_j = V (K o V' op_j V) V' is the Daleckii-Krein derivative of exp
+        at H(theta) along op_j, K the divided differences of exp over
+        H's spectrum.  Built one column at a time from one eigh, so memory
+        is O(d^2) for any r.  Offset-free: identity components cancel."""
         theta = np.asarray(theta, dtype=np.float64)
         w, v = np.linalg.eigh(self.base_hamiltonian(theta))
+        vh = v.conj().T
         shifted = w - w[-1]
-        z = float(np.exp(shifted).sum())
-        kernel = linalg.divided_difference_kernel(shifted)
-        dense = self._dense_observables()
+        weights = np.exp(shifted)
+        z = weights.sum()
+        probs = weights / z
+        kernel = linalg.divided_difference_kernel(shifted) / z
         r = self.size
-        d = self.dim
-        ebasis = np.empty((r, d, d), dtype=np.complex128)
-        for i, t in enumerate(dense):
-            ebasis[i] = v.conj().T @ t @ v
-        ke = kernel[None, :, :] * ebasis
-        # Tr(T_i De^H[T_j]) in the eigenbasis is sum_ab ebasis_i[a,b] ke_j[b,a]
-        raw = np.einsum("iab,jba->ij", ebasis, ke).real / z
-        probs = np.exp(shifted) / z
-        means = np.einsum("iaa,a->i", ebasis, probs).real
-        hess = raw - np.outer(means, means)
+        hess = np.empty((r, r))
+        means = np.empty(r)
+        unit = np.zeros(r)
+        for j in range(r):
+            unit[j] = 1.0
+            e = vh @ self.base_hamiltonian(unit) @ v
+            unit[j] = 0.0
+            means[j] = e.diagonal().real @ probs
+            hess[:, j] = self.expectations(v @ (kernel * e) @ vh) - self.shifts
+        hess -= np.outer(means, means)
         return 0.5 * (hess + hess.T)
 
 

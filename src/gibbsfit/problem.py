@@ -45,6 +45,22 @@ class TargetConflictError(ValueError):
         )
 
 
+class InvalidEntryError(ValueError):
+    """One constraint or observable fails validation.
+
+    `index` is its position in the constructor's sequence; `field` names
+    the part at fault, as the problem file does: "qubits" or "rho" for a
+    marginal constraint; "pauli" or "matrix" (the observable), "target"
+    or "shift" for an expectation target.
+    """
+
+    def __init__(self, index: int, field: str, detail: str):
+        self.index = int(index)
+        self.field = field
+        self.detail = detail
+        super().__init__(f"entry {self.index} ({field}): {detail}")
+
+
 class IncompatibleMarginalsError(ValueError):
     """Raised by the solve pipeline when pairwise overlap checks fail."""
 
@@ -70,16 +86,18 @@ class MarginalProblem:
         for i, (qubits, rho) in enumerate(self.constraints):
             qubits = tuple(int(q) for q in qubits)
             if not qubits:
-                raise ValueError(f"constraint {i}: empty qubit subset")
+                raise InvalidEntryError(i, "qubits", "empty qubit subset")
             if list(qubits) != sorted(set(qubits)):
-                raise ValueError(f"constraint {i}: subset must be strictly ascending, got {qubits}")
+                raise InvalidEntryError(i, "qubits", f"subset must be strictly ascending, got {qubits}")
             if qubits[0] < 0 or qubits[-1] >= self.n:
-                raise ValueError(f"constraint {i}: subset {qubits} out of range for n={self.n}")
-            rho = linalg.as_density(rho)
+                raise InvalidEntryError(i, "qubits", f"subset {qubits} out of range for n={self.n}")
+            try:
+                rho = linalg.as_density(rho)
+            except ValueError as exc:
+                raise InvalidEntryError(i, "rho", str(exc)) from exc
             if rho.shape[0] != 1 << len(qubits):
-                raise ValueError(
-                    f"constraint {i}: matrix dim {rho.shape[0]} does not match "
-                    f"subset size {len(qubits)}"
+                raise InvalidEntryError(
+                    i, "rho", f"matrix dim {rho.shape[0]} does not match subset size {len(qubits)}"
                 )
             fixed.append((qubits, rho))
         object.__setattr__(self, "constraints", tuple(fixed))
@@ -123,7 +141,7 @@ class ExpectationProblem:
         for name, values in (("target", targets), ("shift", shifts)):
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise ValueError(f"observable {bad[0]}: {name} {float(values[bad[0]])} is not finite")
+                raise InvalidEntryError(bad[0], name, f"{name} {float(values[bad[0]])} is not finite")
         if self.dim < 2 or self.dim > linalg.MAX_DIM:
             raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {self.dim}")
         fixed = []
@@ -131,21 +149,21 @@ class ExpectationProblem:
         for i, op in enumerate(obs):
             if isinstance(op, PauliString):
                 if self.n is None or op.n != self.n:
-                    raise ValueError(f"observable {i}: Pauli register size {op.n} != n={self.n}")
+                    raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={self.n}")
                 if op.is_identity:
-                    raise ValueError(f"observable {i}: identity string is not a valid observable")
-                fixed.append(op)
+                    raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
             else:
-                op = linalg.as_hermitian(op)
+                try:
+                    op = linalg.as_hermitian(op)
+                except ValueError as exc:
+                    raise InvalidEntryError(i, "matrix", str(exc)) from exc
                 if op.shape[0] != self.dim:
-                    raise ValueError(f"observable {i}: dim {op.shape[0]} != problem dim {self.dim}")
-                fixed.append(op)
-            lo, hi = intervals[i] = spectral_interval(fixed[-1], shifts[i])
+                    raise InvalidEntryError(i, "matrix", f"dim {op.shape[0]} != problem dim {self.dim}")
+            fixed.append(op)
+            lo, hi = intervals[i] = spectral_interval(op, shifts[i])
             bound = max(abs(lo), abs(hi))
             if abs(targets[i]) > bound + 1e-12:
-                raise ValueError(
-                    f"observable {i}: target {targets[i]!r} exceeds spectral radius {bound!r}"
-                )
+                raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound}")
         if self.n is not None and (1 << self.n) != self.dim:
             raise ValueError(f"dim {self.dim} does not match n={self.n}")
         object.__setattr__(self, "observables", tuple(fixed))

@@ -41,6 +41,7 @@ _ARMIJO_C = 1e-4
 _STEP_FLOOR = 1e-18
 _CURVATURE_FLOOR = 1e-12
 _MAX_RESTARTS = 3
+_MEMORY = 10  # curvature pairs kept by L-BFGS
 
 
 class DependentObservablesError(ValueError):
@@ -63,8 +64,6 @@ class SolveOptions:
     # on how an observable is scaled.  A Pauli string's half-width is 1.
     theta_cap: float = 50.0
     seed: int = 0
-    memory: int = 10
-    refine: bool = False
     keep_trace: bool = True
     theta0: np.ndarray | None = None
 
@@ -155,14 +154,13 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
     targets = ep.targets
     extreme, half_widths = _target_geometry(ep)
     flagged = bool(extreme.any())
-    r = ep.size
 
     def evaluate(theta):
         state = obset.gibbs(theta)
         return state.psi - float(theta @ targets), state.expectations - targets, state
 
     theta = (
-        np.zeros(r)
+        np.zeros(ep.size)
         if options.theta0 is None
         else np.asarray(options.theta0, dtype=np.float64).copy()
     )
@@ -199,31 +197,21 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
             )
             break
 
-        direction = None
-        if options.refine and not flagged and gmax < 1e-3:
-            # near the optimum the Hessian is cheap insurance: one damped
-            # Newton step per iteration finishes in a few rounds
-            hess = obset.hessian(theta)
-            try:
-                direction = np.linalg.solve(hess + 1e-12 * np.eye(r), -grad)
-            except np.linalg.LinAlgError:
-                direction = None
+        # two-loop recursion over stored curvature pairs
+        q = grad.copy()
+        alphas = []
+        for s, y in zip(reversed(s_hist), reversed(y_hist)):
+            a = float(s @ q) / float(y @ s)
+            alphas.append(a)
+            q -= a * y
+        if y_hist:
+            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+            q *= gamma
+        for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
+            b = float(y @ q) / float(y @ s)
+            q += s * (a - b)
+        direction = -q
         used_steepest = False
-        if direction is None:
-            # two-loop recursion over stored curvature pairs
-            q = grad.copy()
-            alphas = []
-            for s, y in zip(reversed(s_hist), reversed(y_hist)):
-                a = float(s @ q) / float(y @ s)
-                alphas.append(a)
-                q -= a * y
-            if y_hist:
-                gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-                q *= gamma
-            for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-                b = float(y @ q) / float(y @ s)
-                q += s * (a - b)
-            direction = -q
         if float(grad @ direction) >= 0:
             direction = -grad  # stale memory produced an ascent direction
             used_steepest = True
@@ -261,7 +249,7 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
         if sy > _CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             s_hist.append(s)
             y_hist.append(y)
-            if len(s_hist) > options.memory:
+            if len(s_hist) > _MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         theta, f, grad, state = theta_new, f_new, grad_new, state_new

@@ -145,6 +145,28 @@ def test_malformed_inputs_name_the_path(tmp_path, capsys):
     )
     assert main(["check", both]) == 65
 
+    # checked by the problem constructors, reported at the entry's path
+    z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    skew = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    negative = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+    for doc, path in (
+        ({"n": 2, "marginals": [{"qubits": [1, 0], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 1, "marginals": [{"qubits": [0], "rho": negative}]}, "marginals[0].rho"),
+        ({"n": 1, "expectations": [{"pauli": "", "target": 0.0}]}, "expectations[0].pauli"),
+        ({"n": 1, "expectations": [{"pauli": "Z0", "target": 1.5}]}, "expectations[0].target"),
+        ({"n": 1, "observables": [{"matrix": skew, "target": 0.0}]}, "observables[0].matrix"),
+        (
+            {
+                "n": 1,
+                "expectations": [{"pauli": "X0", "target": 0.1}],
+                "observables": [{"matrix": z, "target": 0.1}, {"matrix": z, "target": 1.5}],
+            },
+            "observables[1].target",
+        ),
+    ):
+        assert main(["check", write(tmp_path / "sem.json", doc)]) == 65, path
+        assert f"{path}:" in capsys.readouterr().err
+
     notjson = tmp_path / "nj.json"
     notjson.write_text("{broken")
     assert main(["check", str(notjson)]) == 65
@@ -311,6 +333,9 @@ def test_usage_errors(capsys, z_problem):
         ["solve", z_problem, "--tol", "nan"],
         ["solve", z_problem, "--max-iter", "0"],
         ["verify", z_problem, z_problem, "--tol", "-1"],
+        ["solve", z_problem, "--refine"],
+        ["gen", "--n", "2", "--beta", "nan"],
+        ["gen", "--n", "2", "--beta", "inf"],
     ):
         assert main(argv) == 64, argv
         assert "usage error" in capsys.readouterr().err

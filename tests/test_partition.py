@@ -1,6 +1,7 @@
 """Log-partition function: closed forms, calculus, convex geometry."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,26 @@ def test_hessian_symmetric_psd_and_fd():
         assert np.abs(h - fd).max() < 1e-5
 
 
+def test_hessian_memory_does_not_grow_with_r():
+    # nearest-neighbour chain, n = 6: r = 63 observables, d = 64; the
+    # Hessian is built column by column, never as r x d x d tensors
+    n = 6
+    strings = {}
+    for i in range(n - 1):
+        for p in pauli.strings_on((i, i + 1), n):
+            strings.setdefault(p, None)
+    oset = ObservableSet(list(strings), dim=1 << n, n=n)
+    assert oset.size == 63
+    theta = np.random.default_rng(37).normal(size=oset.size, scale=0.3)
+    tracemalloc.start()
+    try:
+        oset.hessian(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * oset.dim**2 * 16
+
+
 def test_midpoint_convexity():
     rng = np.random.default_rng(32)
     for _ in range(200):
@@ -199,6 +220,8 @@ def test_identity_offsets_leave_state_alone():
         assert linalg.trace_distance(sa.rho, sb.rho) <= 1e-10
         assert sb.psi - sa.psi == pytest.approx(float(theta @ offsets), abs=1e-9)
         assert np.abs(plain.hessian(theta) - shifted.hessian(theta)).max() < 1e-9
+        offset = ObservableSet(mats, shifts=offsets, dim=d)
+        assert np.abs(plain.hessian(theta) - offset.hessian(theta)).max() < 1e-9
 
 
 def test_restriction_identity_exact():

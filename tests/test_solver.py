@@ -217,14 +217,6 @@ def test_max_entropy_dominance_explicit():
         assert res.entropy_bits >= linalg.von_neumann_entropy(competitor) - 1e-9
 
 
-def test_refine_polishes_residuals():
-    ep = pauli_problem(2, [("Z0", -0.4), ("X0 X1", 0.3), ("Z0 Z1", 0.5)])
-    rough = solve_expectations(ep, SolveOptions(refine=False))
-    polished = solve_expectations(ep, SolveOptions(refine=True))
-    assert polished.status == CONVERGED
-    assert polished.max_residual <= max(rough.max_residual, 1e-10)
-
-
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(grad_tol=0.0)
