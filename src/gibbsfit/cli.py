@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DIGEST
-    tol = args.tol if args.tol is not None else float(resdoc.get("tol", 1e-8))
+    tol = args.tol if args.tol is not None else resdoc.get("tol", 1e-8)
     report = verify(np.asarray(resdoc["theta"], dtype=np.float64), problem, tol)
     doc = {
         "ok": report.ok,
@@ -313,12 +313,11 @@ def cmd_surface(args) -> int:
     result = solve_expectations(ep, SolveOptions())
     lo, hi, steps = _parse_range(args.grid_range)
     grid = np.linspace(lo, hi, steps)
-    obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
 
     def translated_psi(theta):
         # psi of T_i - t_i I: the objective the solver minimizes
         theta = np.array(theta)
-        return obset.log_partition(theta) - float(theta @ ep.targets)
+        return ep.observable_set.log_partition(theta) - float(theta @ ep.targets)
 
     lines = []
     if ep.size == 1:

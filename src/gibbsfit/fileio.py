@@ -153,9 +153,7 @@ def _parse_expectations(doc, n: int) -> ExpectationProblem:
     _require(bool(observables), "$", "no observables given")
     targets_arr = np.array(targets, dtype=np.float64)
     try:
-        return ExpectationProblem(
-            tuple(observables), targets_arr, np.zeros_like(targets_arr), dim=1 << n, n=n
-        )
+        return ExpectationProblem(tuple(observables), targets_arr, dim=1 << n, n=n)
     except InvalidEntryError as exc:
         # theta order: the Pauli entries, then the matrix entries
         i = exc.index
@@ -215,6 +213,10 @@ def load_result(path: str) -> dict:
     _require(isinstance(doc["theta"], list), "theta", "expected an array of numbers")
     for i, x in enumerate(doc["theta"]):
         _as_number(x, f"theta[{i}]")
+    if "tol" in doc:
+        # as strict as --tol: a bool or NaN would verify anything
+        doc["tol"] = _as_number(doc["tol"], "tol")
+        _require(doc["tol"] > 0, "tol", f"expected a positive number, got {doc['tol']}")
     return doc
 
 

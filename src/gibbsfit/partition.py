@@ -3,14 +3,10 @@
 Everything routes through one Hermitian eigendecomposition per theta:
 GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
 entropy and the minimum eigenvalue need no further eigensolve.
-ObservableSet precomputes signed-permutation data for Pauli observables
-so that building H(theta) and reading off expectations are O(r d) array
-operations, never r dense matmuls.
-
-Identity offsets: an observable is op + shift*I.  Offsets commute with
-everything, so rho and the Hessian ignore them exactly; psi gains
-theta.shifts and expectations gain shifts.  That identity is what makes
-target translation cheap and loss-free.
+ObservableSet is the one check of an observable family: it gates every
+dense observable once and precomputes signed-permutation data for the
+Pauli ones, so that building H(theta) and reading off expectations are
+O(r d) array operations, never r dense matmuls.
 """
 
 from __future__ import annotations
@@ -23,13 +19,29 @@ from . import linalg, pauli
 from .pauli import PauliString
 
 
+class InvalidEntryError(ValueError):
+    """One constraint or observable fails validation.
+
+    `index` is its position in the constructor's sequence; `field` names
+    the part at fault, as the problem file does: "qubits" or "rho" for a
+    marginal constraint; "pauli" or "matrix" (the observable) or
+    "target" for an expectation target.
+    """
+
+    def __init__(self, index: int, field: str, detail: str):
+        self.index = int(index)
+        self.field = field
+        self.detail = detail
+        super().__init__(f"entry {self.index} ({field}): {detail}")
+
+
 @dataclass(frozen=True, eq=False)
 class GibbsState:
     """exp(H)/Tr exp(H) with H = sum_i theta_i T_i, read from one
     eigendecomposition of H: rho, its spectrum, psi = log Tr exp(H) and
     <T_i>.
 
-    `hamiltonian` (H with offsets) is filled in only on a solver's
+    `hamiltonian` (H itself) is filled in only on a solver's
     converged result; iterates carry no d x d matrix besides rho.
     """
 
@@ -46,47 +58,49 @@ class GibbsState:
 
 
 class ObservableSet:
-    """A fixed family {T_i = op_i + s_i I} with fast H/psi/grad/hess."""
+    """A fixed family {T_i} of Pauli strings and dense Hermitian matrices
+    on a dim-dimensional space, with fast H/psi/grad/hess.
 
-    def __init__(self, observables, shifts=None, dim=None, n=None):
+    The constructor is the only check an observable gets: a Pauli
+    string's register must be n qubits, a matrix must pass the
+    Hermiticity gate and have dimension dim.  A failure raises
+    InvalidEntryError naming the observable's index.  `observables`
+    holds the gated family: strings as given, matrices as gated.
+    """
+
+    def __init__(self, observables, dim: int, n: int | None = None):
         observables = tuple(observables)
         if not observables:
             raise ValueError("need at least one observable")
+        if not 2 <= dim <= linalg.MAX_DIM:
+            raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {dim}")
+        if n is not None and (1 << n) != dim:
+            raise ValueError(f"dim {dim} does not match n={n}")
         self.n = n
-        if dim is None:
-            for op in observables:
-                if isinstance(op, PauliString):
-                    dim = 1 << op.n
-                else:
-                    dim = op.shape[0]
-                break
-        if dim > linalg.MAX_DIM:
-            raise ValueError(f"dim {dim} exceeds cap {linalg.MAX_DIM}")
         self.dim = int(dim)
         self.size = len(observables)
-        self.observables = observables
-        self.shifts = (
-            np.zeros(self.size) if shifts is None else np.asarray(shifts, dtype=np.float64).copy()
-        )
-        if self.shifts.shape != (self.size,):
-            raise ValueError("shifts length mismatch")
 
-        pauli_idx, mat_idx, mats = [], [], []
+        gated, pauli_idx, mat_idx, mats = [], [], [], []
         perms, phases = [], []
         for i, op in enumerate(observables):
             if isinstance(op, PauliString):
-                if 1 << op.n != self.dim:
-                    raise ValueError(f"observable {i}: register size mismatch")
+                if op.n != n:
+                    raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={n}")
                 perm, phase = pauli.perm_phase(op)
                 pauli_idx.append(i)
                 perms.append(perm)
                 phases.append(phase)
             else:
-                op = linalg.as_hermitian(op)
+                try:
+                    op = linalg.as_hermitian(op)
+                except ValueError as exc:
+                    raise InvalidEntryError(i, "matrix", str(exc)) from exc
                 if op.shape[0] != self.dim:
-                    raise ValueError(f"observable {i}: dim mismatch")
+                    raise InvalidEntryError(i, "matrix", f"dim {op.shape[0]} != problem dim {self.dim}")
                 mat_idx.append(i)
                 mats.append(op)
+            gated.append(op)
+        self.observables = tuple(gated)
         self._pauli_idx = np.array(pauli_idx, dtype=np.intp)
         self._mat_idx = np.array(mat_idx, dtype=np.intp)
         self._mats = mats
@@ -101,8 +115,8 @@ class ObservableSet:
             self._phases = np.empty((0, self.dim), dtype=np.complex128)
             self._flat = np.empty(0, dtype=np.intp)
 
-    def base_hamiltonian(self, theta: np.ndarray) -> np.ndarray:
-        """sum_i theta_i op_i, offsets excluded."""
+    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
+        """H(theta) = sum_i theta_i T_i."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
             raise ValueError(f"theta has {theta.size} entries, expected r = {self.size}")
@@ -115,17 +129,8 @@ class ObservableSet:
             h += theta[i] * self._mats[j]
         return h
 
-    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
-        """sum_i theta_i (op_i + s_i I)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        h = self.base_hamiltonian(theta)
-        c = float(theta @ self.shifts)
-        if c != 0.0:
-            h[np.diag_indices(self.dim)] += c
-        return h
-
     def expectations(self, rho: np.ndarray) -> np.ndarray:
-        """<op_i + s_i I> under rho; rho must have unit trace."""
+        """<T_i> under rho; rho must have unit trace."""
         out = np.empty(self.size)
         if len(self._pauli_idx):
             # Tr(P rho) = sum_a phase_a * rho[a, perm_a]
@@ -135,22 +140,19 @@ class ObservableSet:
             out[self._pauli_idx] = vals.real
         for j, i in enumerate(self._mat_idx):
             out[i] = np.vdot(self._mats[j], rho).real
-        return out + self.shifts
+        return out
 
     def log_partition(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=np.float64)
-        return linalg.log_trace_exp(self.base_hamiltonian(theta)) + float(theta @ self.shifts)
+        return linalg.log_trace_exp(self.hamiltonian(theta))
 
     def gibbs(self, theta: np.ndarray) -> GibbsState:
         """One eigh gives rho, its spectrum, psi and the gradient <T>.
 
         H is Hermitian by construction, so it goes to numpy's eigh with
-        no gate.  Offsets shift the spectrum rigidly, so they are applied
-        to psi and the expectations after the fact and never enter the
-        eigensolve.
+        no gate.
         """
         theta = np.asarray(theta, dtype=np.float64).copy()
-        w, v = np.linalg.eigh(self.base_hamiltonian(theta))
+        w, v = np.linalg.eigh(self.hamiltonian(theta))
         weights = np.exp(w - w[-1])
         z = weights.sum()
         spectrum = weights / z
@@ -160,18 +162,19 @@ class ObservableSet:
             theta=theta,
             rho=rho,
             spectrum=spectrum,
-            psi=float(w[-1] + np.log(z)) + float(theta @ self.shifts),
+            psi=float(w[-1] + np.log(z)),
             expectations=self.expectations(rho),
         )
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """H_ij = d<T_i>/dtheta_j = Tr(op_i D_j)/Z - <op_i><op_j>, where
-        D_j = V (K o V' op_j V) V' is the Daleckii-Krein derivative of exp
-        at H(theta) along op_j, K the divided differences of exp over
+        """H_ij = d<T_i>/dtheta_j = Tr(T_i D_j)/Z - <T_i><T_j>, where
+        D_j = V (K o V' T_j V) V' is the Daleckii-Krein derivative of exp
+        at H(theta) along T_j, K the divided differences of exp over
         H's spectrum.  Built one column at a time from one eigh, so memory
-        is O(d^2) for any r.  Offset-free: identity components cancel."""
+        is O(d^2) for any r.  T_j V is V's rows permuted and phased for a
+        Pauli string, one matmul for a matrix."""
         theta = np.asarray(theta, dtype=np.float64)
-        w, v = np.linalg.eigh(self.base_hamiltonian(theta))
+        w, v = np.linalg.eigh(self.hamiltonian(theta))
         vh = v.conj().T
         shifted = w - w[-1]
         weights = np.exp(shifted)
@@ -181,34 +184,15 @@ class ObservableSet:
         r = self.size
         hess = np.empty((r, r))
         means = np.empty(r)
-        unit = np.zeros(r)
-        for j in range(r):
-            unit[j] = 1.0
-            e = vh @ self.base_hamiltonian(unit) @ v
-            unit[j] = 0.0
+        for j, op in enumerate(self.observables):
+            if isinstance(op, PauliString):
+                # P[perm[a], a] = phase[a] and perm is an involution
+                perm, phase = pauli.perm_phase(op)
+                opv = phase[perm, None] * v[perm]
+            else:
+                opv = op @ v
+            e = vh @ opv
             means[j] = e.diagonal().real @ probs
-            hess[:, j] = self.expectations(v @ (kernel * e) @ vh) - self.shifts
+            hess[:, j] = self.expectations(v @ (kernel * e) @ vh)
         hess -= np.outer(means, means)
         return 0.5 * (hess + hess.T)
-
-
-def _as_set(observables, shifts=None) -> ObservableSet:
-    if isinstance(observables, ObservableSet):
-        return observables
-    return ObservableSet(observables, shifts=shifts)
-
-
-def log_partition(theta, observables, shifts=None) -> float:
-    return _as_set(observables, shifts).log_partition(theta)
-
-
-def gibbs_state(theta, observables, shifts=None) -> GibbsState:
-    return _as_set(observables, shifts).gibbs(theta)
-
-
-def gradient(theta, observables, shifts=None) -> np.ndarray:
-    return _as_set(observables, shifts).gibbs(theta).expectations
-
-
-def hessian(theta, observables, shifts=None) -> np.ndarray:
-    return _as_set(observables, shifts).hessian(theta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pauli
-from .partition import ObservableSet
+from .partition import InvalidEntryError, ObservableSet
 from .pauli import PauliString
 
 COMPATIBLE = "Compatible"
@@ -43,22 +43,6 @@ class TargetConflictError(ValueError):
             f"conflicting targets for '{label}': {value_a!r} from subset "
             f"{tuple(subset_a)} vs {value_b!r} from subset {tuple(subset_b)}"
         )
-
-
-class InvalidEntryError(ValueError):
-    """One constraint or observable fails validation.
-
-    `index` is its position in the constructor's sequence; `field` names
-    the part at fault, as the problem file does: "qubits" or "rho" for a
-    marginal constraint; "pauli" or "matrix" (the observable), "target"
-    or "shift" for an expectation target.
-    """
-
-    def __init__(self, index: int, field: str, detail: str):
-        self.index = int(index)
-        self.field = field
-        self.detail = detail
-        super().__init__(f"entry {self.index} ({field}): {detail}")
 
 
 class IncompatibleMarginalsError(ValueError):
@@ -111,64 +95,40 @@ class MarginalProblem:
 class ExpectationProblem:
     """Observables T_i with targets t_i on a dim-dimensional space.
 
-    An observable is a PauliString or a dense Hermitian matrix; each
-    carries an identity offset in `shifts`, so the effective operator is
-    op + shift*I.  Offsets commute with everything, so the Gibbs state
-    never depends on them, only psi does.
-
-    `intervals` is derived, not passed: row i is (min, max) of
-    spec(op_i + s_i I), computed once for the target bound check.
+    An observable is a PauliString or a dense Hermitian matrix.  Two
+    fields are derived, not passed: `observable_set` is the one
+    ObservableSet of the family, built (and every observable gated)
+    here, and `observables` is its gated tuple; row i of `intervals` is
+    (min, max) of spec(T_i), computed once for the target bound check.
     """
 
     observables: tuple
     targets: np.ndarray
-    shifts: np.ndarray
     dim: int
     n: int | None = None
+    observable_set: ObservableSet = field(init=False, repr=False)
     intervals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = tuple(self.observables)
         targets = np.atleast_1d(np.asarray(self.targets, dtype=np.float64))
-        shifts = np.atleast_1d(np.asarray(self.shifts, dtype=np.float64))
-        if not obs:
-            raise ValueError("an expectation problem needs at least one observable")
-        if targets.shape != (len(obs),) or shifts.shape != (len(obs),):
-            raise ValueError(
-                f"lengths disagree: {len(obs)} observables, {targets.shape} targets, "
-                f"{shifts.shape} shifts"
-            )
-        for name, values in (("target", targets), ("shift", shifts)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise InvalidEntryError(bad[0], name, f"{name} {float(values[bad[0]])} is not finite")
-        if self.dim < 2 or self.dim > linalg.MAX_DIM:
-            raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {self.dim}")
-        fixed = []
-        intervals = np.empty((len(obs), 2))
+        if targets.shape != (len(obs),):
+            raise ValueError(f"lengths disagree: {len(obs)} observables, {targets.shape} targets")
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if bad.size:
+            raise InvalidEntryError(bad[0], "target", f"target {float(targets[bad[0]])} is not finite")
         for i, op in enumerate(obs):
-            if isinstance(op, PauliString):
-                if self.n is None or op.n != self.n:
-                    raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={self.n}")
-                if op.is_identity:
-                    raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
-            else:
-                try:
-                    op = linalg.as_hermitian(op)
-                except ValueError as exc:
-                    raise InvalidEntryError(i, "matrix", str(exc)) from exc
-                if op.shape[0] != self.dim:
-                    raise InvalidEntryError(i, "matrix", f"dim {op.shape[0]} != problem dim {self.dim}")
-            fixed.append(op)
-            lo, hi = intervals[i] = spectral_interval(op, shifts[i])
+            if isinstance(op, PauliString) and op.is_identity:
+                raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
+        obset = ObservableSet(obs, dim=self.dim, n=self.n)
+        intervals = np.array([spectral_interval(op) for op in obset.observables])
+        for i, (lo, hi) in enumerate(intervals):
             bound = max(abs(lo), abs(hi))
             if abs(targets[i]) > bound + 1e-12:
                 raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound}")
-        if self.n is not None and (1 << self.n) != self.dim:
-            raise ValueError(f"dim {self.dim} does not match n={self.n}")
-        object.__setattr__(self, "observables", tuple(fixed))
+        object.__setattr__(self, "observables", obset.observables)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "observable_set", obset)
         object.__setattr__(self, "intervals", intervals)
 
     @classmethod
@@ -176,26 +136,24 @@ class ExpectationProblem:
         """pairs: iterable of (PauliString, target)."""
         obs = tuple(p for p, _ in pairs)
         targets = np.array([t for _, t in pairs], dtype=np.float64)
-        return cls(obs, targets, np.zeros_like(targets), dim=1 << n, n=n)
+        return cls(obs, targets, dim=1 << n, n=n)
 
     @classmethod
     def from_matrices(cls, mats, targets, n: int | None = None) -> "ExpectationProblem":
         mats = tuple(np.asarray(m) for m in mats)
-        targets = np.asarray(targets, dtype=np.float64)
-        dim = mats[0].shape[0]
-        return cls(mats, targets, np.zeros_like(targets), dim=dim, n=n)
+        return cls(mats, targets, dim=mats[0].shape[0], n=n)
 
     @property
     def size(self) -> int:
         return len(self.observables)
 
 
-def spectral_interval(op, shift: float = 0.0) -> tuple[float, float]:
-    """(min, max) eigenvalue of op + shift*I."""
+def spectral_interval(op) -> tuple[float, float]:
+    """(min, max) eigenvalue of op."""
     if isinstance(op, PauliString):
-        return (-1.0 + shift, 1.0 + shift)
+        return (-1.0, 1.0)
     w = np.linalg.eigvalsh(np.asarray(op, dtype=np.complex128))
-    return (float(w[0] + shift), float(w[-1] + shift))
+    return (float(w[0]), float(w[-1]))
 
 
 @dataclass(frozen=True)
@@ -261,47 +219,33 @@ def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
     np.clip(arr, -1.0, 1.0, out=arr)
-    return ExpectationProblem(
-        tuple(observables), arr, np.zeros_like(arr), dim=1 << mp.n, n=mp.n
-    )
+    return ExpectationProblem(tuple(observables), arr, dim=1 << mp.n, n=mp.n)
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:
     """Gram-matrix rank check on {I, T_1..T_r}.
 
     Independent iff the smallest Gram eigenvalue exceeds 1e-8 times the
-    largest.  With T_a = op_a + s_a I and I = 0 + 1*I, the Gram entry is
-    Tr(op_a op_b) + s_a Tr op_b + s_b Tr op_a + s_a s_b d.  Pauli
+    largest.  Row and column 0 (the identity) hold d and Tr T_a.  Pauli
     strings are traceless and distinct ones are orthogonal, so no string
     is ever materialized; a dense observable's inner products are its
-    row of the ObservableSet expectation kernel.
+    row of the problem's ObservableSet expectation kernel.  A marginal
+    reduction emits distinct strings only, so its family is independent
+    by construction and needs no check.
     """
     d = ep.dim
     m = ep.size + 1
-    shifts = np.concatenate(([1.0], ep.shifts))
-    traces = np.zeros(m)
     gram = np.zeros((m, m))
+    gram[0, 0] = d
     strings: dict[PauliString, list[int]] = {}
-    dense = []
     for a, op in enumerate(ep.observables, start=1):
         if isinstance(op, PauliString):
             strings.setdefault(op, []).append(a)
         else:
-            dense.append(a)
-            traces[a] = np.trace(op).real
+            gram[a, 0] = gram[0, a] = np.trace(op).real
+            gram[a, 1:] = gram[1:, a] = ep.observable_set.expectations(op)
     for rows in strings.values():
         gram[np.ix_(rows, rows)] = d
-    # Built only when a dense row needs it: building it fills the Pauli
-    # table cache, which would otherwise sit next to the Gram matrix in
-    # the eigensolve (8 MB at r = 1983, d = 128).
-    if dense:
-        kernel = ObservableSet(ep.observables, dim=d, n=ep.n)
-        for a in dense:
-            gram[a, 1:] = gram[1:, a] = kernel.expectations(ep.observables[a - 1])
-    # in place: one expression would hold three m x m temporaries at once
-    gram += np.outer(shifts, traces)
-    gram += np.outer(traces, shifts)
-    gram += d * np.outer(shifts, shifts)
     w = np.linalg.eigvalsh(gram)
     return RankReport(
         independent=bool(w[0] > 1e-8 * w[-1]),

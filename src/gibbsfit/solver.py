@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pauli, problem as problem_mod
-from .partition import GibbsState, ObservableSet
+from .partition import GibbsState
 from .problem import (
     ExpectationProblem,
     IncompatibleMarginalsError,
@@ -139,6 +139,14 @@ def _armijo(theta, f, grad, direction, evaluate):
 
 
 def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = None) -> SolveResult:
+    """Check that {I, T_i} is independent, then fit (see _minimize)."""
+    rank = check_independence(ep)
+    if not rank.independent:
+        raise DependentObservablesError(rank)
+    return _minimize(ep, options)
+
+
+def _minimize(ep: ExpectationProblem, options: SolveOptions | None) -> SolveResult:
     """Minimize the translated log-partition f(theta) = psi(theta) - theta.t
     with L-BFGS; grad f_i = <T_i>_theta - t_i is the residual vector.
 
@@ -146,11 +154,7 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
     accepted iterate, so no eigensolve happens after the loop.
     """
     options = options or SolveOptions()
-    rank = check_independence(ep)
-    if not rank.independent:
-        raise DependentObservablesError(rank)
-
-    obset = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n)
+    obset = ep.observable_set
     targets = ep.targets
     extreme, half_widths = _target_geometry(ep)
     flagged = bool(extreme.any())
@@ -277,8 +281,9 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     report = check_local_compatibility(mp)
     if report.verdict != problem_mod.COMPATIBLE:
         raise IncompatibleMarginalsError(report)
+    # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
-    result = solve_expectations(ep, options)
+    result = _minimize(ep, options)
     if result.status != CONVERGED:
         return result
     strings = [op for op in ep.observables]
@@ -330,7 +335,7 @@ def verify(
     theta = np.asarray(theta, dtype=np.float64)
     marginal = isinstance(prob, MarginalProblem)
     ep = reduce_to_expectations(prob) if marginal else prob
-    state = ObservableSet(ep.observables, shifts=ep.shifts, dim=ep.dim, n=ep.n).gibbs(theta)
+    state = ep.observable_set.gibbs(theta)
     residuals = state.expectations - ep.targets
     min_eig = float(state.spectrum[0])
     dists = None

@@ -260,11 +260,10 @@ def test_criterion_6_convexity_and_coercivity():
             gen = ObservableSet(pool, dim=1 << n, n=n)
             theta_star = rng.uniform(-0.2, 0.2, size=len(pool))
             targets = gen.gibbs(theta_star).expectations
-            translated = ObservableSet(pool, shifts=-targets, dim=1 << n, n=n)
             for _ in range(50):
                 u = rng.normal(size=len(pool))
                 u /= np.linalg.norm(u)
-                vals = [translated.log_partition(r * u) for r in (1.0, 2.0, 4.0, 8.0)]
+                vals = [gen.log_partition(r * u) - r * u @ targets for r in (1.0, 2.0, 4.0, 8.0)]
                 assert vals[0] < vals[1] < vals[2] < vals[3]
 
     stamp(6, "1000 midpoint convexity checks; ray-scan coercivity on complete instances", body)

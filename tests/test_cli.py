@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsfit import fileio
+from gibbsfit import fileio, linalg
 from gibbsfit.cli import main
+from gibbsfit.partition import ObservableSet
 
 BELL_JSON = [
     [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
@@ -220,6 +221,54 @@ def test_verify_rejects_wrong_theta_length(tmp_path, capsys):
         assert main(["verify", str(prob), tampered]) == 65, len(theta)
         err = capsys.readouterr().err
         assert "theta" in err and str(len(theta)) in err and "27" in err
+
+
+def test_verify_rejects_bad_result_tol(tmp_path, capsys, z_problem):
+    # theta = 0 leaves residual 0.6, which a tol read as 1.0 (true) passes
+    res = tmp_path / "res.json"
+    assert main(["solve", z_problem, "--out", str(res)]) == 0
+    doc = dict(read(res), theta=[0.0])
+    for tol in (True, float("nan"), -1):
+        tampered = write(tmp_path / "t.json", dict(doc, tol=tol))
+        report = tmp_path / "v.json"
+        assert main(["verify", z_problem, tampered, "--out", str(report)]) == 65, tol
+        assert capsys.readouterr().err.startswith("error: tol: ")
+        assert not report.exists()
+
+
+def test_each_command_gates_observables_once(tmp_path, monkeypatch):
+    # n = 3 with two dense observables: check, solve and verify each build
+    # the problem's one ObservableSet, and only it gates the matrices
+    rng = np.random.default_rng(48)
+    weights = rng.uniform(0.5, 1.5, size=8)
+    rho = np.diag(weights / weights.sum())
+    entries = []
+    for _ in range(2):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m = (a + a.conj().T) / 2
+        entries.append({"matrix": fileio.matrix_to_json(m), "target": float(np.trace(m @ rho).real)})
+    prob = write(tmp_path / "p.json", {"n": 3, "observables": entries})
+    res = str(tmp_path / "res.json")
+    counts = {"sets": 0, "gates": 0}
+    build = ObservableSet.__init__
+    gate = linalg.as_hermitian
+
+    def counted_build(self, *args, **kwargs):
+        counts["sets"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_gate(a, *args, **kwargs):
+        counts["gates"] += np.shape(a) == (8, 8)
+        return gate(a, *args, **kwargs)
+
+    monkeypatch.setattr(ObservableSet, "__init__", counted_build)
+    monkeypatch.setattr(linalg, "as_hermitian", counted_gate)
+    out = str(tmp_path / "out.json")
+    for argv in (["check", prob, "--out", out], ["solve", prob, "--out", res],
+                 ["verify", prob, res, "--out", out]):
+        counts.update(sets=0, gates=0)
+        assert main(argv) == 0
+        assert counts == {"sets": 1, "gates": 2}, argv[0]
 
 
 def test_gen_solve_verify_chain(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli
-from gibbsfit.partition import ObservableSet, gibbs_state, gradient, hessian, log_partition
+from gibbsfit.partition import ObservableSet
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -93,7 +93,7 @@ def test_state_spectrum_matches_rho():
 def test_gradient_closed_form_and_fd():
     obs = ObservableSet([pauli.parse_label("Z0", 1)], dim=2, n=1)
     for th in (-1.5, 0.0, 0.9):
-        g = gradient(np.array([th]), obs)
+        g = obs.gibbs(np.array([th])).expectations
         assert g[0] == pytest.approx(np.tanh(th), abs=1e-14)
 
     rng = np.random.default_rng(30)
@@ -220,8 +220,6 @@ def test_identity_offsets_leave_state_alone():
         assert linalg.trace_distance(sa.rho, sb.rho) <= 1e-10
         assert sb.psi - sa.psi == pytest.approx(float(theta @ offsets), abs=1e-9)
         assert np.abs(plain.hessian(theta) - shifted.hessian(theta)).max() < 1e-9
-        offset = ObservableSet(mats, shifts=offsets, dim=d)
-        assert np.abs(plain.hessian(theta) - offset.hessian(theta)).max() < 1e-9
 
 
 def test_restriction_identity_exact():
@@ -245,15 +243,18 @@ def test_coercivity_along_rays():
     gen = ObservableSet(strings, dim=4, n=2)
     theta_star = rng.uniform(-0.2, 0.2, size=15)
     targets = gen.gibbs(theta_star).expectations
-    translated = ObservableSet(strings, shifts=-targets, dim=4, n=2)
-    f0 = translated.log_partition(np.zeros(15))
-    f_min = translated.log_partition(theta_star)  # gradient vanishes there
+
+    def translated(theta):
+        return gen.log_partition(theta) - theta @ targets
+
+    f0 = translated(np.zeros(15))
+    f_min = translated(theta_star)  # gradient vanishes there
     radii = (1.0, 2.0, 4.0, 8.0)
     profiles = []
     for _ in range(50):
         u = rng.normal(size=15)
         u /= np.linalg.norm(u)
-        values = [translated.log_partition(r * u) for r in radii]
+        values = [translated(r * u) for r in radii]
         assert values[0] < values[1] < values[2] < values[3]
         assert values[-1] > f0  # far out beats the origin: the min is interior
         profiles.append(values)
@@ -265,11 +266,30 @@ def test_coercivity_along_rays():
             assert hi - lo >= b * dr - 1e-9
 
 
-def test_module_level_wrappers():
-    obs = [pauli.parse_label("Z0", 1)]
+def test_single_qubit_closed_forms():
+    # psi, <Z> and d<Z>/dtheta of exp(theta Z)/Z from one set, along every path
+    oset = ObservableSet([pauli.parse_label("Z0", 1)], dim=2, n=1)
     th = np.array([0.5])
-    assert log_partition(th, obs) == pytest.approx(np.log(2 * np.cosh(0.5)), abs=1e-13)
-    state = gibbs_state(th, obs)
+    assert oset.log_partition(th) == pytest.approx(np.log(2 * np.cosh(0.5)), abs=1e-13)
+    state = oset.gibbs(th)
+    assert state.psi == pytest.approx(np.log(2 * np.cosh(0.5)), abs=1e-13)
     assert state.expectations[0] == pytest.approx(np.tanh(0.5), abs=1e-13)
-    assert gradient(th, obs)[0] == pytest.approx(np.tanh(0.5), abs=1e-13)
-    assert hessian(th, obs)[0, 0] == pytest.approx(1 / np.cosh(0.5) ** 2, abs=1e-12)
+    assert oset.hessian(th)[0, 0] == pytest.approx(1 / np.cosh(0.5) ** 2, abs=1e-12)
+
+
+def test_hessian_builds_one_hamiltonian(monkeypatch):
+    # each column applies T_j to the eigenvectors directly: H(theta) is the
+    # only d x d operator built, for Pauli and dense observables alike
+    rng = np.random.default_rng(38)
+    oset = mixed_observable_set(rng, 3, 8)
+    theta = rng.normal(size=oset.size)
+    calls = []
+    build = ObservableSet.hamiltonian
+
+    def counted(self, theta):
+        calls.append(1)
+        return build(self, theta)
+
+    monkeypatch.setattr(ObservableSet, "hamiltonian", counted)
+    oset.hessian(theta)
+    assert len(calls) == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli, problem
-from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import (
     ExpectationProblem,
     MarginalProblem,
@@ -62,13 +61,12 @@ def test_expectation_problem_validation():
     with pytest.raises(ValueError):
         ExpectationProblem.from_paulis(1, [(pauli.identity(1), 0.5)])
     ep = ExpectationProblem.from_matrices([Z + 0.5 * X], [0.9], n=1)
-    lo, hi = spectral_interval(ep.observables[0], 0.0)
+    lo, hi = spectral_interval(ep.observables[0])
     assert lo == pytest.approx(-np.sqrt(1.25)) and hi == pytest.approx(np.sqrt(1.25))
     with pytest.raises(ValueError):
         ExpectationProblem.from_matrices([Z], [0.5, 0.5], n=1)  # length mismatch
-    for targets, shifts in (([np.nan], [0.0]), ([0.1], [np.inf])):
-        with pytest.raises(ValueError, match="not finite"):
-            ExpectationProblem((p,), targets, shifts, dim=2, n=1)
+    with pytest.raises(ValueError, match="not finite"):
+        ExpectationProblem((p,), [np.nan], dim=2, n=1)
 
 
 def test_reduce_maximally_mixed_subset():
@@ -114,21 +112,10 @@ def test_reduce_conflict_names_string_and_subsets():
     assert set(err.value.subsets) == {(0, 1), (1, 2)}
 
 
-def test_identity_offsets_shift_expectations():
-    # <op + s I> = <op> + s at any state, for Pauli and dense observables
-    rng = np.random.default_rng(20)
-    obs = (pauli.parse_label("Z0", 2), pauli.parse_label("X0 X1", 2), random_hermitian(rng, 4))
-    shifts = np.array([0.6, -0.25, 1.5])
-    rho = rand_density(rng, 4)
-    raw = ObservableSet(obs, dim=4, n=2).expectations(rho)
-    moved = ObservableSet(obs, shifts=shifts, dim=4, n=2).expectations(rho)
-    assert np.abs(moved - (raw + shifts)).max() < 1e-14
-
-
 def test_spectral_interval():
-    assert spectral_interval(pauli.parse_label("X0 Z1", 2), 0.25) == (-0.75, 1.25)
-    lo, hi = spectral_interval(np.diag([2.0, -3.0]).astype(complex), 1.0)
-    assert (lo, hi) == (-2.0, 3.0)
+    assert spectral_interval(pauli.parse_label("X0 Z1", 2)) == (-1.0, 1.0)
+    lo, hi = spectral_interval(np.diag([2.0, -3.0]).astype(complex))
+    assert (lo, hi) == (-3.0, 2.0)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -143,22 +130,39 @@ def test_independence_distinct_paulis(n):
     assert rep.min_eigenvalue == rep.max_eigenvalue == 2**n
 
 
+def test_marginal_reductions_are_independent():
+    # solve_marginals skips the Gram check: a reduction emits distinct
+    # non-identity strings, so {I, T_i} is orthogonal and the Gram is d*I
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        sigma = rand_density(rng, 1 << n)
+        subsets = set()
+        while len(subsets) < int(rng.integers(1, 4)):
+            size = int(rng.integers(1, min(3, n) + 1))
+            subsets.add(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+        cons = tuple((q, linalg.partial_trace(sigma, n, q)) for q in sorted(subsets))
+        rep = check_independence(reduce_to_expectations(MarginalProblem(n, cons)))
+        assert rep.independent
+        assert rep.min_eigenvalue == rep.max_eigenvalue == 2**n
+
+
 def test_independence_gram_matches_dense_reference():
     # duplicated Pauli, dense copy of a Pauli, traceful random Hermitian,
-    # nonzero shifts: every kind of Gram entry at once
+    # identity components on the dense ones: every kind of Gram entry at once
     rng = np.random.default_rng(23)
     zz = pauli.parse_label("Z0 Z1", 2)
     x0 = pauli.parse_label("X0", 2)
     herm = random_hermitian(rng, 4) + 0.7 * np.eye(4)
-    obs = (zz, x0, zz, pauli.materialize(x0), herm, pauli.parse_label("Y1", 2))
-    shifts = np.array([0.3, -0.4, 0.0, 1.1, -0.6, 0.25])
-    # without the duplicates (observables 2 and 3) the family is independent
-    for keep, independent in ((range(6), False), ([0, 1, 4, 5], True)):
+    obs = (zz, x0, zz, pauli.materialize(x0) + 1.1 * np.eye(4), herm - 0.6 * np.eye(4),
+           pauli.parse_label("Y1", 2))
+    # without the duplicates (observables 2 and 3) the family is independent;
+    # X0 + 1.1 I duplicates X0 together with I
+    for keep, independent in ((range(6), False), ([0, 1, 4, 5], True), ([1, 3], False)):
         ops = [obs[i] for i in keep]
-        ep = ExpectationProblem(tuple(ops), np.zeros(len(ops)), shifts[keep], dim=4, n=2)
+        ep = ExpectationProblem(tuple(ops), np.zeros(len(ops)), dim=4, n=2)
         mats = [np.eye(4)] + [
-            (pauli.materialize(op) if isinstance(op, pauli.PauliString) else op) + s * np.eye(4)
-            for op, s in zip(ops, shifts[keep])
+            pauli.materialize(op) if isinstance(op, pauli.PauliString) else op for op in ops
         ]
         want = np.linalg.eigvalsh([[np.trace(a @ b).real for b in mats] for a in mats])
         rep = check_independence(ep)
@@ -177,9 +181,7 @@ def test_independence_rejects_duplicates_and_identity_shift():
     ep2 = ExpectationProblem.from_matrices([0.5 * np.eye(2, dtype=complex)], [0.3], n=1)
     assert not check_independence(ep2).independent
     # shifted Pauli stays independent: {I, Z + 0.6 I} has Gram [[2, 1.2], [1.2, 2.72]]
-    ep3 = ExpectationProblem(
-        (pauli.parse_label("Z0", 1),), np.array([0.0]), np.array([0.6]), dim=2, n=1
-    )
+    ep3 = ExpectationProblem.from_matrices([Z + 0.6 * np.eye(2)], [0.0], n=1)
     rep = check_independence(ep3)
     want = np.linalg.eigvalsh(np.array([[2.0, 1.2], [1.2, 2.72]]))
     assert rep.independent
@@ -192,7 +194,6 @@ def test_independence_mixed_pauli_matrix():
     ep = ExpectationProblem(
         (pauli.parse_label("Z0", 1), Z.copy()),
         np.array([0.1, 0.1]),
-        np.zeros(2),
         dim=2,
         n=1,
     )

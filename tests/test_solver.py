@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gibbsfit import linalg, pauli
+from gibbsfit import linalg, pauli, solver
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import ExpectationProblem, IncompatibleMarginalsError, MarginalProblem
 from gibbsfit.solver import (
@@ -250,8 +250,8 @@ def test_one_eigensolve_per_evaluation(monkeypatch):
         mats.append((a + a.conj().T) / 2)
     obs = (pauli.parse_label("Z0 Z1", n), mats[0], pauli.parse_label("X3", n), mats[1])
     targets = ObservableSet(obs, dim=d, n=n).expectations(eta)
-    mixed = ExpectationProblem(obs, targets, np.zeros(len(obs)), dim=d, n=n)
-    counts = {"eigensolves": 0, "eigvalsh": 0, "evaluations": 0}
+    mixed = ExpectationProblem(obs, targets, dim=d, n=n)
+    counts = {"eigensolves": 0, "eigvalsh": 0, "evaluations": 0, "gram": 0}
 
     def counting(fn, *keys):
         def wrapped(a, *args, **kwargs):
@@ -273,11 +273,20 @@ def test_one_eigensolve_per_evaluation(monkeypatch):
         np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eigensolves", "eigvalsh")
     )
     monkeypatch.setattr(ObservableSet, "gibbs", counted_gibbs)
+    check = solver.check_independence
 
-    for prob, solve in ((mp, solve_marginals), (mixed, solve_expectations)):
-        counts.update(eigensolves=0, eigvalsh=0, evaluations=0)
+    def counted_check(ep):
+        counts["gram"] += 1
+        return check(ep)
+
+    monkeypatch.setattr(solver, "check_independence", counted_check)
+
+    # a marginal reduction is independent by construction: no Gram check
+    for prob, solve, grams in ((mp, solve_marginals, 0), (mixed, solve_expectations, 1)):
+        counts.update(eigensolves=0, eigvalsh=0, evaluations=0, gram=0)
         res = solve(prob)
         assert res.status == CONVERGED and res.iterations > 0
+        assert counts["gram"] == grams
         assert counts["eigvalsh"] == 0
         assert counts["eigensolves"] == counts["evaluations"] > res.iterations
         counts["eigensolves"] = 0
