@@ -226,6 +226,22 @@ def divided_difference_kernel(w: np.ndarray) -> np.ndarray:
     return np.where(close, np.broadcast_to(ew[:, None], dif.shape), num / den)
 
 
+def log_divided_difference(w: np.ndarray) -> np.ndarray:
+    """First divided differences of log over a positive spectrum.
+
+    K[i,j] = (log w_i - log w_j)/(w_i - w_j), written as
+    log1p((w_i - w_j)/w_j)/(w_i - w_j) so that close eigenvalues keep
+    full relative precision; the confluent limit 1/w_j where w_i = w_j.
+    With rho = V diag(w) V', V (K o V' X V) V' is the Frechet derivative
+    of log at rho along X.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    dif = w[:, None] - w[None, :]
+    same = dif == 0.0
+    ratio = np.log1p(dif / w[None, :]) / np.where(same, 1.0, dif)
+    return np.where(same, 1.0 / w[None, :], ratio)
+
+
 def expm_directional_derivative(h, e) -> np.ndarray:
     """d/ds exp(H + sE) at s=0 for Hermitian H, E.
 

@@ -130,6 +130,43 @@ def perm_phase(p: PauliString):
     return _perm_phase(p.n, p.letters)
 
 
+@lru_cache(maxsize=None)
+def region_tables(k: int):
+    """The 4^k - 1 non-identity strings on k qubits, in `strings_on`
+    order, as arrays: letter codes (m, k), 0..3 for I, X, Y, Z, and the
+    signed-permutation form (perms, phases), each (m, 2^k).  Row j of
+    (perms, phases) is bitwise what `perm_phase` gives the j-th string:
+    the phase factors are applied qubit by qubit in the same order."""
+    if not 1 <= k <= linalg.MAX_QUBITS:
+        raise ValueError(f"k={k} outside 1..{linalg.MAX_QUBITS}")
+    dim = 1 << k
+    codes = np.array(list(itertools.product(range(4), repeat=k))[1:], dtype=np.intp)
+    idx = np.arange(dim, dtype=np.int64)
+    perms = np.broadcast_to(idx, (len(codes), dim)).copy()
+    phases = np.ones((len(codes), dim), dtype=np.complex128)
+    for q in range(k):
+        shift = k - 1 - q
+        bit = (idx >> shift) & 1
+        c = codes[:, q, None]
+        perms ^= np.where((c == 1) | (c == 2), 1 << shift, 0)
+        phases = np.where(c == 2, phases * (1j * (1 - 2 * bit)), phases)
+        phases = np.where(c == 3, phases * (1.0 - 2 * bit), phases)
+    for a in (codes, perms, phases):
+        a.flags.writeable = False
+    return codes, perms, phases
+
+
+def region_traces(a: np.ndarray) -> np.ndarray:
+    """Tr(P_j A) for every string j of `region_tables(k)`, A a 2^k x 2^k
+    matrix: one batched gather, each trace summed by the same dot
+    product as `pauli_trace`, so the values are bitwise its values."""
+    d = a.shape[0]
+    _, perms, phases = region_tables(d.bit_length() - 1)
+    # Tr(P A) = sum_a phase_a A[a, perm_a]
+    gathered = np.asarray(a).ravel()[np.arange(d) * d + perms]
+    return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
+
+
 def materialize(p: PauliString) -> np.ndarray:
     """Dense 2^n matrix of the string (Hermitian, unitary, involutory)."""
     perm, phase = perm_phase(p)

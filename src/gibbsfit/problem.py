@@ -31,6 +31,8 @@ COMPAT_ATOL = 1e-9
 # Entropy diagnostic slack, in bits.
 ENTROPY_ATOL = 1e-9
 
+_LETTER = "IXYZ"  # pauli.region_tables letter codes
+
 
 class TargetConflictError(ValueError):
     """Two constraints imply different targets for the same string."""
@@ -184,42 +186,60 @@ class CompatibilityReport:
     entropy_violations: tuple = ()
 
 
-def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
+@dataclass(frozen=True, eq=False)
+class ReducedProblem(ExpectationProblem):
+    """The ExpectationProblem of a marginal reduction, plus where each
+    constraint's strings went: `string_index[c][j]` is the position in
+    `observables` of the j-th non-identity string on constraint c's
+    qubits, in `pauli.region_tables` (= `strings_on`) order."""
+
+    string_index: tuple = field(default=(), repr=False)
+
+
+def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     """Replace each marginal by Pauli expectation targets.
 
     Emits one constraint per distinct non-identity string supported on
     some subset (symbolic dedup, first-appearance order).  Targets are
     read from the first constraint containing the string and
     cross-checked against every other; disagreement beyond 1e-9 is a
-    pairwise-compatibility violation reported as a conflict.
+    pairwise-compatibility violation reported as a conflict.  All
+    4^k - 1 targets of a constraint come from one `pauli.region_traces`
+    gather, and each global string is built once.
     """
-    table: dict[PauliString, int] = {}
+    table: dict[tuple, int] = {}
     observables: list[PauliString] = []
     targets: list[float] = []
     owner: list[int] = []
+    string_index = []
     for ci, (qubits, rho) in enumerate(mp.constraints):
-        k = len(qubits)
-        for local in pauli.strings_on(tuple(range(k)), k):
-            val = pauli.pauli_trace(local, rho)
+        codes = pauli.region_tables(len(qubits))[0]
+        vals = pauli.region_traces(rho)
+        index = np.empty(len(codes), dtype=np.intp)
+        for j, (row, val) in enumerate(zip(codes.tolist(), vals.tolist())):
             if abs(val.imag) > 1e-10:
                 raise ValueError(f"non-real expectation {val!r} for constraint {ci}")
             t = float(val.real)
-            glob = pauli.relabel(local, qubits, mp.n)
-            pos = table.get(glob)
+            letters = tuple((qubits[q], _LETTER[c]) for q, c in enumerate(row) if c)
+            pos = table.get(letters)
             if pos is None:
-                table[glob] = len(observables)
-                observables.append(glob)
+                pos = table[letters] = len(observables)
+                observables.append(PauliString(mp.n, letters))
                 targets.append(t)
                 owner.append(ci)
             elif abs(targets[pos] - t) > TARGET_CONFLICT_ATOL:
                 raise TargetConflictError(
-                    str(glob), mp.constraints[owner[pos]][0], qubits, targets[pos], t
+                    str(observables[pos]), mp.constraints[owner[pos]][0], qubits, targets[pos], t
                 )
+            index[j] = pos
+        string_index.append(index)
     arr = np.array(targets, dtype=np.float64)
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
     np.clip(arr, -1.0, 1.0, out=arr)
-    return ExpectationProblem(tuple(observables), arr, dim=1 << mp.n, n=mp.n)
+    return ReducedProblem(
+        tuple(observables), arr, dim=1 << mp.n, n=mp.n, string_index=tuple(string_index)
+    )
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:
@@ -253,6 +273,25 @@ def check_independence(ep: ExpectationProblem) -> RankReport:
         max_eigenvalue=float(w[-1]),
         size=m,
     )
+
+
+def kikuchi_regions(subsets) -> list[tuple[tuple[int, ...], int]]:
+    """The region graph of a marginal problem: its subsets closed under
+    (non-empty) intersection, each region R with its Kikuchi counting
+    number c_R = 1 - sum of c_A over the regions A strictly containing
+    R.  Regions with c_R = 0 are dropped.  On a chain of pairs that
+    leaves +1 per pair and -1 per interior qubit.  Order: larger regions
+    first, then ascending qubit tuples.
+    """
+    regions = {frozenset(s) for s in subsets}
+    frontier = set(regions)
+    while frontier:
+        frontier = {a & b for a in frontier for b in regions} - regions - {frozenset()}
+        regions |= frontier
+    counts: dict[frozenset, int] = {}
+    for r in sorted(regions, key=lambda r: (-len(r), sorted(r))):
+        counts[r] = 1 - sum(c for a, c in counts.items() if r < a)
+    return [(tuple(sorted(r)), c) for r, c in counts.items() if c]
 
 
 def _overlap_marginal(constraint, overlap) -> np.ndarray:

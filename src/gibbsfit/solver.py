@@ -13,12 +13,17 @@ so such problems are flagged up front and never reported as Converged —
 the iteration runs until the theta cap or until the gradient underflows
 to exact zero.  Interior-infeasible problems drift to the cap on their
 own because the residual stays bounded away from zero.
+
+A marginal problem starts from its own marginals when they allow it
+(see MarginalStart): theta0 from the Kikuchi combination of the region
+log-marginals, and an initial inverse Hessian from their curvature.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .problem import (
     ExpectationProblem,
     IncompatibleMarginalsError,
     MarginalProblem,
+    ReducedProblem,
     check_independence,
     check_local_compatibility,
     reduce_to_expectations,
@@ -42,6 +48,12 @@ _STEP_FLOOR = 1e-18
 _CURVATURE_FLOOR = 1e-12
 _MAX_RESTARTS = 3
 _MEMORY = 10  # curvature pairs kept by L-BFGS
+# Where f no longer resolves a decrease (|f_new - f| within this share of
+# |f|), the line search decides by the gradient instead: Hager-Zhang's
+# approximate Wolfe condition with these delta and sigma.
+_FLAT_RTOL = 1e-13
+_WOLFE_DELTA = 0.1
+_WOLFE_SIGMA = 0.9
 
 
 class DependentObservablesError(ValueError):
@@ -74,6 +86,8 @@ class SolveOptions:
             raise ValueError("theta_cap must exceed 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.theta0 is not None and not np.isfinite(np.asarray(self.theta0, float)).all():
+            raise ValueError("theta0 must be finite")
 
 
 @dataclass
@@ -123,7 +137,15 @@ def _target_geometry(ep: ExpectationProblem) -> tuple[np.ndarray, np.ndarray]:
 def _armijo(theta, f, grad, direction, evaluate):
     """Backtracking line search on f; returns the accepted
     (theta, f, grad, state) or None when the step floor is hit without
-    decrease."""
+    decrease.
+
+    Near the optimum |f_new - f| ~ |g|^2 drops below f's float
+    resolution and Armijo rejects every step, while the gradient keeps
+    full precision.  A step that Armijo rejects but that leaves f flat
+    to 1e-13 relative is accepted when it meets the approximate Wolfe
+    condition sigma g.d <= g_new.d <= (2 delta - 1) g.d (Hager & Zhang,
+    SIAM J. Optim. 16, 2005).
+    """
     slope = float(grad @ direction)
     if slope >= 0:
         return None
@@ -133,6 +155,10 @@ def _armijo(theta, f, grad, direction, evaluate):
         f_new, g_new, state = evaluate(cand)
         if f_new <= f + _ARMIJO_C * step * slope:
             return cand, f_new, g_new, state
+        if f_new <= f + _FLAT_RTOL * abs(f):
+            new_slope = float(g_new @ direction)
+            if _WOLFE_SIGMA * slope <= new_slope <= (2 * _WOLFE_DELTA - 1) * slope:
+                return cand, f_new, g_new, state
         del state  # free the rejected rho before the next evaluation builds one
         step *= 0.5
     return None
@@ -146,10 +172,13 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
     return _minimize(ep, options)
 
 
-def _minimize(ep: ExpectationProblem, options: SolveOptions | None) -> SolveResult:
+def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> SolveResult:
     """Minimize the translated log-partition f(theta) = psi(theta) - theta.t
     with L-BFGS; grad f_i = <T_i>_theta - t_i is the residual vector.
 
+    `h0`, when given, maps a vector q to H_0 q, the initial inverse
+    Hessian of the two-loop recursion; otherwise H_0 = gamma I with the
+    usual scaling gamma = s.y / y.y (the identity on the first step).
     Every reported quantity is read from the Gibbs state of the last
     accepted iterate, so no eigensolve happens after the loop.
     """
@@ -208,7 +237,9 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None) -> SolveResu
             a = float(s @ q) / float(y @ s)
             alphas.append(a)
             q -= a * y
-        if y_hist:
+        if h0 is not None:
+            q = h0(q)
+        elif y_hist:
             gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
             q *= gamma
         for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
@@ -274,16 +305,101 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None) -> SolveResu
     )
 
 
+class _Region(NamedTuple):
+    index: np.ndarray  # theta positions of the region's strings, region_tables order
+    weight: float  # c_R / 4^k
+    vectors: np.ndarray  # eigenvectors of rho_R
+    kernel: np.ndarray  # divided differences of log over rho_R's spectrum
+
+
+@dataclass(frozen=True, eq=False)
+class MarginalStart:
+    """A marginal solve's start, read from the region marginals rho_R
+    of `problem.kikuchi_regions` with counting numbers c_R.
+
+    `theta0` holds the Pauli coefficients of sum_R c_R log rho_R, the
+    Bethe/Kikuchi approximation of the fitted Hamiltonian; it is exact
+    for commuting Markov chains (Poulin & Hastings, PRL 106, 080403,
+    2011).  `apply` is the matching initial inverse Hessian: -S(rho_R)
+    is the exact max-entropy dual on one region, and its Hessian is the
+    inverse of the region's Kubo-Mori covariance, the Frechet derivative
+    of log at rho_R.  On disjoint (or product) marginals theta0 is the
+    optimum and H_0 the exact inverse Hessian there.
+    """
+
+    theta0: np.ndarray
+    regions: tuple
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k,
+        with coeffs_R(Y)_P = Tr(P Y); matrix-free, 2^k x 2^k work per region."""
+        out = np.zeros_like(g)
+        for reg in self.regions:
+            d = reg.vectors.shape[0]
+            _, perms, phases = pauli.region_tables(d.bit_length() - 1)
+            # sum_j g_j P_j: string j holds phases[j, a] at (perms[j, a], a)
+            x = np.zeros(d * d, dtype=np.complex128)
+            np.add.at(x, (perms * d + np.arange(d)).ravel(), (g[reg.index, None] * phases).ravel())
+            v, vh = reg.vectors, reg.vectors.conj().T
+            y = v @ (reg.kernel * (vh @ x.reshape(d, d) @ v)) @ vh
+            out[reg.index] += reg.weight * pauli.region_traces(y).real
+        return out
+
+
+def marginal_start(
+    mp: MarginalProblem, ep: ReducedProblem, theta_cap: float
+) -> MarginalStart | None:
+    """One 2^k x 2^k eigh per region of `problem.kikuchi_regions`; None
+    when a region marginal is singular (log undefined) or theta0 is
+    non-finite or beyond `theta_cap`, so that the solve starts at 0 with
+    H_0 = gamma I as an expectation problem does.  `ep` is the problem's
+    reduction, whose `string_index` places each region's strings."""
+    theta0 = np.zeros(ep.size)
+    regions = []
+    for qubits, count in problem_mod.kikuchi_regions(mp.subsets):
+        ci = next(i for i, s in enumerate(mp.subsets) if set(qubits) <= set(s))
+        host, rho = mp.constraints[ci]
+        keep = tuple(host.index(q) for q in qubits)
+        k = len(qubits)
+        codes = pauli.region_tables(k)[0]
+        # a region string's place among the host's strings: base-4 digits,
+        # last qubit fastest, less the identity at 0
+        index = ep.string_index[ci][codes @ 4 ** (len(host) - 1 - np.array(keep)) - 1]
+        if k < len(host):
+            rho = linalg.partial_trace(rho, len(host), keep)
+        w, v = np.linalg.eigh(rho)
+        if not w[0] > 0:
+            return None
+        d = 1 << k
+        log_rho = (v * np.log(w)) @ v.conj().T
+        theta0[index] += count * pauli.region_traces(log_rho).real / d
+        regions.append(_Region(index, count / d**2, v, linalg.log_divided_difference(w)))
+    if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > theta_cap:
+        return None
+    return MarginalStart(theta0, tuple(regions))
+
+
 def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) -> SolveResult:
     """Reduce marginals to Pauli expectations and fit; attaches the
     per-subset Hamiltonian decomposition and achieved marginal distances
-    on success."""
+    on success.
+
+    The fit starts from `marginal_start` (theta0 unless options.theta0
+    is given, and H_0) when the region marginals allow it.
+    """
     report = check_local_compatibility(mp)
     if report.verdict != problem_mod.COMPATIBLE:
         raise IncompatibleMarginalsError(report)
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
-    result = _minimize(ep, options)
+    options = options or SolveOptions()
+    start = marginal_start(mp, ep, options.theta_cap)
+    h0 = None
+    if start is not None:
+        h0 = start.apply
+        if options.theta0 is None:
+            options = dataclasses.replace(options, theta0=start.theta0)
+    result = _minimize(ep, options, h0)
     if result.status != CONVERGED:
         return result
     strings = [op for op in ep.observables]

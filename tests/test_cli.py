@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsfit import fileio, linalg
+from gibbsfit import fileio, linalg, solver
 from gibbsfit.cli import main
 from gibbsfit.partition import ObservableSet
+from gibbsfit.problem import reduce_to_expectations
 
 BELL_JSON = [
     [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
@@ -288,6 +289,17 @@ def test_gen_is_deterministic(tmp_path):
     for out in (a, b):
         assert main(["gen", "--n", "3", "--beta", "1.5", "--seed", "9", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_warm_started_solve_is_deterministic(tmp_path):
+    prob = tmp_path / "gen.json"
+    assert main(["gen", "--n", "6", "--beta", "2", "--seed", "12", "--out", str(prob)]) == 0
+    mp, _ = fileio.load_problem(str(prob))
+    assert solver.marginal_start(mp, reduce_to_expectations(mp), 50.0) is not None
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_gen_beta_zero_is_maximally_mixed(tmp_path):

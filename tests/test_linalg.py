@@ -233,6 +233,28 @@ def schatten_norm(a, p):
     return float(np.trace(linalg.psd_power(linalg.psd_modulus(a), p)).real) ** (1.0 / p)
 
 
+def test_log_divided_difference_is_the_frechet_derivative_of_log():
+    rng = np.random.default_rng(31)
+    rho = rand_density(rng, 4)
+    # a near-degenerate pair exercises the close-eigenvalue form
+    w, v = np.linalg.eigh(rho)
+    w[1] = w[2] * (1 + 1e-12)
+    rho = (v * w) @ v.conj().T
+    x = rand_hermitian(rng, 4)
+    kernel = linalg.log_divided_difference(w)
+    dlog = v @ (kernel * (v.conj().T @ x @ v)) @ v.conj().T
+
+    def logm(a):
+        lam, u = np.linalg.eigh(a)
+        return (u * np.log(lam)) @ u.conj().T
+
+    eps = 1e-6
+    fd = (logm(rho + eps * x) - logm(rho - eps * x)) / (2 * eps)
+    assert np.abs(dlog - fd).max() < 1e-6 * np.abs(fd).max()
+    assert np.allclose(np.diag(kernel), 1 / w, rtol=1e-15)
+    assert kernel[1, 2] == pytest.approx(1 / w[2], rel=1e-11)
+
+
 def test_trace_exponential_product_bound():
     # Tr e^{A+B} <= Tr e^A e^B, spot value 2cosh(sqrt 2) <= 2cosh(1)^2
     lhs = np.trace(linalg.matrix_exp(X + Z)).real

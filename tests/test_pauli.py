@@ -109,6 +109,23 @@ def test_strings_on_enumeration():
     assert len(with_id) == 4 and with_id[0].is_identity
 
 
+def test_region_tables_and_traces_match_per_string_kernels_bitwise():
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3):
+        codes, perms, phases = pauli.region_tables(k)
+        strings = list(pauli.strings_on(tuple(range(k)), k))
+        assert len(codes) == len(strings) == 4**k - 1
+        a = rand_density(rng, 1 << k)
+        want = np.array([pauli.pauli_trace(p, a) for p in strings])
+        assert pauli.region_traces(a).tobytes() == want.tobytes()
+        for j, p in enumerate(strings):
+            assert tuple((q, "IXYZ"[c]) for q, c in enumerate(codes[j]) if c) == p.letters
+            perm, phase = pauli.perm_phase(p)
+            assert np.array_equal(perms[j], perm)
+            # signed zeros included
+            assert phases[j].tobytes() == phase.tobytes()
+
+
 def test_expand_known_states():
     e = pauli.expand(np.eye(2) / 2)
     assert set(e.coefficients) == {pauli.identity(1)}

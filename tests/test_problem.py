@@ -11,6 +11,7 @@ from gibbsfit.problem import (
     check_independence,
     check_local_compatibility,
     entropy_diagnostic,
+    kikuchi_regions,
     reduce_to_expectations,
     spectral_interval,
 )
@@ -95,6 +96,28 @@ def test_reduce_chain_dedups_shared_strings():
     assert ep.size == 27
     labels = [str(p) for p in ep.observables]
     assert len(set(labels)) == 27
+
+
+def test_reduce_matches_string_by_string_reference():
+    # the loop it replaced: strings_on, one pauli_trace and one relabel
+    # per string; targets must agree bit for bit
+    rng = np.random.default_rng(30)
+    n = 5
+    subsets = ((0, 1, 2), (1, 2), (2, 3, 4), (4,))
+    full = rand_density(rng, 1 << n)
+    mp = MarginalProblem(n, tuple((s, linalg.partial_trace(full, n, s)) for s in subsets))
+    ep = reduce_to_expectations(mp)
+    seen = {}
+    for ci, (qubits, rho) in enumerate(mp.constraints):
+        k = len(qubits)
+        for j, local in enumerate(pauli.strings_on(tuple(range(k)), k)):
+            glob = pauli.relabel(local, qubits, n)
+            t = float(pauli.pauli_trace(local, rho).real)
+            seen.setdefault(glob, t)
+            assert ep.observables[ep.string_index[ci][j]] == glob
+    assert ep.observables == tuple(seen)
+    want = np.clip(np.array(list(seen.values())), -1.0, 1.0)
+    assert want.tobytes() == ep.targets.tobytes()
 
 
 def test_reduce_conflict_names_string_and_subsets():
@@ -198,6 +221,26 @@ def test_independence_mixed_pauli_matrix():
         n=1,
     )
     assert not check_independence(ep).independent
+
+
+def test_kikuchi_counting_numbers():
+    chain = [(i, i + 1) for i in range(4)]
+    assert kikuchi_regions(chain) == [(s, 1) for s in chain] + [((q,), -1) for q in (1, 2, 3)]
+    # a subset inside another adds nothing; disjoint subsets share no region
+    assert kikuchi_regions([(0, 1), (0, 1, 2)]) == [((0, 1, 2), 1)]
+    assert kikuchi_regions([(0, 1), (2, 3)]) == [((0, 1), 1), ((2, 3), 1)]
+    # triples overlapping in pairs: the shared qubit 2 counts 1 - (3 - 2) = 0
+    assert kikuchi_regions([(0, 1, 2), (1, 2, 3), (2, 3, 4)]) == [
+        ((0, 1, 2), 1),
+        ((1, 2, 3), 1),
+        ((2, 3, 4), 1),
+        ((1, 2), -1),
+        ((2, 3), -1),
+    ]
+    # every qubit of a region graph is counted once in total
+    ring = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+    for q in range(4):
+        assert sum(c for r, c in kikuchi_regions(ring) if q in r) == 1
 
 
 def test_local_compatibility_verdicts():

@@ -7,7 +7,12 @@ import pytest
 
 from gibbsfit import linalg, pauli, solver
 from gibbsfit.partition import ObservableSet
-from gibbsfit.problem import ExpectationProblem, IncompatibleMarginalsError, MarginalProblem
+from gibbsfit.problem import (
+    ExpectationProblem,
+    IncompatibleMarginalsError,
+    MarginalProblem,
+    reduce_to_expectations,
+)
 from gibbsfit.solver import (
     BOUNDARY,
     CONVERGED,
@@ -15,6 +20,7 @@ from gibbsfit.solver import (
     SolveOptions,
     SolveResult,
     decompose_local_terms,
+    marginal_start,
     solve_expectations,
     solve_marginals,
     verify,
@@ -175,7 +181,9 @@ def test_verify_marginal_problem_reports_distances():
 def test_objective_descends_monotonically():
     rng = np.random.default_rng(42)
     mp, _ = random_marginal_instance(rng, 3, ((0, 1, 2),))
-    ep_res = solve_marginals(mp, SolveOptions(keep_trace=True))
+    # one marginal on the whole register: its warm start log(rho) is the
+    # optimum, so start at 0 to have a trajectory
+    ep_res = solve_marginals(mp, SolveOptions(keep_trace=True, theta0=np.zeros(63)))
     assert ep_res.status == CONVERGED
     # residual trace is not strictly monotone for quasi-Newton, but the
     # objective is; re-play the trajectory cheaply via gradient norms
@@ -224,6 +232,9 @@ def test_solve_options_validation():
         SolveOptions(theta_cap=0.5)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
+    for bad in ([np.nan], [0.0, np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="theta0"):
+            SolveOptions(theta0=np.array(bad))
 
 
 def test_theta_cap_is_scale_free():
@@ -301,3 +312,127 @@ def test_result_invariants_on_boundary():
     res = solve_marginals(mp, SolveOptions(theta_cap=20.0))
     assert res.status == BOUNDARY
     assert np.abs(res.theta).max() > 20.0 or "saturated" in res.message
+
+
+def count_evaluations(monkeypatch):
+    counts = {"evaluations": 0}
+    gibbs = ObservableSet.gibbs
+
+    def counted(self, theta):
+        counts["evaluations"] += 1
+        return gibbs(self, theta)
+
+    monkeypatch.setattr(ObservableSet, "gibbs", counted)
+    return counts
+
+
+def ising_problem(n, k, beta=1.0):
+    """Targets of exp(-beta H)/Z, H = sum of [Z_iZ_i+1, X_i, Z_i] with
+    uniform[-1, 1] couplings from the stream [k, 2, 9]."""
+    labels = [f"Z{i} Z{i + 1}" for i in range(n - 1)]
+    labels += [f"X{i}" for i in range(n)] + [f"Z{i}" for i in range(n)]
+    strings = [pauli.parse_label(lbl, n) for lbl in labels]
+    coeffs = np.random.default_rng([k, 2, 9]).uniform(-1, 1, size=len(strings))
+    obset = ObservableSet(strings, dim=1 << n, n=n)
+    targets = obset.expectations(obset.gibbs(-beta * coeffs).rho)
+    return ExpectationProblem(tuple(strings), targets, dim=1 << n, n=n)
+
+
+@pytest.mark.parametrize("n,k", [(4, 13), (4, 97), (4, 165), (6, 13), (6, 44)])
+def test_line_search_decides_at_float_resolution(n, k):
+    # near the optimum f stops resolving |g|^2 and Armijo rejected every
+    # step: these stalled just above tol until the iteration budget ran out
+    res = solve_expectations(ising_problem(n, k), SolveOptions(max_iter=100))
+    assert res.status == CONVERGED, (res.status, res.max_residual)
+    assert res.max_residual <= 1e-8
+
+
+def test_zz_mixture_chain_reaches_boundary():
+    # (|00000><00000| + |11111><11111|)/2: every pair marginal is singular,
+    # so no Gibbs state matches; the solve used to end IterationLimit
+    zz = np.zeros((4, 4), dtype=complex)
+    zz[0, 0] = zz[3, 3] = 0.5
+    mp = MarginalProblem(5, tuple(((i, i + 1), zz) for i in range(4)))
+    res = solve_marginals(mp, SolveOptions(max_iter=200))
+    assert res.status == BOUNDARY and res.iterations < 200
+
+
+def commuting_chain(n, rng):
+    """Marginals of exp(H)/Z for H = sum a_i Z_i + sum b_i Z_i Z_i+1, a
+    commuting Markov chain."""
+    labels = [f"Z{i}" for i in range(n)] + [f"Z{i} Z{i + 1}" for i in range(n - 1)]
+    strings = [pauli.parse_label(lbl, n) for lbl in labels]
+    eta = ObservableSet(strings, dim=1 << n, n=n).gibbs(rng.uniform(-1, 1, len(strings))).rho
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    return MarginalProblem(n, tuple((s, linalg.partial_trace(eta, n, s)) for s in pairs))
+
+
+def test_warm_start_is_exact_on_commuting_markov_chain(monkeypatch):
+    n = 5
+    mp = commuting_chain(n, np.random.default_rng(50))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED
+    assert res.iterations == 0 and counts["evaluations"] == 1
+    # the region eigensolves are 2^k x 2^k; the one d x d is the evaluation
+    assert shapes.count(1 << n) == 1
+    assert max(s for s in shapes if s != 1 << n) == 4
+
+
+def disjoint_pairs(rng):
+    return random_marginal_instance(rng, 4, ((0, 1), (2, 3)))[0]
+
+
+def product_marginals(rng):
+    states = []
+    for _ in range(3):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        states.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    return MarginalProblem(3, tuple(((q,), rho) for q, rho in enumerate(states)))
+
+
+@pytest.mark.parametrize("build", [disjoint_pairs, product_marginals])
+def test_preconditioner_is_exact_inverse_hessian(build):
+    # no overlaps: theta0 is the optimum, the Hessian there is block
+    # diagonal by region, and each block's inverse is D log at rho_R
+    mp = build(np.random.default_rng(51))
+    ep = reduce_to_expectations(mp)
+    start = marginal_start(mp, ep, SolveOptions().theta_cap)
+    hess = ep.observable_set.hessian(start.theta0)
+    product = np.column_stack([start.apply(col) for col in hess.T])
+    assert np.abs(product - np.eye(ep.size)).max() < 1e-10
+
+
+def test_singular_marginals_keep_the_cold_start():
+    # Bell pairs have no positive-definite marginal, so log rho_R is
+    # undefined: the solve starts at 0 with gamma I, as it always did
+    mp = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
+    ep = reduce_to_expectations(mp)
+    assert marginal_start(mp, ep, SolveOptions().theta_cap) is None
+    res = solve_marginals(mp)
+    cold = solver._minimize(ep, None)
+    assert res.status == cold.status == BOUNDARY
+    assert res.iterations == 5
+    assert res.message == "max |theta_i| * half-width(T_i) exceeded cap 50.0 with residual 3.333e-01"
+    assert np.array_equal(res.theta, cold.theta)
+    assert np.abs(res.theta).max() == pytest.approx(2480.1904201629577, rel=1e-9)
+
+
+def test_warm_start_halves_ring_evaluations(monkeypatch):
+    # a loopy region graph: c_R = +1 per pair, -1 per qubit.  Without the
+    # warm start and preconditioner this solve took 27 evaluations
+    # (23 iterations).
+    ring = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
+    mp, _ = random_marginal_instance(np.random.default_rng(60), 6, ring, beta=4.0)
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED
+    assert counts["evaluations"] <= 27 // 2
