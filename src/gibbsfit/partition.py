@@ -4,9 +4,9 @@ Everything routes through one Hermitian eigendecomposition per theta:
 GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
 entropy and the minimum eigenvalue need no further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
-dense observable once and precomputes signed-permutation data for the
-Pauli ones, so that building H(theta) and reading off expectations are
-O(r d) array operations, never r dense matmuls.
+dense observable once and builds its Pauli strings' signed-permutation
+tables in one `pauli.string_tables` pass, so that H(theta), expectations
+and Hessian columns are O(r d) array operations, never r dense matmuls.
 """
 
 from __future__ import annotations
@@ -80,16 +80,13 @@ class ObservableSet:
         self.dim = int(dim)
         self.size = len(observables)
 
-        gated, pauli_idx, mat_idx, mats = [], [], [], []
-        perms, phases = [], []
+        gated, pauli_idx, strings, mat_idx, mats = [], [], [], [], []
         for i, op in enumerate(observables):
             if isinstance(op, PauliString):
                 if op.n != n:
                     raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={n}")
-                perm, phase = pauli.perm_phase(op)
                 pauli_idx.append(i)
-                perms.append(perm)
-                phases.append(phase)
+                strings.append(op)
             else:
                 try:
                     op = linalg.as_hermitian(op)
@@ -104,27 +101,20 @@ class ObservableSet:
         self._pauli_idx = np.array(pauli_idx, dtype=np.intp)
         self._mat_idx = np.array(mat_idx, dtype=np.intp)
         self._mats = mats
-        if perms:
-            self._perms = np.stack(perms)  # (k, d) column indices
-            self._phases = np.stack(phases)  # (k, d) entries, exact +-1/+-i
-            d = self.dim
-            rows = np.broadcast_to(np.arange(d), self._perms.shape)
-            self._flat = (self._perms * d + rows).ravel()  # scatter targets
+        if strings:
+            # (k, d) rows: column indices and entries, exact +-1/+-i
+            self._perms, self._phases = pauli.string_tables(pauli.letter_codes(strings, n))
         else:
             self._perms = np.empty((0, self.dim), dtype=np.intp)
             self._phases = np.empty((0, self.dim), dtype=np.complex128)
-            self._flat = np.empty(0, dtype=np.intp)
+        self._flat = pauli.scatter_index(self._perms)
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """H(theta) = sum_i theta_i T_i."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
             raise ValueError(f"theta has {theta.size} entries, expected r = {self.size}")
-        d = self.dim
-        h = np.zeros((d, d), dtype=np.complex128)
-        if len(self._pauli_idx):
-            contrib = theta[self._pauli_idx, None] * self._phases  # (k, d)
-            np.add.at(h.ravel(), self._flat, contrib.ravel())
+        h = pauli.pauli_sum(theta[self._pauli_idx], self._phases, self._flat)
         for j, i in enumerate(self._mat_idx):
             h += theta[i] * self._mats[j]
         return h
@@ -184,10 +174,11 @@ class ObservableSet:
         r = self.size
         hess = np.empty((r, r))
         means = np.empty(r)
+        tables = zip(self._perms, self._phases)
         for j, op in enumerate(self.observables):
             if isinstance(op, PauliString):
                 # P[perm[a], a] = phase[a] and perm is an involution
-                perm, phase = pauli.perm_phase(op)
+                perm, phase = next(tables)
                 opv = phase[perm, None] * v[perm]
             else:
                 opv = op @ v

@@ -100,60 +100,73 @@ def parse_label(text: str, n: int) -> PauliString:
     return PauliString(n, tuple(letters))
 
 
-@lru_cache(maxsize=None)
-def _perm_phase(n: int, letters: tuple[tuple[int, str], ...]):
-    """Signed-permutation form: column j has its nonzero at row perm[j],
-    value phase[j].  O(2^n) to build, cached per (n, letters)."""
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    phase = np.ones(dim, dtype=np.complex128)
-    flip = 0
-    for q, c in letters:
-        shift = n - 1 - q
-        bit = (idx >> shift) & 1
-        if c == "X":
-            flip |= 1 << shift
-        elif c == "Y":
-            flip |= 1 << shift
-            phase = phase * (1j * (1 - 2 * bit))
-        else:  # Z
-            phase = phase * (1.0 - 2 * bit)
-    perm = idx ^ flip
-    perm.flags.writeable = False
-    phase.flags.writeable = False
-    return perm, phase
+CODES = "IXYZ"  # the letter of each letter code 0..3
+
+
+def letter_codes(strings, n: int) -> np.ndarray:
+    """(len(strings), n) letter codes of strings on an n-qubit register:
+    entry [j, q] is the code of string j's letter on qubit q."""
+    codes = np.zeros((len(strings), n), dtype=np.intp)
+    at = [(j, q, CODES.index(c)) for j, p in enumerate(strings) for q, c in p.letters]
+    at = np.array(at, dtype=np.intp).reshape(-1, 3)
+    codes[at[:, 0], at[:, 1]] = at[:, 2]
+    return codes
+
+
+def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of the strings with letter codes (m, k),
+    built in one batched pass: (perms, phases), each (m, 2^k), where
+    column a of string j has its one nonzero, phases[j, a], at row
+    perms[j, a].  X and Y flip their qubit's bit; Y multiplies by
+    i(-1)^bit and Z by (-1)^bit, qubit by qubit from qubit 0."""
+    codes = np.asarray(codes, dtype=np.intp)
+    m, k = codes.shape
+    if k > linalg.MAX_QUBITS:
+        raise ValueError(f"n={k} exceeds the {linalg.MAX_QUBITS}-qubit cap")
+    idx = np.arange(1 << k, dtype=np.int64)
+    flips = ((codes == 1) | (codes == 2)) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    perms = idx ^ flips[:, None]
+    phases = np.ones((m, 1 << k), dtype=np.complex128)
+    for q in range(k):
+        sign = 1 - 2 * ((idx >> (k - 1 - q)) & 1)
+        np.multiply(phases, 1j * sign, out=phases, where=codes[:, q, None] == 2)
+        np.multiply(phases, 1.0 * sign, out=phases, where=codes[:, q, None] == 3)
+    return perms, phases
 
 
 def perm_phase(p: PauliString):
-    if p.n > linalg.MAX_QUBITS:
-        raise ValueError(f"n={p.n} exceeds the {linalg.MAX_QUBITS}-qubit cap")
-    return _perm_phase(p.n, p.letters)
+    """(perm, phase) of one string: its row of `string_tables`."""
+    perms, phases = string_tables(letter_codes([p], p.n))
+    return perms[0], phases[0]
 
 
 @lru_cache(maxsize=None)
 def region_tables(k: int):
     """The 4^k - 1 non-identity strings on k qubits, in `strings_on`
-    order, as arrays: letter codes (m, k), 0..3 for I, X, Y, Z, and the
-    signed-permutation form (perms, phases), each (m, 2^k).  Row j of
-    (perms, phases) is bitwise what `perm_phase` gives the j-th string:
-    the phase factors are applied qubit by qubit in the same order."""
+    order: their letter codes (m, k) and `string_tables` (perms, phases)."""
     if not 1 <= k <= linalg.MAX_QUBITS:
         raise ValueError(f"k={k} outside 1..{linalg.MAX_QUBITS}")
-    dim = 1 << k
     codes = np.array(list(itertools.product(range(4), repeat=k))[1:], dtype=np.intp)
-    idx = np.arange(dim, dtype=np.int64)
-    perms = np.broadcast_to(idx, (len(codes), dim)).copy()
-    phases = np.ones((len(codes), dim), dtype=np.complex128)
-    for q in range(k):
-        shift = k - 1 - q
-        bit = (idx >> shift) & 1
-        c = codes[:, q, None]
-        perms ^= np.where((c == 1) | (c == 2), 1 << shift, 0)
-        phases = np.where(c == 2, phases * (1j * (1 - 2 * bit)), phases)
-        phases = np.where(c == 3, phases * (1.0 - 2 * bit), phases)
+    perms, phases = string_tables(codes)
     for a in (codes, perms, phases):
         a.flags.writeable = False
     return codes, perms, phases
+
+
+def scatter_index(perms: np.ndarray) -> np.ndarray:
+    """Flat positions in a d x d matrix of every table entry: column a
+    of string j at row perms[j, a]."""
+    d = perms.shape[1]
+    return (perms * d + np.arange(d)).ravel()
+
+
+def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Dense sum_j coeffs[j] P_j of the strings with these `phases` and
+    `scatter_index` of their perms, added in row order."""
+    d = phases.shape[1]
+    out = np.zeros(d * d, dtype=np.complex128)
+    np.add.at(out, index, (coeffs[:, None] * phases).ravel())
+    return out.reshape(d, d)
 
 
 def region_traces(a: np.ndarray) -> np.ndarray:
@@ -242,8 +255,9 @@ def expand(rho) -> PauliExpansion:
     if k > linalg.MAX_QUBITS:
         raise ValueError(f"n={k} exceeds the {linalg.MAX_QUBITS}-qubit cap")
     coeffs = {}
-    for p in strings_on(tuple(range(k)), k, include_identity=True):
-        val = pauli_trace(p, rho) / d
+    vals = [complex(np.trace(rho)), *region_traces(rho).tolist()]
+    for p, val in zip(strings_on(tuple(range(k)), k, include_identity=True), vals):
+        val = val / d
         if abs(val.imag) > 1e-10:
             raise ValueError(f"non-real coefficient {val!r} for {str(p) or 'identity'}")
         if abs(val.real) >= 1e-14:
@@ -253,13 +267,9 @@ def expand(rho) -> PauliExpansion:
 
 def reconstruct(e: PauliExpansion) -> np.ndarray:
     """Dense sum_P alpha_P P; the inverse of expand."""
-    d = 1 << e.n
-    m = np.zeros((d, d), dtype=np.complex128)
-    cols = np.arange(d)
-    for p, alpha in e.coefficients.items():
-        perm, phase = _perm_phase(e.n, p.letters)
-        m[perm, cols] += alpha * phase
-    return m
+    perms, phases = string_tables(letter_codes(e.coefficients, e.n))
+    alphas = np.array(list(e.coefficients.values()))
+    return pauli_sum(alphas, phases, scatter_index(perms))
 
 
 def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> tuple[np.ndarray, bool]:

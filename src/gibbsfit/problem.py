@@ -31,8 +31,6 @@ COMPAT_ATOL = 1e-9
 # Entropy diagnostic slack, in bits.
 ENTROPY_ATOL = 1e-9
 
-_LETTER = "IXYZ"  # pauli.region_tables letter codes
-
 
 class TargetConflictError(ValueError):
     """Two constraints imply different targets for the same string."""
@@ -220,7 +218,7 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
             if abs(val.imag) > 1e-10:
                 raise ValueError(f"non-real expectation {val!r} for constraint {ci}")
             t = float(val.real)
-            letters = tuple((qubits[q], _LETTER[c]) for q, c in enumerate(row) if c)
+            letters = tuple((qubits[q], pauli.CODES[c]) for q, c in enumerate(row) if c)
             pos = table.get(letters)
             if pos is None:
                 pos = table[letters] = len(observables)

@@ -337,11 +337,9 @@ class MarginalStart:
         for reg in self.regions:
             d = reg.vectors.shape[0]
             _, perms, phases = pauli.region_tables(d.bit_length() - 1)
-            # sum_j g_j P_j: string j holds phases[j, a] at (perms[j, a], a)
-            x = np.zeros(d * d, dtype=np.complex128)
-            np.add.at(x, (perms * d + np.arange(d)).ravel(), (g[reg.index, None] * phases).ravel())
+            x = pauli.pauli_sum(g[reg.index], phases, pauli.scatter_index(perms))
             v, vh = reg.vectors, reg.vectors.conj().T
-            y = v @ (reg.kernel * (vh @ x.reshape(d, d) @ v)) @ vh
+            y = v @ (reg.kernel * (vh @ x @ v)) @ vh
             out[reg.index] += reg.weight * pauli.region_traces(y).real
         return out
 
@@ -402,8 +400,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     result = _minimize(ep, options, h0)
     if result.status != CONVERGED:
         return result
-    strings = [op for op in ep.observables]
-    local = decompose_local_terms(result.theta, strings, mp.subsets)
+    local = decompose_local_terms(result.theta, ep, mp.subsets)
     dists = []
     for qubits, rho_target in mp.constraints:
         achieved = linalg.partial_trace(result.gibbs.rho, mp.n, qubits)
@@ -411,30 +408,31 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     return dataclasses.replace(result, local_terms=local, marginal_distances=tuple(dists))
 
 
-def decompose_local_terms(theta, strings, subsets) -> dict:
-    """Split H = sum theta_P P into per-subset local Hamiltonians.
+def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
+    """Split H = sum theta_P P into per-subset local Hamiltonians, keyed
+    by subset in the given order.
 
-    Each string lands in the lowest-indexed subset containing its
-    support, so sum_i embed(H_i) == H exactly (same floats, no
-    double-counting).
+    `ep` is the reduction of the marginal problem on `subsets`.  A
+    subset's block sums the strings its constraint emitted first (read
+    through `ep.string_index` and `pauli.region_tables`): those whose
+    lowest-indexed subset containing their support is this one.  So
+    sum_i embed(H_i) == H exactly, a subset nested in an earlier one gets
+    a zero block and a repeated subset keeps its first copy's block.
     """
     subsets = [tuple(s) for s in subsets]
-    locals_: dict[tuple, np.ndarray] = {
-        s: np.zeros((1 << len(s), 1 << len(s)), dtype=np.complex128) for s in subsets
-    }
-    for coeff, p in zip(theta, strings):
-        support = set(p.support)
-        home = None
-        for s in subsets:
-            if support <= set(s):
-                home = s
-                break
-        if home is None:
-            raise ValueError(f"string '{p}' is not supported on any subset")
-        local = pauli.restrict(p, home)
-        perm, phase = pauli.perm_phase(local)
-        block = locals_[home]
-        block[perm, np.arange(len(perm))] += coeff * phase
+    if [len(i) for i in ep.string_index] != [4 ** len(s) - 1 for s in subsets]:
+        raise ValueError("subsets do not match the reduction's constraints")
+    theta = np.asarray(theta, dtype=np.float64)
+    locals_: dict[tuple, np.ndarray] = {}
+    emitted = 0  # strings emitted by the constraints before this one
+    for qubits, index in zip(subsets, ep.string_index):
+        first = index >= emitted
+        emitted += int(np.count_nonzero(first))
+        if qubits not in locals_:
+            _, perms, phases = pauli.region_tables(len(qubits))
+            locals_[qubits] = pauli.pauli_sum(
+                theta[index[first]], phases[first], pauli.scatter_index(perms[first])
+            )
     return locals_
 
 

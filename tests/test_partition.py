@@ -1,5 +1,6 @@
 """Log-partition function: closed forms, calculus, convex geometry."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -189,6 +190,26 @@ def test_hessian_memory_does_not_grow_with_r():
     finally:
         tracemalloc.stop()
     assert peak < 16 * oset.dim**2 * 16
+
+
+def test_observable_set_leaves_no_tables_behind():
+    # the Pauli tables belong to the set: nothing outlives it
+    n = 8
+    rng = np.random.default_rng(38)
+    strings = {}
+    while len(strings) < 300:
+        strings.setdefault(rand_string(rng, n), None)
+    strings = list(strings)
+    tracemalloc.start()
+    try:
+        oset = ObservableSet(strings, dim=1 << n, n=n)
+        assert oset.size == 300
+        del oset
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_midpoint_convexity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli
+from gibbsfit.partition import ObservableSet
 from gibbsfit.pauli import PauliString
 
 SINGLE = {
@@ -109,10 +110,55 @@ def test_strings_on_enumeration():
     assert len(with_id) == 4 and with_id[0].is_identity
 
 
+def reference_perm_phase(n, letters):
+    """One string's signed-permutation form, built letter by letter: the
+    per-string kernel the batched table builder replaced, kept as the
+    reference for its rows."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    phase = np.ones(dim, dtype=np.complex128)
+    flip = 0
+    for q, c in letters:
+        shift = n - 1 - q
+        bit = (idx >> shift) & 1
+        if c == "X":
+            flip |= 1 << shift
+        elif c == "Y":
+            flip |= 1 << shift
+            phase = phase * (1j * (1 - 2 * bit))
+        else:  # Z
+            phase = phase * (1.0 - 2 * bit)
+    return idx ^ flip, phase
+
+
+def assert_rows_match_reference(strings, perms, phases):
+    assert perms.shape == phases.shape == (len(strings), 1 << strings[0].n)
+    for p, perm, phase in zip(strings, perms, phases):
+        want_perm, want_phase = reference_perm_phase(p.n, p.letters)
+        assert np.array_equal(perm, want_perm), str(p)
+        # signed zeros included
+        assert phase.tobytes() == want_phase.tobytes(), str(p)
+
+
+def test_table_rows_match_per_letter_reference_bitwise():
+    rng = np.random.default_rng(12)
+    for n in range(1, 8):
+        strings = [rand_string(rng, n) for _ in range(40)]
+        codes = pauli.letter_codes(strings, n)
+        assert_rows_match_reference(strings, *pauli.string_tables(codes))
+        perm, phase = pauli.perm_phase(strings[0])
+        assert_rows_match_reference(strings[:1], perm[None], phase[None])
+        oset = ObservableSet(strings, dim=1 << n, n=n)
+        assert_rows_match_reference(strings, oset._perms, oset._phases)
+    for k in (1, 2, 3):
+        strings = list(pauli.strings_on(tuple(range(k)), k))
+        assert_rows_match_reference(strings, *pauli.region_tables(k)[1:])
+
+
 def test_region_tables_and_traces_match_per_string_kernels_bitwise():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3):
-        codes, perms, phases = pauli.region_tables(k)
+        codes = pauli.region_tables(k)[0]
         strings = list(pauli.strings_on(tuple(range(k)), k))
         assert len(codes) == len(strings) == 4**k - 1
         a = rand_density(rng, 1 << k)
@@ -120,10 +166,6 @@ def test_region_tables_and_traces_match_per_string_kernels_bitwise():
         assert pauli.region_traces(a).tobytes() == want.tobytes()
         for j, p in enumerate(strings):
             assert tuple((q, "IXYZ"[c]) for q, c in enumerate(codes[j]) if c) == p.letters
-            perm, phase = pauli.perm_phase(p)
-            assert np.array_equal(perms[j], perm)
-            # signed zeros included
-            assert phases[j].tobytes() == phase.tobytes()
 
 
 def test_expand_known_states():

@@ -146,15 +146,48 @@ def test_dependent_observables_rejected():
         solve_expectations(ep)
 
 
+def per_string_decompose(theta, strings, subsets):
+    """The per-string loop decompose_local_terms replaced, kept as its
+    reference: each string restricted to the lowest-indexed subset
+    containing its support and added through its own table."""
+    subsets = [tuple(s) for s in subsets]
+    locals_ = {s: np.zeros((1 << len(s), 1 << len(s)), dtype=np.complex128) for s in subsets}
+    for coeff, p in zip(theta, strings):
+        home = next(s for s in subsets if set(p.support) <= set(s))
+        perm, phase = pauli.perm_phase(pauli.restrict(p, home))
+        locals_[home][perm, np.arange(len(perm))] += coeff * phase
+    return locals_
+
+
 def test_decompose_tie_breaks_to_lowest_indexed_subset():
-    strings = [pauli.parse_label("Z1", 3)]  # supported on both subsets
-    theta = np.array([0.7])
-    out = decompose_local_terms(theta, strings, ((0, 1), (1, 2)))
+    subsets = ((0, 1), (1, 2))
+    mp, _ = random_marginal_instance(np.random.default_rng(41), 3, subsets)
+    ep = reduce_to_expectations(mp)
+    theta = np.zeros(ep.size)
+    theta[ep.observables.index(pauli.parse_label("Z1", 3))] = 0.7  # on both subsets
+    out = decompose_local_terms(theta, ep, subsets)
     z1_local = 0.7 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
     assert np.abs(out[(0, 1)] - z1_local).max() == 0.0
     assert np.abs(out[(1, 2)]).max() == 0.0
+
+
+def test_decompose_nested_and_duplicate_subsets_match_per_string_loop():
+    subsets = ((0, 1, 2), (1, 2), (0, 1, 2), (2, 3))
+    rng = np.random.default_rng(42)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    mp = MarginalProblem(4, tuple((s, linalg.partial_trace(rho, 4, s)) for s in subsets))
+    ep = reduce_to_expectations(mp)
+    theta = rng.normal(size=ep.size)
+    out = decompose_local_terms(theta, ep, subsets)
+    want = per_string_decompose(theta, ep.observables, subsets)
+    assert list(out) == list(want) == [(0, 1, 2), (1, 2), (2, 3)]
+    for s, block in want.items():
+        assert out[s].tobytes() == block.tobytes(), s
+    assert out[(0, 1, 2)].any() and out[(2, 3)].any()
+    assert not out[(1, 2)].any()  # nested in (0, 1, 2): every string is home there
     with pytest.raises(ValueError):
-        decompose_local_terms(np.array([0.1]), [pauli.parse_label("X0 X2", 3)], ((0, 1), (1, 2)))
+        decompose_local_terms(theta, ep, subsets[:2])
 
 
 def test_verify_round_trip_and_tamper():
