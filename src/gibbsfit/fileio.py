@@ -54,10 +54,31 @@ def _as_number(value, path) -> float:
     return number
 
 
+def _finite_array(obj, shape: tuple) -> np.ndarray | None:
+    """obj as a float64 array when it is nested arrays of exactly `shape`
+    holding finite JSON numbers (int or float, not bool); else None.
+    One array pass: the per-entry checks run only to name a fault."""
+    try:
+        a = np.array(obj, dtype=object)
+    except ValueError:  # ragged
+        return None
+    if a.shape != shape or not set(map(type, a.flat)) <= {int, float}:
+        return None
+    try:
+        a = a.astype(np.float64)
+    except OverflowError:  # an integer literal beyond the double range
+        return None
+    return a if np.isfinite(a).all() else None
+
+
 def matrix_from_json(obj, path: str) -> np.ndarray:
     """Row-major [[ [re, im], ... ], ...] -> complex ndarray."""
     _require(isinstance(obj, list) and obj, path, "expected a non-empty array of rows")
     d = len(obj)
+    pairs = _finite_array(obj, (d, d, 2))
+    if pairs is not None:
+        return pairs.view(np.complex128)[..., 0]
+    # entry by entry, to name the first bad one
     out = np.empty((d, d), dtype=np.complex128)
     for r, row in enumerate(obj):
         _require(
@@ -210,9 +231,11 @@ def load_result(path: str) -> dict:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     for key in ("status", "theta", "input_digest"):
         _require(key in doc, key, "missing")
-    _require(isinstance(doc["theta"], list), "theta", "expected an array of numbers")
-    for i, x in enumerate(doc["theta"]):
-        _as_number(x, f"theta[{i}]")
+    theta = doc["theta"]
+    _require(isinstance(theta, list), "theta", "expected an array of numbers")
+    if _finite_array(theta, (len(theta),)) is None:
+        for i, x in enumerate(theta):
+            _as_number(x, f"theta[{i}]")
     if "tol" in doc:
         # as strict as --tol: a bool or NaN would verify anything
         doc["tol"] = _as_number(doc["tol"], "tol")

@@ -5,12 +5,14 @@ GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
 entropy and the minimum eigenvalue need no further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and builds its Pauli strings' signed-permutation
-tables in one `pauli.string_tables` pass, so that H(theta), expectations
-and Hessian columns are O(r d) array operations, never r dense matmuls.
+tables from their letter codes in one `pauli.string_tables` pass, so
+that H(theta), expectations and Hessian columns are O(r d) array
+operations, never r dense matmuls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +63,24 @@ class ObservableSet:
     """A fixed family {T_i} of Pauli strings and dense Hermitian matrices
     on a dim-dimensional space, with fast H/psi/grad/hess.
 
+    `observables` is a sequence of PauliStrings and matrices, or an
+    (r, n) integer array of letter codes (`pauli.CODES`) for a family of
+    r strings.  Inside the set every string is its row of `codes`: a
+    sequence's PauliStrings go through `pauli.letter_codes` once, here.
+
     The constructor is the only check an observable gets: a Pauli
     string's register must be n qubits, a matrix must pass the
     Hermiticity gate and have dimension dim.  A failure raises
     InvalidEntryError naming the observable's index.  `observables`
-    holds the gated family: strings as given, matrices as gated.
+    holds the gated family: strings as PauliStrings, matrices as gated;
+    a set made from codes builds its PauliStrings on first access.
     """
 
     def __init__(self, observables, dim: int, n: int | None = None):
-        observables = tuple(observables)
-        if not observables:
+        from_codes = isinstance(observables, np.ndarray)
+        if not from_codes:
+            observables = tuple(observables)
+        if not len(observables):
             raise ValueError("need at least one observable")
         if not 2 <= dim <= linalg.MAX_DIM:
             raise ValueError(f"dim must be in 2..{linalg.MAX_DIM}, got {dim}")
@@ -80,56 +90,72 @@ class ObservableSet:
         self.dim = int(dim)
         self.size = len(observables)
 
-        gated, pauli_idx, strings, mat_idx, mats = [], [], [], [], []
-        for i, op in enumerate(observables):
-            if isinstance(op, PauliString):
-                if op.n != n:
-                    raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={n}")
-                pauli_idx.append(i)
-                strings.append(op)
-            else:
-                try:
-                    op = linalg.as_hermitian(op)
-                except ValueError as exc:
-                    raise InvalidEntryError(i, "matrix", str(exc)) from exc
-                if op.shape[0] != self.dim:
-                    raise InvalidEntryError(i, "matrix", f"dim {op.shape[0]} != problem dim {self.dim}")
-                mat_idx.append(i)
-                mats.append(op)
-            gated.append(op)
-        self.observables = tuple(gated)
-        self._pauli_idx = np.array(pauli_idx, dtype=np.intp)
-        self._mat_idx = np.array(mat_idx, dtype=np.intp)
-        self._mats = mats
-        if strings:
+        if from_codes:
+            codes = np.asarray(observables, dtype=np.intp)
+            if codes.shape != (self.size, n):
+                raise ValueError(f"letter codes must have shape (r, n={n}), got {codes.shape}")
+            self._observables = None
+            pauli_idx, mat_idx, mats = np.arange(self.size), [], []
+        else:
+            gated, pauli_idx, strings, mat_idx, mats = [], [], [], [], []
+            for i, op in enumerate(observables):
+                if isinstance(op, PauliString):
+                    if op.n != n:
+                        raise InvalidEntryError(i, "pauli", f"register size {op.n} != n={n}")
+                    pauli_idx.append(i)
+                    strings.append(op)
+                else:
+                    try:
+                        op = linalg.as_hermitian(op)
+                    except ValueError as exc:
+                        raise InvalidEntryError(i, "matrix", str(exc)) from exc
+                    if op.shape[0] != self.dim:
+                        detail = f"dim {op.shape[0]} != problem dim {self.dim}"
+                        raise InvalidEntryError(i, "matrix", detail)
+                    mat_idx.append(i)
+                    mats.append(op)
+                gated.append(op)
+            self._observables = tuple(gated)
+            codes = pauli.letter_codes(strings, n or 0)
+        self.codes = codes  # (k, n) letter codes of the Pauli rows
+        self.pauli_index = np.asarray(pauli_idx, dtype=np.intp)
+        self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
+        self.matrices = mats
+        if len(codes):
             # (k, d) rows: column indices and entries, exact +-1/+-i
-            self._perms, self._phases = pauli.string_tables(pauli.letter_codes(strings, n))
+            self._perms, self._phases = pauli.string_tables(codes)
         else:
             self._perms = np.empty((0, self.dim), dtype=np.intp)
             self._phases = np.empty((0, self.dim), dtype=np.complex128)
         self._flat = pauli.scatter_index(self._perms)
+
+    @property
+    def observables(self) -> tuple:
+        if self._observables is None:
+            self._observables = pauli.strings_from_codes(self.codes)
+        return self._observables
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """H(theta) = sum_i theta_i T_i."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
             raise ValueError(f"theta has {theta.size} entries, expected r = {self.size}")
-        h = pauli.pauli_sum(theta[self._pauli_idx], self._phases, self._flat)
-        for j, i in enumerate(self._mat_idx):
-            h += theta[i] * self._mats[j]
+        h = pauli.pauli_sum(theta[self.pauli_index], self._phases, self._flat)
+        for j, i in enumerate(self.matrix_index):
+            h += theta[i] * self.matrices[j]
         return h
 
     def expectations(self, rho: np.ndarray) -> np.ndarray:
         """<T_i> under rho; rho must have unit trace."""
         out = np.empty(self.size)
-        if len(self._pauli_idx):
+        if len(self.pauli_index):
             # Tr(P rho) = sum_a phase_a * rho[a, perm_a]
             vals = np.einsum(
                 "kd,kd->k", self._phases, rho[np.arange(self.dim)[None, :], self._perms]
             )
-            out[self._pauli_idx] = vals.real
-        for j, i in enumerate(self._mat_idx):
-            out[i] = np.vdot(self._mats[j], rho).real
+            out[self.pauli_index] = vals.real
+        for j, i in enumerate(self.matrix_index):
+            out[i] = np.vdot(self.matrices[j], rho).real
         return out
 
     def log_partition(self, theta: np.ndarray) -> float:
@@ -174,14 +200,12 @@ class ObservableSet:
         r = self.size
         hess = np.empty((r, r))
         means = np.empty(r)
-        tables = zip(self._perms, self._phases)
-        for j, op in enumerate(self.observables):
-            if isinstance(op, PauliString):
-                # P[perm[a], a] = phase[a] and perm is an involution
-                perm, phase = next(tables)
-                opv = phase[perm, None] * v[perm]
-            else:
-                opv = op @ v
+        # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
+        strings = (ph[pm, None] * v[pm] for pm, ph in zip(self._perms, self._phases))
+        columns = itertools.chain(
+            zip(self.pauli_index, strings), zip(self.matrix_index, (m @ v for m in self.matrices))
+        )
+        for j, opv in columns:
             e = vh @ opv
             means[j] = e.diagonal().real @ probs
             hess[:, j] = self.expectations(v @ (kernel * e) @ vh)

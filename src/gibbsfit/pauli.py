@@ -1,9 +1,12 @@
 """Symbolic n-qubit Pauli strings and their dense realizations.
 
-Strings are stored symbolically as (qubit index, letter) pairs and only
-materialized on demand: marginal reductions can involve hundreds of
-strings, and deduplication across overlapping subsets has to be exact,
-not numeric.
+Inside the package a string is its row of letter codes (0..3 for
+I, X, Y, Z; entry q is qubit q's letter): marginal reductions involve
+thousands of strings, and deduplication across overlapping subsets
+has to be exact, not numeric.  PauliString, the (qubit index, letter)
+pairs, is the form at the API edge; `letter_codes` and
+`strings_from_codes` convert between the two.  A string is
+materialized only on demand.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -111,6 +114,15 @@ def letter_codes(strings, n: int) -> np.ndarray:
     at = np.array(at, dtype=np.intp).reshape(-1, 3)
     codes[at[:, 0], at[:, 1]] = at[:, 2]
     return codes
+
+
+def strings_from_codes(codes) -> tuple[PauliString, ...]:
+    """The PauliStrings of (m, n) letter codes; inverse of letter_codes."""
+    codes = np.asarray(codes)
+    n = codes.shape[1]
+    return tuple(
+        PauliString(n, tuple((q, CODES[c]) for q, c in enumerate(row) if c)) for row in codes.tolist()
+    )
 
 
 def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ Hermitian observables with targets — the more general use case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,27 +91,20 @@ class MarginalProblem:
         return tuple(q for q, _ in self.constraints)
 
 
-@dataclass(frozen=True, eq=False)
 class ExpectationProblem:
     """Observables T_i with targets t_i on a dim-dimensional space.
 
-    An observable is a PauliString or a dense Hermitian matrix.  Two
-    fields are derived, not passed: `observable_set` is the one
-    ObservableSet of the family, built (and every observable gated)
-    here, and `observables` is its gated tuple; row i of `intervals` is
-    (min, max) of spec(T_i), computed once for the target bound check.
+    An observable is a PauliString or a dense Hermitian matrix.  The
+    constructor builds the family's one ObservableSet, `observable_set`
+    (every observable is gated there), and `intervals`, whose row i is
+    (min, max) of spec(T_i): (-1, 1) for a string, one eigvalsh for a
+    matrix, computed once for the target bound check.  `observables` is
+    the set's gated tuple.
     """
 
-    observables: tuple
-    targets: np.ndarray
-    dim: int
-    n: int | None = None
-    observable_set: ObservableSet = field(init=False, repr=False)
-    intervals: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        obs = tuple(self.observables)
-        targets = np.atleast_1d(np.asarray(self.targets, dtype=np.float64))
+    def __init__(self, observables, targets, dim: int, n: int | None = None):
+        obs = tuple(observables)
+        targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
         if targets.shape != (len(obs),):
             raise ValueError(f"lengths disagree: {len(obs)} observables, {targets.shape} targets")
         bad = np.flatnonzero(~np.isfinite(targets))
@@ -120,16 +113,26 @@ class ExpectationProblem:
         for i, op in enumerate(obs):
             if isinstance(op, PauliString) and op.is_identity:
                 raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
-        obset = ObservableSet(obs, dim=self.dim, n=self.n)
-        intervals = np.array([spectral_interval(op) for op in obset.observables])
-        for i, (lo, hi) in enumerate(intervals):
-            bound = max(abs(lo), abs(hi))
-            if abs(targets[i]) > bound + 1e-12:
-                raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound}")
-        object.__setattr__(self, "observables", obset.observables)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "observable_set", obset)
-        object.__setattr__(self, "intervals", intervals)
+        self._accept(ObservableSet(obs, dim=dim, n=n), targets)
+
+    def _accept(self, obset: ObservableSet, targets: np.ndarray):
+        """Keep the family, after checking that every |t_i| is within the
+        spectral radius of T_i up to a slack relative to it, the one that
+        `solver._target_geometry` uses, so the verdict does not depend on
+        how the observables are scaled."""
+        intervals = np.tile((-1.0, 1.0), (obset.size, 1))
+        for i, m in zip(obset.matrix_index, obset.matrices):
+            intervals[i] = spectral_interval(m)
+        bound = np.abs(intervals).max(axis=1)
+        bad = np.flatnonzero(np.abs(targets) > bound + 1e-12 * np.maximum(bound, 1.0))
+        if bad.size:
+            i = bad[0]
+            raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound[i]}")
+        self.observable_set = obset
+        self.targets = targets
+        self.dim = obset.dim
+        self.n = obset.n
+        self.intervals = intervals
 
     @classmethod
     def from_paulis(cls, n: int, pairs) -> "ExpectationProblem":
@@ -144,8 +147,12 @@ class ExpectationProblem:
         return cls(mats, targets, dim=mats[0].shape[0], n=n)
 
     @property
+    def observables(self) -> tuple:
+        return self.observable_set.observables
+
+    @property
     def size(self) -> int:
-        return len(self.observables)
+        return self.observable_set.size
 
 
 def spectral_interval(op) -> tuple[float, float]:
@@ -184,60 +191,73 @@ class CompatibilityReport:
     entropy_violations: tuple = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ReducedProblem(ExpectationProblem):
     """The ExpectationProblem of a marginal reduction, plus where each
     constraint's strings went: `string_index[c][j]` is the position in
     `observables` of the j-th non-identity string on constraint c's
-    qubits, in `pauli.region_tables` (= `strings_on`) order."""
+    qubits, in `pauli.region_tables` (= `strings_on`) order.
 
-    string_index: tuple = field(default=(), repr=False)
+    It is built from the (r, n) letter codes of its strings, which are
+    distinct and non-identity, with targets in [-1, 1]; `observables`
+    builds their PauliStrings only when it is read.
+    """
+
+    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, string_index: tuple):
+        self._accept(ObservableSet(codes, dim=1 << n, n=n), targets)
+        self.string_index = string_index
 
 
 def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     """Replace each marginal by Pauli expectation targets.
 
     Emits one constraint per distinct non-identity string supported on
-    some subset (symbolic dedup, first-appearance order).  Targets are
-    read from the first constraint containing the string and
-    cross-checked against every other; disagreement beyond 1e-9 is a
-    pairwise-compatibility violation reported as a conflict.  All
-    4^k - 1 targets of a constraint come from one `pauli.region_traces`
-    gather, and each global string is built once.
+    some subset (dedup on the strings' letter codes, first-appearance
+    order).  Targets are read from the first constraint containing the
+    string and cross-checked against every other; disagreement beyond
+    1e-9 is a pairwise-compatibility violation reported as a conflict.
+    All 4^k - 1 targets of a constraint come from one
+    `pauli.region_traces` gather, and the dedup and both checks are
+    array operations over every emitted string at once; the first
+    offender, in constraint then string order, raises.
     """
-    table: dict[tuple, int] = {}
-    observables: list[PauliString] = []
-    targets: list[float] = []
-    owner: list[int] = []
-    string_index = []
-    for ci, (qubits, rho) in enumerate(mp.constraints):
-        codes = pauli.region_tables(len(qubits))[0]
-        vals = pauli.region_traces(rho)
-        index = np.empty(len(codes), dtype=np.intp)
-        for j, (row, val) in enumerate(zip(codes.tolist(), vals.tolist())):
-            if abs(val.imag) > 1e-10:
-                raise ValueError(f"non-real expectation {val!r} for constraint {ci}")
-            t = float(val.real)
-            letters = tuple((qubits[q], pauli.CODES[c]) for q, c in enumerate(row) if c)
-            pos = table.get(letters)
-            if pos is None:
-                pos = table[letters] = len(observables)
-                observables.append(PauliString(mp.n, letters))
-                targets.append(t)
-                owner.append(ci)
-            elif abs(targets[pos] - t) > TARGET_CONFLICT_ATOL:
-                raise TargetConflictError(
-                    str(observables[pos]), mp.constraints[owner[pos]][0], qubits, targets[pos], t
-                )
-            index[j] = pos
-        string_index.append(index)
-    arr = np.array(targets, dtype=np.float64)
+    n = mp.n
+    codes, vals = [], []
+    for qubits, rho in mp.constraints:
+        local = pauli.region_tables(len(qubits))[0]
+        glob = np.zeros((len(local), n), dtype=np.intp)
+        glob[:, qubits] = local
+        codes.append(glob)
+        vals.append(pauli.region_traces(rho))
+    starts = np.cumsum([0] + [len(c) for c in codes])
+    codes = np.concatenate(codes)
+    vals = np.concatenate(vals)
+    # a string's letters read as a base-4 number: equal strings, equal keys
+    keys = codes @ 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct strings in first-appearance order
+    where = np.argsort(order)[inverse]  # each emitted string's position in observables
+    first = first[order]  # where each distinct string appears first
+    t = vals.real
+    nonreal = np.abs(vals.imag) > 1e-10
+    bad = np.flatnonzero(nonreal | (np.abs(t[first][where] - t) > TARGET_CONFLICT_ATOL))
+    if bad.size:
+        e = bad[0]
+        ci = int(np.searchsorted(starts, e, side="right")) - 1
+        if nonreal[e]:
+            raise ValueError(f"non-real expectation {complex(vals[e])!r} for constraint {ci}")
+        a = first[where[e]]
+        owner = int(np.searchsorted(starts, a, side="right")) - 1
+        raise TargetConflictError(
+            str(pauli.strings_from_codes(codes[a : a + 1])[0]),
+            mp.constraints[owner][0],
+            mp.constraints[ci][0],
+            float(t[a]),
+            float(t[e]),
+        )
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
-    np.clip(arr, -1.0, 1.0, out=arr)
-    return ReducedProblem(
-        tuple(observables), arr, dim=1 << mp.n, n=mp.n, string_index=tuple(string_index)
-    )
+    targets = np.clip(t[first], -1.0, 1.0)
+    return ReducedProblem(codes[first], targets, n, tuple(np.split(where, starts[1:-1])))
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:

@@ -12,6 +12,7 @@ import pytest
 from gibbsfit import fileio, linalg, solver
 from gibbsfit.cli import main
 from gibbsfit.partition import ObservableSet
+from gibbsfit.pauli import PauliString
 from gibbsfit.problem import reduce_to_expectations
 
 BELL_JSON = [
@@ -210,6 +211,49 @@ def test_non_finite_inputs_name_the_path(tmp_path, capsys, z_problem):
         assert "theta[0]" in capsys.readouterr().err
 
 
+def test_bad_entries_deep_in_arrays_name_the_path(tmp_path, capsys, z_problem):
+    # a fault away from index 0 exits 65 naming the first bad entry in
+    # row-major order, with the detail text of the entry-by-entry walk
+    weights = np.arange(1.0, 9.0)
+    good = {"n": 3, "marginals": [
+        {"qubits": [0], "rho": fileio.matrix_to_json(np.eye(2) / 2)},
+        {"qubits": [0, 1, 2], "rho": fileio.matrix_to_json(np.diag(weights / weights.sum()))},
+    ]}
+    huge = int("1" + "0" * 400)
+    cases = (
+        ({(3, 2, 1): True}, "[3][2]: expected a number"),
+        ({(2, 3, 0): "0.5"}, "[2][3]: expected a number"),
+        ({(3, 2, 1): True, (2, 3, 0): "0.5"}, "[2][3]: expected a number"),
+        ({(5, 6, 0): huge}, "[5][6]: expected a finite number, got inf"),
+        ({(4, 7): [0.0]}, "[4][7]: expected an [re, im] pair"),
+        ({(6,): [[0.0, 0.0]] * 7}, "[6]: expected a row of 8 entries"),
+    )
+    for faults, want in cases:
+        doc = json.loads(json.dumps(good))
+        for (*at, last), value in faults.items():
+            entry = doc["marginals"][1]["rho"]
+            for i in at:
+                entry = entry[i]
+            entry[last] = value
+        assert main(["check", write(tmp_path / "bad.json", doc)]) == 65, want
+        assert capsys.readouterr().err == f"error: marginals[1].rho{want}\n"
+
+    res = tmp_path / "res.json"
+    assert main(["solve", z_problem, "--out", str(res)]) == 0
+    doc = read(res)
+    for k, bad, detail in (
+        (1, True, "expected a number"),
+        (2, "1", "expected a number"),
+        (3, float("nan"), "expected a finite number, got nan"),
+        (4, huge, "expected a finite number, got inf"),
+    ):
+        theta = [0.25] * 5
+        theta[k] = bad
+        tampered = write(tmp_path / "bad.json", dict(doc, theta=theta))
+        assert main(["verify", z_problem, tampered]) == 65, k
+        assert capsys.readouterr().err == f"error: theta[{k}]: {detail}\n"
+
+
 def test_verify_rejects_wrong_theta_length(tmp_path, capsys):
     prob = tmp_path / "gen.json"
     res = tmp_path / "res.json"
@@ -270,6 +314,34 @@ def test_each_command_gates_observables_once(tmp_path, monkeypatch):
         counts.update(sets=0, gates=0)
         assert main(argv) == 0
         assert counts == {"sets": 1, "gates": 2}, argv[0]
+
+
+def test_marginal_commands_build_no_string_and_read_numbers_in_bulk(tmp_path, monkeypatch):
+    # n = 7 with two 5-qubit marginals (r = 1983): check, solve and verify
+    # work on letter codes and validate every JSON number in one array pass
+    prob, res = str(tmp_path / "p.json"), str(tmp_path / "res.json")
+    assert main(["gen", "--n", "7", "--subsets", "0,1,2,3,4;2,3,4,5,6", "--out", prob]) == 0
+    counts = {"strings": 0, "numbers": 0}
+    post_init = PauliString.__post_init__
+    as_number = fileio._as_number
+
+    def counted_string(self):
+        counts["strings"] += 1
+        post_init(self)
+
+    def counted_number(*args):
+        counts["numbers"] += 1
+        return as_number(*args)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counted_string)
+    monkeypatch.setattr(fileio, "_as_number", counted_number)
+    out = str(tmp_path / "out.json")
+    for argv in (["check", prob, "--out", out], ["solve", prob, "--out", res],
+                 ["verify", prob, res, "--out", out]):
+        counts.update(strings=0, numbers=0)
+        assert main(argv) == 0
+        # verify reads the result's tol
+        assert counts["strings"] == 0 and counts["numbers"] <= 1, (argv[0], counts)
 
 
 def test_gen_solve_verify_chain(tmp_path):
@@ -415,6 +487,20 @@ def test_schema_round_trip(tmp_path):
         ],
     }
     assert again == doc
+
+
+def test_matrix_reads_match_entry_by_entry_reference_bitwise():
+    # the one-pass read gives what complex(float(re), float(im)) per
+    # entry gives, integers, signed zeros and extreme values included
+    rng = np.random.default_rng(54)
+    special = [0, -0.0, 7, 2**53 + 1, -(10**300), 1e308, -5e-324, 2.2250738585072014e-308]
+    for d in (1, 2, 4, 8):
+        rows = rng.normal(size=(d, d, 2)).tolist()
+        for r, c, k in rng.integers(0, d, size=(2 * d, 3)).tolist():
+            rows[r][c][k % 2] = special[int(rng.integers(len(special)))]
+        want = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
+        got = fileio.matrix_from_json(rows, "m")
+        assert got.shape == (d, d) and got.tobytes() == want.tobytes()
 
 
 def test_solve_expectation_problem_with_matrix_observable(tmp_path):

@@ -304,3 +304,164 @@ def test_reduce_then_rebuild_round_trip():
         rebuilt, ok = pauli.marginal_from_expectations(targets, qubits)
         assert ok
         assert np.abs(rebuilt - mp.constraints[0][1]).max() < 1e-10
+
+
+def test_target_bound_does_not_depend_on_observable_scale():
+    # t = <top|M|top> is a pure-state value of M, so it is achievable at
+    # every scale; an absolute slack rejected a fifth of them at 1e3 and up
+    rng = np.random.default_rng(51)
+    for scale in (1.0, 1e3, 1e6, 1e9):
+        for _ in range(60):
+            m = scale * random_hermitian(rng, 8)
+            w, v = np.linalg.eigh(m)
+            for vec in (v[:, -1], v[:, 0]):
+                t = float((vec.conj() @ m @ vec).real)
+                ExpectationProblem.from_matrices([m], [t], n=3)
+            bound = max(abs(w[0]), abs(w[-1]))
+            with pytest.raises(problem.InvalidEntryError, match="exceeds spectral radius"):
+                ExpectationProblem.from_matrices([m], [bound * (1 + 1e-9)], n=3)
+
+
+def reference_reduce(mp):
+    """The per-string loop the code-based reduction replaced: one letters
+    tuple and one dict lookup per emitted string, first offender raises."""
+    table, observables, targets, owner, string_index = {}, [], [], [], []
+    for ci, (qubits, rho) in enumerate(mp.constraints):
+        codes = pauli.region_tables(len(qubits))[0]
+        index = []
+        for row, val in zip(codes.tolist(), pauli.region_traces(rho).tolist()):
+            if abs(val.imag) > 1e-10:
+                raise ValueError(f"non-real expectation {val!r} for constraint {ci}")
+            t = float(val.real)
+            letters = tuple((qubits[q], "IXYZ"[c]) for q, c in enumerate(row) if c)
+            pos = table.get(letters)
+            if pos is None:
+                pos = table[letters] = len(observables)
+                observables.append(pauli.PauliString(mp.n, letters))
+                targets.append(t)
+                owner.append(ci)
+            elif abs(targets[pos] - t) > problem.TARGET_CONFLICT_ATOL:
+                raise TargetConflictError(
+                    str(observables[pos]), mp.constraints[owner[pos]][0], qubits, targets[pos], t
+                )
+            index.append(pos)
+        string_index.append(index)
+    return tuple(observables), np.clip(np.array(targets), -1.0, 1.0), string_index
+
+
+def outcome(reduce, mp):
+    """What a reduction gives: its arrays, or its error's every detail."""
+    try:
+        ep = reduce(mp)
+    except TargetConflictError as exc:
+        return ("conflict", str(exc), exc.label, exc.subsets, exc.values)
+    except ValueError as exc:
+        return ("value", str(exc))
+    if isinstance(ep, tuple):
+        observables, targets, index = ep
+    else:
+        observables, targets, index = ep.observables, ep.targets, ep.string_index
+    return ("ok", observables, targets.tobytes(), [list(map(int, i)) for i in index])
+
+
+def bloch_state(v):
+    x, y, z = v
+    return (np.eye(2) + x * X + y * np.array([[0, -1j], [1j, 0]]) + z * Z) / 2
+
+
+def product_marginal(vectors, qubits):
+    rho = np.ones((1, 1))
+    for q in qubits:
+        rho = np.kron(rho, bloch_state(vectors[q]))
+    return rho
+
+
+def with_constraints(mp, constraints):
+    # a non-Hermitian rho cannot pass the constructor's gate
+    object.__setattr__(mp, "constraints", tuple(constraints))
+    return mp
+
+
+def test_reduction_errors_match_per_string_reference():
+    base = {q: (0.1 * q, -0.2, 0.3) for q in range(4)}
+    moved = {**base, 2: (0.2, -0.2, 0.35)}
+    chain = ((0, 1), (1, 2), (2, 3))
+
+    def marginals(per_subset):
+        cons = tuple((s, product_marginal(v, s)) for s, v in zip(chain, per_subset))
+        return MarginalProblem(4, cons)
+
+    # conflict on a later overlap: (0, 1) and (1, 2) agree, (2, 3) does not
+    later = marginals((base, base, moved))
+    got = outcome(reduce_to_expectations, later)
+    assert got == outcome(reference_reduce, later)
+    assert got[2:4] == ("Z2", ((1, 2), (2, 3)))
+
+    # two conflicts: qubit 1 differs in X and Z, qubit 2 again later; the
+    # first in constraint then string order raises
+    both = {**base, 1: (0.4, -0.2, 0.0)}
+    two = marginals((base, both, moved))
+    got = outcome(reduce_to_expectations, two)
+    assert got == outcome(reference_reduce, two)
+    assert got[2:4] == ("X1", ((0, 1), (1, 2)))
+
+    # non-real traces before, among and after the conflicts: Y3 is the
+    # second string of (2, 3) and Z2 Z3 the last, after the conflicting Z2
+    y = np.array([[0, -1j], [1j, 0]])
+    y3, z2z3 = np.kron(np.eye(2), y), np.kron(Z, Z)
+    raised = []
+    for per_subset, ci, op, eps in (
+        ((base, base, moved), 2, y3, 1e-6),
+        ((base, base, moved), 1, y3, 1e-6),
+        ((base, base, moved), 2, z2z3, 1e-6),
+        ((base, both, moved), 2, y3, 1e-6),
+        ((base, base, moved), 2, y3, 1e-11),
+    ):
+        mp = marginals(per_subset)
+        cons = list(mp.constraints)
+        cons[ci] = (cons[ci][0], cons[ci][1] + 1j * eps * op)
+        mp = with_constraints(mp, cons)
+        got = outcome(reduce_to_expectations, mp)
+        assert got == outcome(reference_reduce, mp)
+        raised.append(got[:1] + got[2:3])
+    # 1e-11 is round-off, not a fault
+    assert raised == [
+        ("value",), ("value",), ("conflict", "Z2"), ("conflict", "X1"), ("conflict", "Z2")
+    ]
+
+
+def test_reduction_matches_per_string_reference_on_random_families():
+    rng = np.random.default_rng(52)
+    kinds = set()
+    for n in range(3, 8):
+        for _ in range(12):
+            subsets = []
+            for _ in range(int(rng.integers(1, 5))):
+                size = int(rng.integers(1, min(n, 4) + 1))
+                subsets.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+            if rng.random() < 0.4:
+                # consistent marginals of one global state
+                sigma = rand_density(rng, 1 << n)
+                cons = [(s, linalg.partial_trace(sigma, n, s)) for s in subsets]
+            else:
+                # product marginals, some qubits moved in some constraints
+                vectors = {q: rng.uniform(-0.5, 0.5, size=3) for q in range(n)}
+                cons = []
+                for s in subsets:
+                    local = dict(vectors)
+                    for q in s:
+                        if rng.random() < 0.15:
+                            step = rng.choice([-0.1, 0.1]) * np.eye(3)[rng.integers(3)]
+                            local[q] = vectors[q] + step
+                    cons.append((s, product_marginal(local, s)))
+            mp = MarginalProblem(n, tuple(cons))
+            if rng.random() < 0.2:
+                ci = int(rng.integers(len(cons)))
+                k = len(cons[ci][0])
+                local = pauli.materialize(next(pauli.strings_on(tuple(range(k)), k)))
+                cons[ci] = (cons[ci][0], mp.constraints[ci][1] + 1e-6j * local)
+                mp = with_constraints(mp, cons)
+            got = outcome(reduce_to_expectations, mp)
+            assert got == outcome(reference_reduce, mp), (n, subsets)
+            kinds.add(got[0])
+    assert kinds == {"ok", "conflict", "value"}
