@@ -113,7 +113,6 @@ def _build_parser() -> _Parser:
     p.add_argument("problem")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="record per-iteration residuals")
     p.add_argument("--out")
 
@@ -185,12 +184,7 @@ def cmd_solve(args) -> int:
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     problem, raw = fileio.load_problem(args.problem, max_qubits())
-    options = SolveOptions(
-        grad_tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        keep_trace=args.trace,
-    )
+    options = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     if isinstance(problem, MarginalProblem):
         result = solve_marginals(problem, options)
     else:

@@ -22,6 +22,9 @@ MAX_DIM = 2**MAX_QUBITS
 # matrix as Hermitian.
 HERMITIAN_ATOL = 1e-8
 
+# Gate on |Tr rho - 1| when accepting a matrix as a density matrix.
+TRACE_ATOL = 1e-10
+
 # Eigenvalue floor for accepting a matrix as positive semidefinite.
 PSD_FLOOR = 1e-10
 
@@ -43,11 +46,11 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def as_hermitian(a) -> np.ndarray:
     """Return the Hermitian part (A+A')/2 of a square matrix.
 
     Rejects the input outright when an entry is not finite or the
-    anti-Hermitian part exceeds `atol` in Frobenius norm: round-off is
+    anti-Hermitian part exceeds HERMITIAN_ATOL in Frobenius norm: round-off is
     tolerated, user error is not.
     """
     a = np.asarray(a, dtype=np.complex128)
@@ -59,21 +62,21 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
         raise ValueError(f"matrix entry [{i}, {j}] is not finite: {a[i, j]}")
     skew = 0.5 * (a - a.conj().T)
     drift = float(np.linalg.norm(skew))
-    if drift > atol:
+    if drift > HERMITIAN_ATOL:
         raise ValueError(
             f"matrix is not Hermitian: anti-Hermitian part has Frobenius "
-            f"norm {drift:.3e} (gate {atol:g})"
+            f"norm {drift:.3e} (gate {HERMITIAN_ATOL:g})"
         )
     return a - skew
 
 
-def _density_spectrum(rho, trace_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     """The gate behind as_density; also returns the ascending spectrum
     the PSD check computed, so callers that need it pay one eigvalsh."""
     rho = as_hermitian(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {trace_atol:g}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace is {tr!r}, expected 1 within {TRACE_ATOL:g}")
     w = np.linalg.eigvalsh(rho)
     wmin = float(w[0])
     if wmin < -PSD_FLOOR:
@@ -81,13 +84,13 @@ def _density_spectrum(rho, trace_atol: float = 1e-10) -> tuple[np.ndarray, np.nd
     return rho, w
 
 
-def as_density(rho, trace_atol: float = 1e-10) -> np.ndarray:
+def as_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD.
 
-    Returns the symmetrized matrix.  Trace must be 1 within
-    `trace_atol`; the smallest eigenvalue must be >= -1e-10.
+    Returns the symmetrized matrix.  Trace must be 1 within TRACE_ATOL;
+    the smallest eigenvalue must be >= -PSD_FLOOR.
     """
-    return _density_spectrum(rho, trace_atol)[0]
+    return _density_spectrum(rho)[0]
 
 
 def eigh(h) -> EigDecomposition:

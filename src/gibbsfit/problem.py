@@ -31,6 +31,12 @@ COMPAT_ATOL = 1e-9
 # Entropy diagnostic slack, in bits.
 ENTROPY_ATOL = 1e-9
 
+# Slack on spectral endpoints, relative to the spectral radius R of T_i
+# (as SPECTRAL_SLACK * max(R, 1)): a target beyond an endpoint by more is
+# rejected, and one within it of an endpoint is extreme (the solver's
+# boundary flag).
+SPECTRAL_SLACK = 1e-12
+
 
 class TargetConflictError(ValueError):
     """Two constraints imply different targets for the same string."""
@@ -117,14 +123,14 @@ class ExpectationProblem:
 
     def _accept(self, obset: ObservableSet, targets: np.ndarray):
         """Keep the family, after checking that every |t_i| is within the
-        spectral radius of T_i up to a slack relative to it, the one that
-        `solver._target_geometry` uses, so the verdict does not depend on
-        how the observables are scaled."""
+        spectral radius of T_i up to SPECTRAL_SLACK relative to it, the
+        slack `solver._target_geometry` uses, so the verdict does not
+        depend on how the observables are scaled."""
         intervals = np.tile((-1.0, 1.0), (obset.size, 1))
         for i, m in zip(obset.matrix_index, obset.matrices):
             intervals[i] = spectral_interval(m)
         bound = np.abs(intervals).max(axis=1)
-        bad = np.flatnonzero(np.abs(targets) > bound + 1e-12 * np.maximum(bound, 1.0))
+        bad = np.flatnonzero(np.abs(targets) > bound + SPECTRAL_SLACK * np.maximum(bound, 1.0))
         if bad.size:
             i = bad[0]
             raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound[i]}")
@@ -318,9 +324,9 @@ def _overlap_marginal(constraint, overlap) -> np.ndarray:
     return linalg.partial_trace(rho, len(qubits), keep)
 
 
-def check_local_compatibility(mp: MarginalProblem, atol: float = COMPAT_ATOL) -> CompatibilityReport:
+def check_local_compatibility(mp: MarginalProblem) -> CompatibilityReport:
     """Pairwise necessary condition: overlapping marginals must agree on
-    the intersection (trace distance <= 1e-9 per pair)."""
+    the intersection (trace distance <= COMPAT_ATOL per pair)."""
     pairs = []
     verdict = COMPATIBLE
     for i in range(len(mp.constraints)):
@@ -332,12 +338,12 @@ def check_local_compatibility(mp: MarginalProblem, atol: float = COMPAT_ATOL) ->
             rj = _overlap_marginal(mp.constraints[j], overlap)
             dist = linalg.trace_distance(ri, rj)
             pairs.append((i, j, float(dist)))
-            if dist > atol:
+            if dist > COMPAT_ATOL:
                 verdict = LOCALLY_INCOMPATIBLE
     return CompatibilityReport(tuple(pairs), verdict)
 
 
-def entropy_diagnostic(mp: MarginalProblem, atol_bits: float = ENTROPY_ATOL) -> list[EntropyViolation]:
+def entropy_diagnostic(mp: MarginalProblem) -> list[EntropyViolation]:
     """Flag overlapping pairs with S(rho_i) + S(rho_j) < S(overlap).
 
     The inequality follows from strong subadditivity plus S(global) >= 0
@@ -345,17 +351,17 @@ def entropy_diagnostic(mp: MarginalProblem, atol_bits: float = ENTROPY_ATOL) -> 
     produce these marginals.  Advisory and one-directional: absence of
     flags proves nothing.  The overlap marginal is taken from the
     lower-indexed constraint, so pairs should pass the local
-    compatibility check first.
+    compatibility check first.  Slack: ENTROPY_ATOL bits.
     """
+    entropies = [linalg.von_neumann_entropy(rho) for _, rho in mp.constraints]
     out = []
     for i in range(len(mp.constraints)):
         for j in range(i + 1, len(mp.constraints)):
             overlap = set(mp.constraints[i][0]) & set(mp.constraints[j][0])
             if not overlap:
                 continue
-            s_i = linalg.von_neumann_entropy(mp.constraints[i][1])
-            s_j = linalg.von_neumann_entropy(mp.constraints[j][1])
+            s_i, s_j = entropies[i], entropies[j]
             s_ov = linalg.von_neumann_entropy(_overlap_marginal(mp.constraints[i], overlap))
-            if s_i + s_j < s_ov - atol_bits:
+            if s_i + s_j < s_ov - ENTROPY_ATOL:
                 out.append(EntropyViolation(i, j, s_i, s_j, s_ov))
     return out

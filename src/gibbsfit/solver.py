@@ -10,9 +10,10 @@ says so rather than a bogus certificate.
 Boundary detection is structural, not numeric: a target pinned to an
 endpoint of its observable's spectral interval has no full-rank witness,
 so such problems are flagged up front and never reported as Converged —
-the iteration runs until the theta cap or until the gradient underflows
-to exact zero.  Interior-infeasible problems drift to the cap on their
-own because the residual stays bounded away from zero.
+the iteration runs until the theta cap, until the gradient underflows
+to exact zero or until the line search can no longer move theta.
+Interior-infeasible problems drift to the cap on their own because the
+residual stays bounded away from zero.
 
 A marginal problem starts from its own marginals when they allow it
 (see MarginalStart): theta0 from the Kikuchi combination of the region
@@ -46,7 +47,6 @@ ITERATION_LIMIT = "IterationLimit"
 _ARMIJO_C = 1e-4
 _STEP_FLOOR = 1e-18
 _CURVATURE_FLOOR = 1e-12
-_MAX_RESTARTS = 3
 _MEMORY = 10  # curvature pairs kept by L-BFGS
 # Where f no longer resolves a decrease (|f_new - f| within this share of
 # |f|), the line search decides by the gradient instead: Hager-Zhang's
@@ -75,8 +75,6 @@ class SolveOptions:
     # the spread theta_i T_i puts into H(theta), so the cap does not depend
     # on how an observable is scaled.  A Pauli string's half-width is 1.
     theta_cap: float = 50.0
-    seed: int = 0
-    keep_trace: bool = True
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -129,15 +127,17 @@ def _target_geometry(ep: ExpectationProblem) -> tuple[np.ndarray, np.ndarray]:
     states can reach them, so no Gibbs state ever will.
     """
     lo, hi = ep.intervals.T
-    tol = 1e-12 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    tol = problem_mod.SPECTRAL_SLACK * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
     t = ep.targets
     return (t >= hi - tol) | (t <= lo + tol), 0.5 * (hi - lo)
 
 
 def _armijo(theta, f, grad, direction, evaluate):
     """Backtracking line search on f; returns the accepted
-    (theta, f, grad, state) or None when the step floor is hit without
-    decrease.
+    (theta, f, grad, state), or None when the step floor is hit without
+    decrease or a trial point rounds back to theta itself.  A null step
+    would leave f unchanged and pass Armijo's bound, which rounds to f
+    there, so it is refused before it costs an evaluation.
 
     Near the optimum |f_new - f| ~ |g|^2 drops below f's float
     resolution and Armijo rejects every step, while the gradient keeps
@@ -152,6 +152,8 @@ def _armijo(theta, f, grad, direction, evaluate):
     step = 1.0
     while step >= _STEP_FLOOR:
         cand = theta + step * direction
+        if np.array_equal(cand, theta):
+            return None
         f_new, g_new, state = evaluate(cand)
         if f_new <= f + _ARMIJO_C * step * slope:
             return cand, f_new, g_new, state
@@ -181,6 +183,10 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
     usual scaling gamma = s.y / y.y (the identity on the first step).
     Every reported quantity is read from the Gibbs state of the last
     accepted iterate, so no eigensolve happens after the loop.
+
+    A failed line search ends a flagged problem BoundaryOrInfeasible;
+    otherwise it clears the curvature memory and goes on from H_0, and
+    with the memory already empty it ends IterationLimit.
     """
     options = options or SolveOptions()
     obset = ep.observable_set
@@ -201,8 +207,6 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
     trace: list[float] = []
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    restarts = 0
-    rng = np.random.default_rng(options.seed)
     status = ITERATION_LIMIT
     message = ""
     iterations = 0
@@ -210,8 +214,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
     for it in range(1, options.max_iter + 1):
         iterations = it
         gmax = float(np.max(np.abs(grad)))
-        if options.keep_trace:
-            trace.append(gmax)
+        trace.append(gmax)
         if gmax <= options.grad_tol and not flagged:
             status = CONVERGED
             iterations = it - 1
@@ -246,14 +249,10 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             b = float(y @ q) / float(y @ s)
             q += s * (a - b)
         direction = -q
-        used_steepest = False
         if float(grad @ direction) >= 0:
             direction = -grad  # stale memory produced an ascent direction
-            used_steepest = True
 
         moved = _armijo(theta, f, grad, direction, evaluate)
-        if moved is None and not used_steepest:
-            moved = _armijo(theta, f, grad, -grad, evaluate)
         if moved is None:
             if flagged:
                 # An extreme target drives the optimum to infinity; the
@@ -265,16 +264,11 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
                     f"extreme target (residual {gmax:.3e})"
                 )
                 break
-            # restart ladder: drop memory, then perturb the iterate
-            s_hist.clear()
-            y_hist.clear()
-            if restarts >= _MAX_RESTARTS:
+            if not s_hist:
                 message = "line search stalled"
                 break
-            restarts += 1
-            bump = rng.normal(scale=1e-6 * (1.0 + np.abs(theta)))
-            theta = theta + bump
-            f, grad, state = evaluate(theta)
+            s_hist.clear()  # stale curvature: go on from H_0
+            y_hist.clear()
             continue
 
         theta_new, f_new, grad_new, state_new = moved

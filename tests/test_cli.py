@@ -467,6 +467,7 @@ def test_usage_errors(capsys, z_problem):
         ["solve", z_problem, "--max-iter", "0"],
         ["verify", z_problem, z_problem, "--tol", "-1"],
         ["solve", z_problem, "--refine"],
+        ["solve", z_problem, "--seed", "3"],
         ["gen", "--n", "2", "--beta", "nan"],
         ["gen", "--n", "2", "--beta", "inf"],
     ):

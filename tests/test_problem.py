@@ -277,6 +277,44 @@ def test_entropy_diagnostic_bell_chain():
     assert v.deficit == pytest.approx(1.0, abs=1e-9)
 
 
+def per_pair_entropy_diagnostic(mp):
+    """The pair loop entropy_diagnostic replaced, kept as its reference:
+    both constraint entropies recomputed for every overlapping pair."""
+    out = []
+    for i, (qi, ri) in enumerate(mp.constraints):
+        for j in range(i + 1, len(mp.constraints)):
+            qj, rj = mp.constraints[j]
+            overlap = set(qi) & set(qj)
+            if not overlap:
+                continue
+            keep = tuple(k for k, q in enumerate(qi) if q in overlap)
+            s_i = linalg.von_neumann_entropy(ri)
+            s_j = linalg.von_neumann_entropy(rj)
+            s_ov = linalg.von_neumann_entropy(linalg.partial_trace(ri, len(qi), keep))
+            if s_i + s_j < s_ov - problem.ENTROPY_ATOL:
+                out.append(problem.EntropyViolation(i, j, s_i, s_j, s_ov))
+    return out
+
+
+def test_entropy_diagnostic_takes_each_constraint_entropy_once(monkeypatch):
+    # a star of Bell pairs (0, i): all six pairs overlap on qubit 0 and
+    # all six are flagged; the pair loop took 3 entropies per pair (18)
+    star = MarginalProblem(5, tuple(((0, i), BELL) for i in range(1, 5)))
+    want = per_pair_entropy_diagnostic(star)
+    calls = []
+    entropy = linalg.von_neumann_entropy
+
+    def counted(rho):
+        calls.append(np.shape(rho))
+        return entropy(rho)
+
+    monkeypatch.setattr(linalg, "von_neumann_entropy", counted)
+    got = entropy_diagnostic(star)
+    assert len(calls) == 10  # 4 constraints, 6 overlaps
+    assert len(got) == 6
+    assert got == want  # field by field, floats compared exactly
+
+
 def test_entropy_diagnostic_sound_on_consistent_marginals():
     # marginals of an actual global state can never be flagged
     rng = np.random.default_rng(21)

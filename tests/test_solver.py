@@ -16,6 +16,7 @@ from gibbsfit.problem import (
 from gibbsfit.solver import (
     BOUNDARY,
     CONVERGED,
+    ITERATION_LIMIT,
     DependentObservablesError,
     SolveOptions,
     SolveResult,
@@ -80,7 +81,7 @@ def test_extreme_target_reports_boundary():
 
 def test_extreme_target_trajectory_is_monotone():
     res = solve_expectations(
-        pauli_problem(1, [("Z0", -1.0)]), SolveOptions(keep_trace=True)
+        pauli_problem(1, [("Z0", -1.0)]), SolveOptions()
     )
     trace = np.array(res.trace)
     assert len(trace) > 3
@@ -216,7 +217,7 @@ def test_objective_descends_monotonically():
     mp, _ = random_marginal_instance(rng, 3, ((0, 1, 2),))
     # one marginal on the whole register: its warm start log(rho) is the
     # optimum, so start at 0 to have a trajectory
-    ep_res = solve_marginals(mp, SolveOptions(keep_trace=True, theta0=np.zeros(63)))
+    ep_res = solve_marginals(mp, SolveOptions(theta0=np.zeros(63)))
     assert ep_res.status == CONVERGED
     # residual trace is not strictly monotone for quasi-Newton, but the
     # objective is; re-play the trajectory cheaply via gradient norms
@@ -228,8 +229,8 @@ def test_objective_descends_monotonically():
 def test_determinism_bitwise():
     rng = np.random.default_rng(43)
     mp, _ = random_marginal_instance(rng, 3, ((0, 1), (1, 2)))
-    a = solve_marginals(mp, SolveOptions(seed=5, keep_trace=True))
-    b = solve_marginals(mp, SolveOptions(seed=5, keep_trace=True))
+    a = solve_marginals(mp, SolveOptions())
+    b = solve_marginals(mp, SolveOptions())
     assert np.array_equal(a.theta, b.theta)
     assert a.trace == b.trace
     assert a.iterations == b.iterations
@@ -388,6 +389,60 @@ def test_zz_mixture_chain_reaches_boundary():
     mp = MarginalProblem(5, tuple(((i, i + 1), zz) for i in range(4)))
     res = solve_marginals(mp, SolveOptions(max_iter=200))
     assert res.status == BOUNDARY and res.iterations < 200
+
+
+def test_armijo_refuses_a_null_step():
+    # step * direction is below half an ulp of theta: every trial point
+    # rounds back to theta, f is unchanged and Armijo's bound rounds to f.
+    # The step used to pass, freezing theta for the rest of the budget.
+    calls = []
+
+    def evaluate(theta):
+        calls.append(theta)
+        return float(theta @ theta), 2 * theta, None
+
+    theta = np.array([1.0, -2.0])
+    f, grad, _ = evaluate(theta)
+    calls.clear()
+    assert solver._armijo(theta, f, grad, -1e-20 * grad, evaluate) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_product_chain_reaches_boundary(n, monkeypatch):
+    # |00><00| on every pair: every target is extreme and the optimum is
+    # at infinity.  Once theta stopped moving in floating point the solve
+    # accepted null steps until the budget ran out (n = 4, 5, 6 ended
+    # IterationLimit after 300 iterations and 11,771-12,936 evaluations).
+    p00 = np.zeros((4, 4), dtype=complex)
+    p00[0, 0] = 1.0
+    mp = MarginalProblem(n, tuple(((i, i + 1), p00) for i in range(n - 1)))
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp, SolveOptions(max_iter=300))
+    assert res.status == BOUNDARY, (res.status, res.message)
+    assert res.iterations <= 60
+    assert counts["evaluations"] <= 300
+
+
+def test_memory_reset_recovers_a_stalled_ising_fit():
+    # beta = 3: the L-BFGS direction stopped moving theta; clearing the
+    # memory and going on from H_0 converges (this ran the full budget,
+    # 8,357 evaluations, ending IterationLimit)
+    res = solve_expectations(ising_problem(3, 13, beta=3.0), SolveOptions(max_iter=300))
+    assert res.status == CONVERGED, (res.status, res.max_residual)
+    assert res.max_residual <= 1e-8
+
+
+def test_line_search_stall_ends_the_solve():
+    # below what f and theta resolve at this beta, neither the memory nor
+    # H_0 moves theta: the solve says so instead of using up the budget
+    res = solve_expectations(
+        ising_problem(3, 13, beta=3.0), SolveOptions(grad_tol=1e-11, max_iter=300)
+    )
+    assert res.status == ITERATION_LIMIT
+    assert res.message == "line search stalled"
+    assert res.iterations <= 150
+    assert len(res.trace) == res.iterations
 
 
 def commuting_chain(n, rng):
