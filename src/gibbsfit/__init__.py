@@ -5,14 +5,8 @@ from .linalg import (
     as_density,
     as_hermitian,
     eigh,
-    expm_directional_derivative,
-    frobenius_norm,
-    hilbert_schmidt_inner,
     log_trace_exp,
-    matrix_exp,
     partial_trace,
-    psd_modulus,
-    psd_power,
     trace_distance,
     von_neumann_entropy,
 )
@@ -21,10 +15,8 @@ from .pauli import (
     PauliExpansion,
     PauliString,
     expand,
-    marginal_from_expectations,
     materialize,
     parse_label,
-    reconstruct,
 )
 from .problem import (
     CompatibilityReport,
@@ -82,18 +74,10 @@ __all__ = [
     "eigh",
     "entropy_diagnostic",
     "expand",
-    "expm_directional_derivative",
-    "frobenius_norm",
-    "hilbert_schmidt_inner",
     "log_trace_exp",
-    "marginal_from_expectations",
     "materialize",
-    "matrix_exp",
     "parse_label",
     "partial_trace",
-    "psd_modulus",
-    "psd_power",
-    "reconstruct",
     "reduce_to_expectations",
     "solve_expectations",
     "solve_marginals",

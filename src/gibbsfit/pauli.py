@@ -5,8 +5,10 @@ I, X, Y, Z; entry q is qubit q's letter): marginal reductions involve
 thousands of strings, and deduplication across overlapping subsets
 has to be exact, not numeric.  PauliString, the (qubit index, letter)
 pairs, is the form at the API edge; `letter_codes` and
-`strings_from_codes` convert between the two.  A string is
-materialized only on demand.
+`strings_from_codes` convert between the two.  `subset_codes` (the
+strings on a subset, placed on a register) and `string_keys` (one
+integer per string) are the only code that lays strings out or compares
+them.  A string is materialized only on demand.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -16,11 +18,10 @@ identity.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -58,11 +59,6 @@ class PauliString:
                 raise ValueError(f"qubit {q} out of range for n={self.n}")
             prev = q
 
-    @classmethod
-    def make(cls, n: int, letters: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PauliString":
-        items = letters.items() if isinstance(letters, Mapping) else letters
-        return cls(n, tuple(sorted((q, c) for q, c in items)))
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.letters)
@@ -70,10 +66,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    @property
-    def weight(self) -> int:
-        return len(self.letters)
 
     def __eq__(self, other):
         return isinstance(other, PauliString) and self.letters == other.letters
@@ -154,15 +146,39 @@ def perm_phase(p: PauliString):
 
 @lru_cache(maxsize=None)
 def region_tables(k: int):
-    """The 4^k - 1 non-identity strings on k qubits, in `strings_on`
-    order: their letter codes (m, k) and `string_tables` (perms, phases)."""
+    """The 4^k - 1 non-identity strings on k qubits, last qubit varying
+    fastest: their letter codes (m, k) and `string_tables` (perms, phases)."""
     if not 1 <= k <= linalg.MAX_QUBITS:
         raise ValueError(f"k={k} outside 1..{linalg.MAX_QUBITS}")
-    codes = np.array(list(itertools.product(range(4), repeat=k))[1:], dtype=np.intp)
+    codes = subset_codes(range(k), k)
     perms, phases = string_tables(codes)
     for a in (codes, perms, phases):
         a.flags.writeable = False
     return codes, perms, phases
+
+
+def subset_codes(qubits, n: int) -> np.ndarray:
+    """(4^k - 1, n) letter codes of the non-identity strings on the k
+    `qubits` (strictly ascending) of an n-qubit register, last qubit
+    varying fastest: row j holds the base-4 digits of j + 1 on those
+    qubits, so its `string_keys` on the k-qubit register is j + 1."""
+    qubits = tuple(qubits)
+    if list(qubits) != sorted(set(qubits)):
+        raise ValueError(f"qubit indices must be strictly ascending, got {qubits}")
+    if qubits and not (qubits[0] >= 0 and qubits[-1] < n):
+        raise ValueError(f"qubits {qubits} out of range for n={n}")
+    k = len(qubits)
+    codes = np.zeros((4**k - 1, n), dtype=np.intp)
+    digits = 2 * np.arange(k - 1, -1, -1, dtype=np.intp)
+    codes[:, qubits] = (np.arange(1, 4**k, dtype=np.intp)[:, None] >> digits) & 3
+    return codes
+
+
+def string_keys(codes: np.ndarray) -> np.ndarray:
+    """One integer per row of (m, n) letter codes: the letters read as a
+    base-4 number, qubit 0 most significant, so equal strings have equal
+    keys (the inverse of `subset_codes` on all n qubits)."""
+    return codes @ 4 ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def scatter_index(perms: np.ndarray) -> np.ndarray:
@@ -239,12 +255,12 @@ def restrict(p: PauliString, qubits) -> PauliString:
 
 def strings_on(qubits, n: int, include_identity: bool = False) -> Iterator[PauliString]:
     """All Pauli strings supported on `qubits` of an n-qubit register,
-    in a fixed deterministic order (last qubit varies fastest)."""
-    qubits = tuple(qubits)
-    for combo in itertools.product("IXYZ", repeat=len(qubits)):
-        letters = tuple((q, c) for q, c in zip(qubits, combo) if c != "I")
-        if letters or include_identity:
-            yield PauliString(n, letters)
+    in `subset_codes` order (last qubit varies fastest), the identity
+    first when it is included."""
+    codes = subset_codes(qubits, n)
+    if include_identity:
+        codes = np.vstack([np.zeros((1, n), dtype=np.intp), codes])
+    return iter(strings_from_codes(codes))
 
 
 @dataclass(frozen=True, eq=False)

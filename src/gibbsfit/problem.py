@@ -34,7 +34,7 @@ ENTROPY_ATOL = 1e-9
 # Slack on spectral endpoints, relative to the spectral radius R of T_i
 # (as SPECTRAL_SLACK * max(R, 1)): a target beyond an endpoint by more is
 # rejected, and one within it of an endpoint is extreme (the solver's
-# boundary flag).
+# boundary flag, `ExpectationProblem.extreme`).
 SPECTRAL_SLACK = 1e-12
 
 
@@ -102,10 +102,11 @@ class ExpectationProblem:
 
     An observable is a PauliString or a dense Hermitian matrix.  The
     constructor builds the family's one ObservableSet, `observable_set`
-    (every observable is gated there), and `intervals`, whose row i is
-    (min, max) of spec(T_i): (-1, 1) for a string, one eigvalsh for a
-    matrix, computed once for the target bound check.  `observables` is
-    the set's gated tuple.
+    (every observable is gated there), and reads spec(T_i) = [lo_i, hi_i]
+    once: (-1, 1) for a string, one eigvalsh for a matrix.  From it come
+    the target bound check, `extreme` (t_i at or beyond an endpoint, up
+    to SPECTRAL_SLACK) and `half_widths` ((hi_i - lo_i)/2), which the
+    solver reads.  `observables` is the set's gated tuple.
     """
 
     def __init__(self, observables, targets, dim: int, n: int | None = None):
@@ -123,14 +124,17 @@ class ExpectationProblem:
 
     def _accept(self, obset: ObservableSet, targets: np.ndarray):
         """Keep the family, after checking that every |t_i| is within the
-        spectral radius of T_i up to SPECTRAL_SLACK relative to it, the
-        slack `solver._target_geometry` uses, so the verdict does not
-        depend on how the observables are scaled."""
+        spectral radius of T_i up to SPECTRAL_SLACK relative to it, so
+        the verdict does not depend on how the observables are scaled.
+        Endpoint targets admit no strictly positive witness: only
+        singular states reach them, so no Gibbs state ever will."""
         intervals = np.tile((-1.0, 1.0), (obset.size, 1))
         for i, m in zip(obset.matrix_index, obset.matrices):
             intervals[i] = spectral_interval(m)
+        lo, hi = intervals.T
         bound = np.abs(intervals).max(axis=1)
-        bad = np.flatnonzero(np.abs(targets) > bound + SPECTRAL_SLACK * np.maximum(bound, 1.0))
+        tol = SPECTRAL_SLACK * np.maximum(bound, 1.0)
+        bad = np.flatnonzero(np.abs(targets) > bound + tol)
         if bad.size:
             i = bad[0]
             raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound[i]}")
@@ -138,7 +142,8 @@ class ExpectationProblem:
         self.targets = targets
         self.dim = obset.dim
         self.n = obset.n
-        self.intervals = intervals
+        self.extreme = (targets >= hi - tol) | (targets <= lo + tol)
+        self.half_widths = 0.5 * (hi - lo)
 
     @classmethod
     def from_paulis(cls, n: int, pairs) -> "ExpectationProblem":
@@ -194,7 +199,6 @@ class EntropyViolation:
 class CompatibilityReport:
     pair_distances: tuple  # ((i, j, trace distance), ...)
     verdict: str
-    entropy_violations: tuple = ()
 
 
 class ReducedProblem(ExpectationProblem):
@@ -227,19 +231,11 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     offender, in constraint then string order, raises.
     """
     n = mp.n
-    codes, vals = [], []
-    for qubits, rho in mp.constraints:
-        local = pauli.region_tables(len(qubits))[0]
-        glob = np.zeros((len(local), n), dtype=np.intp)
-        glob[:, qubits] = local
-        codes.append(glob)
-        vals.append(pauli.region_traces(rho))
+    codes = [pauli.subset_codes(qubits, n) for qubits, _ in mp.constraints]
+    vals = np.concatenate([pauli.region_traces(rho) for _, rho in mp.constraints])
     starts = np.cumsum([0] + [len(c) for c in codes])
     codes = np.concatenate(codes)
-    vals = np.concatenate(vals)
-    # a string's letters read as a base-4 number: equal strings, equal keys
-    keys = codes @ 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(pauli.string_keys(codes), return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct strings in first-appearance order
     where = np.argsort(order)[inverse]  # each emitted string's position in observables
     first = first[order]  # where each distinct string appears first
@@ -271,25 +267,24 @@ def check_independence(ep: ExpectationProblem) -> RankReport:
 
     Independent iff the smallest Gram eigenvalue exceeds 1e-8 times the
     largest.  Row and column 0 (the identity) hold d and Tr T_a.  Pauli
-    strings are traceless and distinct ones are orthogonal, so no string
-    is ever materialized; a dense observable's inner products are its
-    row of the problem's ObservableSet expectation kernel.  A marginal
-    reduction emits distinct strings only, so its family is independent
-    by construction and needs no check.
+    strings are traceless and distinct ones are orthogonal, so the
+    string block is d where `pauli.string_keys` agree and 0 elsewhere,
+    and no string is materialized; a dense observable's inner products
+    are its row of the problem's ObservableSet expectation kernel.  A
+    marginal reduction emits distinct strings only, so its family is
+    independent by construction and needs no check.
     """
     d = ep.dim
     m = ep.size + 1
+    obset = ep.observable_set
     gram = np.zeros((m, m))
     gram[0, 0] = d
-    strings: dict[PauliString, list[int]] = {}
-    for a, op in enumerate(ep.observables, start=1):
-        if isinstance(op, PauliString):
-            strings.setdefault(op, []).append(a)
-        else:
-            gram[a, 0] = gram[0, a] = np.trace(op).real
-            gram[a, 1:] = gram[1:, a] = ep.observable_set.expectations(op)
-    for rows in strings.values():
-        gram[np.ix_(rows, rows)] = d
+    for a, op in zip(obset.matrix_index + 1, obset.matrices):
+        gram[a, 0] = gram[0, a] = np.trace(op).real
+        gram[a, 1:] = gram[1:, a] = obset.expectations(op)
+    keys = pauli.string_keys(obset.codes)
+    rows = obset.pauli_index + 1
+    gram[np.ix_(rows, rows)] = d * (keys[:, None] == keys[None, :])
     w = np.linalg.eigvalsh(gram)
     return RankReport(
         independent=bool(w[0] > 1e-8 * w[-1]),

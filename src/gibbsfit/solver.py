@@ -10,8 +10,9 @@ says so rather than a bogus certificate.
 Boundary detection is structural, not numeric: a target pinned to an
 endpoint of its observable's spectral interval has no full-rank witness,
 so such problems are flagged up front and never reported as Converged —
-the iteration runs until the theta cap, until the gradient underflows
-to exact zero or until the line search can no longer move theta.
+the iteration runs until the theta cap or until the line search can no
+longer move theta (a gradient that underflows to exact zero gives a
+zero direction, which the line search refuses).
 Interior-infeasible problems drift to the cap on their own because the
 residual stays bounded away from zero.
 
@@ -119,19 +120,6 @@ class VerificationReport:
     marginal_distances: tuple | None = None
 
 
-def _target_geometry(ep: ExpectationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Per observable: whether t_i sits at (or beyond) an endpoint of
-    spec(T_i), and the half-width of spec(T_i).
-
-    Endpoint targets admit no strictly positive witness: only singular
-    states can reach them, so no Gibbs state ever will.
-    """
-    lo, hi = ep.intervals.T
-    tol = problem_mod.SPECTRAL_SLACK * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-    t = ep.targets
-    return (t >= hi - tol) | (t <= lo + tol), 0.5 * (hi - lo)
-
-
 def _armijo(theta, f, grad, direction, evaluate):
     """Backtracking line search on f; returns the accepted
     (theta, f, grad, state), or None when the step floor is hit without
@@ -191,8 +179,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
     options = options or SolveOptions()
     obset = ep.observable_set
     targets = ep.targets
-    extreme, half_widths = _target_geometry(ep)
-    flagged = bool(extreme.any())
+    flagged = bool(ep.extreme.any())
 
     def evaluate(theta):
         state = obset.gibbs(theta)
@@ -219,13 +206,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             status = CONVERGED
             iterations = it - 1
             break
-        if flagged and gmax == 0.0:
-            # Exponents saturated: the iterate is numerically singular and
-            # the true optimum is at infinity.
-            status = BOUNDARY
-            message = "gradient underflowed to zero while chasing an extreme target"
-            break
-        if float(np.max(np.abs(theta) * half_widths)) > options.theta_cap:
+        if float(np.max(np.abs(theta) * ep.half_widths)) > options.theta_cap:
             status = BOUNDARY
             message = (
                 f"max |theta_i| * half-width(T_i) exceeded cap {options.theta_cap} "
@@ -353,10 +334,8 @@ def marginal_start(
         host, rho = mp.constraints[ci]
         keep = tuple(host.index(q) for q in qubits)
         k = len(qubits)
-        codes = pauli.region_tables(k)[0]
-        # a region string's place among the host's strings: base-4 digits,
-        # last qubit fastest, less the identity at 0
-        index = ep.string_index[ci][codes @ 4 ** (len(host) - 1 - np.array(keep)) - 1]
+        # a region string's row among the host's strings is its key less 1
+        index = ep.string_index[ci][pauli.string_keys(pauli.subset_codes(keep, len(host))) - 1]
         if k < len(host):
             rho = linalg.partial_trace(rho, len(host), keep)
         w, v = np.linalg.eigh(rho)

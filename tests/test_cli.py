@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process through main()."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsfit import fileio, linalg, solver
-from gibbsfit.cli import main
+from gibbsfit import fileio, linalg, pauli, solver
+from gibbsfit.cli import generate_thermal_marginals, main
 from gibbsfit.partition import ObservableSet
 from gibbsfit.pauli import PauliString
 from gibbsfit.problem import reduce_to_expectations
@@ -317,10 +318,10 @@ def test_each_command_gates_observables_once(tmp_path, monkeypatch):
 
 
 def test_marginal_commands_build_no_string_and_read_numbers_in_bulk(tmp_path, monkeypatch):
-    # n = 7 with two 5-qubit marginals (r = 1983): check, solve and verify
-    # work on letter codes and validate every JSON number in one array pass
+    # n = 7 with two 5-qubit marginals (r = 1983): gen, check, solve and
+    # verify work on letter codes and validate every JSON number in one
+    # array pass (gen built 4092 strings)
     prob, res = str(tmp_path / "p.json"), str(tmp_path / "res.json")
-    assert main(["gen", "--n", "7", "--subsets", "0,1,2,3,4;2,3,4,5,6", "--out", prob]) == 0
     counts = {"strings": 0, "numbers": 0}
     post_init = PauliString.__post_init__
     as_number = fileio._as_number
@@ -336,7 +337,8 @@ def test_marginal_commands_build_no_string_and_read_numbers_in_bulk(tmp_path, mo
     monkeypatch.setattr(PauliString, "__post_init__", counted_string)
     monkeypatch.setattr(fileio, "_as_number", counted_number)
     out = str(tmp_path / "out.json")
-    for argv in (["check", prob, "--out", out], ["solve", prob, "--out", res],
+    for argv in (["gen", "--n", "7", "--subsets", "0,1,2,3,4;2,3,4,5,6", "--out", prob],
+                 ["check", prob, "--out", out], ["solve", prob, "--out", res],
                  ["verify", prob, res, "--out", out]):
         counts.update(strings=0, numbers=0)
         assert main(argv) == 0
@@ -354,6 +356,39 @@ def test_gen_solve_verify_chain(tmp_path):
     doc = read(res)
     assert doc["local_terms"] is not None
     assert {tuple(t["qubits"]) for t in doc["local_terms"]} == {(0, 1), (1, 2), (2, 3)}
+
+
+def reference_thermal_state(n, subsets, beta, seed):
+    """The per-string build `gen` replaced: every string on a subset
+    enumerated letter by letter and relabelled onto the register, one
+    draw each, in that order."""
+    rng = np.random.default_rng(seed)
+    strings, coeffs = [], []
+    for qubits in subsets:
+        k = len(qubits)
+        local = [
+            PauliString(k, tuple((q, c) for q, c in enumerate(combo) if c != "I"))
+            for combo in itertools.product("IXYZ", repeat=k)
+        ][1:]
+        scale = 1.0 / len(local)
+        for p in local:
+            strings.append(pauli.relabel(p, qubits, n))
+            coeffs.append(rng.uniform(-1.0, 1.0) * scale)
+    return ObservableSet(strings, dim=1 << n, n=n).gibbs(-beta * np.asarray(coeffs)).rho
+
+
+@pytest.mark.parametrize("n,subsets", [
+    (4, [(0, 1), (1, 2), (2, 3)]),
+    (5, [(0, 1, 2), (2, 3, 4), (1, 3)]),
+    (7, [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]),
+    (1, [(0,)]),
+])
+def test_gen_state_matches_per_string_reference_bitwise(n, subsets):
+    for beta in (0.0, 1.0, 4.0):
+        for seed in range(3):
+            _, eta = generate_thermal_marginals(n, subsets, beta, seed)
+            want = reference_thermal_state(n, subsets, beta, seed)
+            assert eta.tobytes() == want.tobytes(), (beta, seed)
 
 
 def test_gen_is_deterministic(tmp_path):

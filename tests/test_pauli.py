@@ -1,5 +1,7 @@
 """Pauli-string algebra: symbolic ops against a dense kron oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,48 @@ def test_strings_on_enumeration():
     assert "X0 X1" in got and "" not in got
     with_id = list(pauli.strings_on((0,), 1, include_identity=True))
     assert len(with_id) == 4 and with_id[0].is_identity
+
+
+def reference_strings_on(qubits, n):
+    """The letter-by-letter enumeration `subset_codes` replaced: the
+    product of "IXYZ" over the qubits, identity skipped."""
+    out = []
+    for combo in itertools.product("IXYZ", repeat=len(qubits)):
+        letters = tuple((q, c) for q, c in zip(qubits, combo) if c != "I")
+        if letters:
+            out.append(PauliString(n, letters))
+    return out
+
+
+def test_subset_codes_and_keys_own_the_string_layout():
+    for qubits, n in [((0,), 1), ((1, 3), 4), ((0, 2, 3), 5), ((4,), 6), ((0, 1, 2, 3), 4)]:
+        codes = pauli.subset_codes(qubits, n)
+        want = reference_strings_on(qubits, n)
+        assert pauli.strings_from_codes(codes) == tuple(want)
+        assert [p.letters for p in pauli.strings_on(qubits, n)] == [p.letters for p in want]
+    for k in (1, 2, 3, 4):
+        local = pauli.region_tables(k)[0]
+        # the itertools enumeration region_tables used to build its codes by
+        assert np.array_equal(local, list(itertools.product(range(4), repeat=k))[1:])
+        assert np.array_equal(pauli.subset_codes(range(k), k), local)
+        # the key of row j of region_tables(k) is j + 1 (the identity is 0)
+        assert np.array_equal(pauli.string_keys(local), np.arange(1, 4**k))
+    # a region's strings inside a host constraint's strings: key - 1 is
+    # the row, as the base-4 arithmetic it replaced and a lookup both say
+    for h in (2, 3, 4, 5):
+        pos = {p.letters: j for j, p in enumerate(reference_strings_on(range(h), h))}
+        for size in range(1, h + 1):
+            for keep in itertools.combinations(range(h), size):
+                got = pauli.string_keys(pauli.subset_codes(keep, h)) - 1
+                old = pauli.region_tables(size)[0] @ 4 ** (h - 1 - np.array(keep)) - 1
+                looked_up = [pos[p.letters] for p in reference_strings_on(keep, h)]
+                assert np.array_equal(got, old) and got.tolist() == looked_up, keep
+
+
+@pytest.mark.parametrize("qubits", [(1, 0), (0, 0), (-1,), (0, 3)])
+def test_strings_on_rejects_bad_qubits(qubits):
+    with pytest.raises(ValueError):
+        list(pauli.strings_on(qubits, 3))
 
 
 def reference_perm_phase(n, letters):

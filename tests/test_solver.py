@@ -391,6 +391,23 @@ def test_zz_mixture_chain_reaches_boundary():
     assert res.status == BOUNDARY and res.iterations < 200
 
 
+def test_zz_mixture_gradient_underflow_ends_at_saturation():
+    # n = 3: the gradient underflows to exact zero at iteration 63.  The
+    # direction is then zero, the line search refuses it without an
+    # evaluation, and the saturation exit ends the solve there (a separate
+    # underflow exit used to, with its own message)
+    zz = np.zeros((4, 4), dtype=complex)
+    zz[0, 0] = zz[3, 3] = 0.5
+    mp = MarginalProblem(3, tuple(((i, i + 1), zz) for i in range(2)))
+    res = solve_marginals(mp, SolveOptions(max_iter=200))
+    assert res.status == BOUNDARY
+    assert res.iterations == 63 and res.trace[-1] == 0.0
+    assert res.message == (
+        "objective saturated at float resolution while chasing an extreme target "
+        "(residual 0.000e+00)"
+    )
+
+
 def test_armijo_refuses_a_null_step():
     # step * direction is below half an ulp of theta: every trial point
     # rounds back to theta, f is unchanged and Armijo's bound rounds to f.
