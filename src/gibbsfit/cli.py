@@ -207,7 +207,7 @@ def cmd_verify(args) -> int:
     doc = {
         "ok": report.ok,
         "max_residual": report.max_residual,
-        "residuals": [float(x) for x in report.residuals],
+        "residuals": report.residuals,
         "psi": report.psi,
         "entropy_bits": report.entropy_bits,
         "min_eigenvalue": report.min_eigenvalue,

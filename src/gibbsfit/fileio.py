@@ -198,11 +198,13 @@ def digest(raw: bytes) -> str:
 
 
 def result_to_doc(result, tol: float, input_digest: str, include_trace: bool = False) -> dict:
-    """SolveResult -> ResultFile dict (plain Python scalars only)."""
+    """SolveResult -> ResultFile dict: Python scalars, with theta,
+    residuals, trace and local-term matrices as float64 / complex128
+    arrays that `dump_json` writes."""
     doc = {
         "status": result.status,
-        "theta": [float(x) for x in result.theta],
-        "residuals": [float(x) for x in result.residuals],
+        "theta": np.asarray(result.theta, dtype=np.float64),
+        "residuals": np.asarray(result.residuals, dtype=np.float64),
         "psi": float(result.psi),
         "entropy_bits": float(result.entropy_bits),
         "local_terms": None,
@@ -214,10 +216,11 @@ def result_to_doc(result, tol: float, input_digest: str, include_trace: bool = F
     }
     if result.local_terms is not None:
         doc["local_terms"] = [
-            {"qubits": list(q), "matrix": matrix_to_json(m)} for q, m in result.local_terms.items()
+            {"qubits": list(q), "matrix": np.asarray(m, dtype=np.complex128)}
+            for q, m in result.local_terms.items()
         ]
     if include_trace:
-        doc["trace"] = [float(x) for x in result.trace]
+        doc["trace"] = np.asarray(result.trace, dtype=np.float64)
     return doc
 
 
@@ -243,5 +246,74 @@ def load_result(path: str) -> dict:
     return doc
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """json.dumps(doc, indent=2) + "\n", byte for byte, where doc may
+    also hold float64 and complex128 arrays: an array is written as its
+    nested lists would be, a complex entry as [re, im].  Arrays and
+    containers are laid out here, every other value and every key by
+    json.dumps; json's indented encoder is pure Python and would take a
+    call per number."""
+    return _encode(doc, "") + "\n"
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it with its first line at
+    indent `pad`."""
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj, pad)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        # json's own key coercion: 1 -> "1", True -> "true"
+        keys = (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4] for k in obj)
+        items = [f"{k}: {_encode(v, inner)}" for k, v in zip(keys, obj.values())]
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = [_encode(v, inner) for v in obj]
+    else:
+        return json.dumps(obj)
+    opener, closer = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closer}"
+
+
+def _encode_array(a: np.ndarray, pad: str) -> str:
+    """A float64 or complex128 array as _encode writes a.tolist(),
+    complex entries as [re, im]: every number through float.__repr__,
+    as json writes a float, and NaN/Infinity as json spells them."""
+    if a.dtype == np.complex128:
+        a = np.stack((a.real, a.imag), axis=-1)
+    elif a.dtype != np.float64:
+        raise TypeError(f"cannot write a {a.dtype} array as JSON")
+    if a.ndim == 0 or a.size == 0:
+        return _encode(a.tolist(), pad)
+    numbers = list(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
+        numbers = [_NON_FINITE.get(x, x) for x in numbers]
+    return _nest(numbers, a.shape, pad)
+
+
+def _nest(numbers: list, shape: tuple, pad: str) -> str:
+    """Number texts, in row-major order, laid out as nested arrays of
+    `shape` at indent `pad`.  What separates two neighbours depends only
+    on how many trailing axes roll over between them, so the separators
+    are built as one repeating pattern and joined with the numbers in a
+    single pass."""
+    k = len(shape)
+    at = [pad + "  " * j for j in range(k + 1)]  # indent of depth j
+
+    def separator(m: int) -> str:  # m trailing axes roll over
+        close = "".join(f"\n{at[k - 1 - i]}]" for i in range(m))
+        reopen = "".join(f"[\n{at[k - m + 1 + i]}" for i in range(m))
+        return f"{close},\n{at[k - m]}{reopen}"
+
+    seps = [separator(0)] * (shape[-1] - 1)
+    for m, size in enumerate(reversed(shape[:-1]), 1):
+        seps = (seps + [separator(m)]) * size
+        seps.pop()
+    parts = [None] * (2 * len(numbers) - 1)
+    parts[::2] = numbers
+    parts[1::2] = seps
+    opening = "".join(f"[\n{at[j + 1]}" for j in range(k))
+    closing = "".join(f"\n{at[k - 1 - j]}]" for j in range(k))
+    return opening + "".join(parts) + closing

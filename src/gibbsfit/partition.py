@@ -5,9 +5,10 @@ GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
 entropy and the minimum eigenvalue need no further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and builds its Pauli strings' signed-permutation
-tables from their letter codes in one `pauli.string_tables` pass, so
-that H(theta), expectations and Hessian columns are O(r d) array
-operations, never r dense matmuls.
+tables from their letter codes in one `pauli.string_tables` pass (or
+takes them from a marginal reduction, which gathers them), so that
+H(theta), expectations and Hessian columns are O(r d) array operations,
+never r dense matmuls.
 """
 
 from __future__ import annotations
@@ -74,9 +75,13 @@ class ObservableSet:
     InvalidEntryError naming the observable's index.  `observables`
     holds the gated family: strings as PauliStrings, matrices as gated;
     a set made from codes builds its PauliStrings on first access.
+
+    `tables` is the Pauli rows' `pauli.string_tables(codes)`, for a
+    caller that has it already (a marginal reduction gathers it from
+    `pauli.region_tables`); by default the set builds it.
     """
 
-    def __init__(self, observables, dim: int, n: int | None = None):
+    def __init__(self, observables, dim: int, n: int | None = None, tables=None):
         from_codes = isinstance(observables, np.ndarray)
         if not from_codes:
             observables = tuple(observables)
@@ -121,13 +126,16 @@ class ObservableSet:
         self.pauli_index = np.asarray(pauli_idx, dtype=np.intp)
         self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
         self.matrices = mats
-        if len(codes):
-            # (k, d) rows: column indices and entries, exact +-1/+-i
-            self._perms, self._phases = pauli.string_tables(codes)
-        else:
-            self._perms = np.empty((0, self.dim), dtype=np.intp)
-            self._phases = np.empty((0, self.dim), dtype=np.complex128)
-        self._flat = pauli.scatter_index(self._perms)
+        if tables is None and len(codes):
+            tables = pauli.string_tables(codes)
+        elif tables is None:
+            tables = np.empty((0, self.dim), dtype=np.intp), np.empty((0, self.dim), dtype=np.complex128)
+        # (k, d) rows: column indices and entries, exact +-1/+-i
+        perms, self._phases = tables
+        # flat positions of string j's column a in a d x d matrix: the
+        # entry (scatter, for H) and its transpose (gather, for <T>)
+        self._flat = pauli.scatter_index(perms)
+        self._gather = np.arange(self.dim) * self.dim + perms
 
     @property
     def observables(self) -> tuple:
@@ -150,9 +158,7 @@ class ObservableSet:
         out = np.empty(self.size)
         if len(self.pauli_index):
             # Tr(P rho) = sum_a phase_a * rho[a, perm_a]
-            vals = np.einsum(
-                "kd,kd->k", self._phases, rho[np.arange(self.dim)[None, :], self._perms]
-            )
+            vals = np.einsum("kd,kd->k", self._phases, rho.ravel()[self._gather])
             out[self.pauli_index] = vals.real
         for j, i in enumerate(self.matrix_index):
             out[i] = np.vdot(self.matrices[j], rho).real
@@ -201,7 +207,8 @@ class ObservableSet:
         hess = np.empty((r, r))
         means = np.empty(r)
         # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
-        strings = (ph[pm, None] * v[pm] for pm, ph in zip(self._perms, self._phases))
+        perms = self._gather - np.arange(self.dim) * self.dim
+        strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, self._phases))
         columns = itertools.chain(
             zip(self.pauli_index, strings), zip(self.matrix_index, (m @ v for m in self.matrices))
         )

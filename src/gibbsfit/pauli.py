@@ -157,6 +157,32 @@ def region_tables(k: int):
     return codes, perms, phases
 
 
+def subset_tables(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`string_tables` of the strings `subset_codes(qubits, n)[rows]` of
+    each (qubits, rows) block, stacked in block order, bitwise, gathered
+    from the cached `region_tables(k)`: a string's phase at column a
+    depends only on a's bits on `qubits`, since qubits off its support
+    take no multiply, and its perm flips a by its region row's flip
+    mask (that row's perm at column 0) moved onto those qubits."""
+    blocks = [(qubits, np.asarray(rows, dtype=np.intp)) for qubits, rows in blocks]
+    m = sum(len(rows) for _, rows in blocks)
+    cols = np.arange(1 << n, dtype=np.int64)
+    perms = np.empty((m, 1 << n), dtype=np.int64)
+    phases = np.empty((m, 1 << n), dtype=np.complex128)
+    start = 0
+    for qubits, rows in blocks:
+        k, stop = len(qubits), start + len(rows)
+        _, region_perms, region_phases = region_tables(k)
+        at = n - 1 - np.asarray(qubits, dtype=np.int64)  # each qubit's bit in a column index
+        local_bits = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+        local = ((cols[:, None] >> at) & 1) @ local_bits  # column a's region column
+        flips = ((region_perms[rows, 0, None] & local_bits) != 0) @ (1 << at)
+        np.bitwise_xor(cols, flips[:, None], out=perms[start:stop])
+        np.take(region_phases[rows], local, axis=1, out=phases[start:stop], mode="clip")
+        start = stop
+    return perms, phases
+
+
 def subset_codes(qubits, n: int) -> np.ndarray:
     """(4^k - 1, n) letter codes of the non-identity strings on the k
     `qubits` (strictly ascending) of an n-qubit register, last qubit
@@ -227,13 +253,6 @@ def pauli_trace(p: PauliString, a: np.ndarray) -> complex:
     return complex(phase @ a[np.arange(d), perm])
 
 
-def embed(p: PauliString, n: int) -> PauliString:
-    """Widen the register to n qubits (P -> P tensor I), keeping letters."""
-    if p.letters and p.letters[-1][0] >= n:
-        raise ValueError(f"support {p.support} does not fit in n={n}")
-    return PauliString(n, p.letters)
-
-
 def relabel(p: PauliString, qubits, n: int) -> PauliString:
     """Map a local string on len(qubits) qubits onto the global indices
     `qubits` (strictly ascending) of an n-qubit register."""
@@ -282,14 +301,15 @@ def expand(rho) -> PauliExpansion:
         raise ValueError(f"dimension {d} is not a power of 2")
     if k > linalg.MAX_QUBITS:
         raise ValueError(f"n={k} exceeds the {linalg.MAX_QUBITS}-qubit cap")
-    coeffs = {}
-    vals = [complex(np.trace(rho)), *region_traces(rho).tolist()]
-    for p, val in zip(strings_on(tuple(range(k)), k, include_identity=True), vals):
-        val = val / d
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"non-real coefficient {val!r} for {str(p) or 'identity'}")
-        if abs(val.real) >= 1e-14:
-            coeffs[p] = float(val.real)
+    codes = np.vstack([np.zeros((1, k), dtype=np.intp), region_tables(k)[0]])
+    vals = np.concatenate([[np.trace(rho)], region_traces(rho)])
+    bad = np.flatnonzero(np.abs(vals.imag / d) > 1e-10)
+    if bad.size:
+        val, p = complex(vals[bad[0]]) / d, strings_from_codes(codes[bad[:1]])[0]
+        raise ValueError(f"non-real coefficient {val!r} for {str(p) or 'identity'}")
+    alphas = vals.real / d
+    kept = np.flatnonzero(np.abs(alphas) >= 1e-14)
+    coeffs = dict(zip(strings_from_codes(codes[kept]), alphas[kept].tolist()))
     return PauliExpansion(k, coeffs)
 
 

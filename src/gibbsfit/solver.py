@@ -388,8 +388,9 @@ def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
     `ep` is the reduction of the marginal problem on `subsets`.  A
     subset's block sums the strings its constraint emitted first (read
     through `ep.string_index` and `pauli.region_tables`): those whose
-    lowest-indexed subset containing their support is this one.  So
-    sum_i embed(H_i) == H exactly, a subset nested in an earlier one gets
+    lowest-indexed subset containing their support is this one.  So the
+    blocks, each widened by identities to the whole register, sum to H
+    exactly, a subset nested in an earlier one gets
     a zero block and a repeated subset keeps its first copy's block.
     """
     subsets = [tuple(s) for s in subsets]

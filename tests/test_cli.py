@@ -346,6 +346,23 @@ def test_marginal_commands_build_no_string_and_read_numbers_in_bulk(tmp_path, mo
         assert counts["strings"] == 0 and counts["numbers"] <= 1, (argv[0], counts)
 
 
+def test_written_files_keep_the_indented_json_layout(tmp_path):
+    # n = 7 with two 5-qubit marginals (r = 1983): every file gen, check,
+    # solve --trace and verify write is json.dumps(..., indent=2) + "\n"
+    prob, res = str(tmp_path / "p.json"), str(tmp_path / "res.json")
+    out = {"check": str(tmp_path / "check.json"), "verify": str(tmp_path / "verify.json")}
+    for argv in (["gen", "--n", "7", "--subsets", "0,1,2,3,4;2,3,4,5,6", "--out", prob],
+                 ["check", prob, "--out", out["check"]], ["solve", prob, "--trace", "--out", res],
+                 ["verify", prob, res, "--out", out["verify"]]):
+        assert main(argv) == 0, argv
+    for path in (prob, out["check"], res, out["verify"]):
+        text = Path(path).read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text, path
+    doc = read(Path(res))
+    assert len(doc["theta"]) == len(doc["residuals"]) == 1983 and doc["trace"]
+    assert len(doc["local_terms"]) == 2
+
+
 def test_gen_solve_verify_chain(tmp_path):
     prob = tmp_path / "gen.json"
     res = tmp_path / "res.json"

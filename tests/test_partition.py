@@ -212,6 +212,24 @@ def test_observable_set_leaves_no_tables_behind():
     assert kept < 64 * 1024
 
 
+def test_expectations_flat_gather_matches_2d_gather_bitwise():
+    # <T> reads rho.ravel() at a * d + perm_a; the 2-D gather
+    # rho[a, perm_a] it replaced must give bitwise the same values, also
+    # on the non-Hermitian matrices the Hessian path hands it
+    rng = np.random.default_rng(39)
+    for n, r in ((3, 12), (5, 40), (6, 60)):
+        d = 1 << n
+        oset = mixed_observable_set(rng, n, r)
+        perms, phases = pauli.string_tables(oset.codes)
+        for a in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rand_hermitian(rng, d)):
+            want = np.empty(oset.size)
+            gathered = a[np.arange(d)[None, :], perms]
+            want[oset.pauli_index] = np.einsum("kd,kd->k", phases, gathered).real
+            for j, i in enumerate(oset.matrix_index):
+                want[i] = np.vdot(oset.matrices[j], a).real
+            assert oset.expectations(a).tobytes() == want.tobytes()
+
+
 def test_midpoint_convexity():
     rng = np.random.default_rng(32)
     for _ in range(200):

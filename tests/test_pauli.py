@@ -97,8 +97,6 @@ def test_embed_restrict_relabel():
     assert str(wide) == "X1 Z3"
     back = pauli.restrict(wide, (1, 3))
     assert back == local and back.n == 2
-    grown = pauli.embed(pauli.parse_label("Y0", 1), 3)
-    assert str(grown) == "Y0" and grown.n == 3
     with pytest.raises(ValueError):
         pauli.restrict(wide, (0, 1))  # support not covered
 
@@ -193,7 +191,9 @@ def test_table_rows_match_per_letter_reference_bitwise():
         perm, phase = pauli.perm_phase(strings[0])
         assert_rows_match_reference(strings[:1], perm[None], phase[None])
         oset = ObservableSet(strings, dim=1 << n, n=n)
-        assert_rows_match_reference(strings, oset._perms, oset._phases)
+        # the set keeps its perms as the gather index a * d + perm_a
+        perms = oset._gather - np.arange(1 << n) * (1 << n)
+        assert_rows_match_reference(strings, perms, oset._phases)
     for k in (1, 2, 3):
         strings = list(pauli.strings_on(tuple(range(k)), k))
         assert_rows_match_reference(strings, *pauli.region_tables(k)[1:])
@@ -228,6 +228,25 @@ def test_expand_known_states():
 def test_expand_rejects_non_hermitian_input():
     with pytest.raises(ValueError):
         pauli.expand(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_expand_builds_strings_for_kept_coefficients_only(monkeypatch):
+    # |0..0><0..0| on 6 qubits has 64 nonzero coefficients, the Z
+    # strings, of 4096
+    built = []
+    post_init = PauliString.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counted)
+    rho = np.zeros((64, 64), dtype=complex)
+    rho[0, 0] = 1.0
+    coefficients = pauli.expand(rho).coefficients
+    assert len(built) == len(coefficients) == 64
+    assert all(c == 1 / 64 for c in coefficients.values())
+    assert all(letter == "Z" for p in coefficients for _, letter in p.letters)
 
 
 def test_expand_reconstruct_round_trip():

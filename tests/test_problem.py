@@ -503,3 +503,30 @@ def test_reduction_matches_per_string_reference_on_random_families():
             assert got == outcome(reference_reduce, mp), (n, subsets)
             kinds.add(got[0])
     assert kinds == {"ok", "conflict", "value"}
+
+
+def test_reduction_tables_equal_string_tables_bitwise():
+    # the reduction gathers its string tables from the region tables;
+    # they must be bitwise those string_tables builds from the codes
+    rng = np.random.default_rng(53)
+    families = []
+    for n in range(2, 8):
+        for _ in range(4):
+            subsets = []
+            for _ in range(int(rng.integers(1, 5))):
+                size = int(rng.integers(1, min(n, 4) + 1))
+                subsets.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+            families.append((n, subsets))
+    families += [
+        (4, [(0, 1, 2), (1, 2), (1, 2), (0, 1, 2), (3,)]),  # nested and repeated
+        (5, [(1, 3), (0, 1, 2, 3, 4), (2,)]),  # one whole-register subset
+    ]
+    for n, subsets in families:
+        sigma = rand_density(rng, 1 << n)
+        mp = MarginalProblem(n, tuple((s, linalg.partial_trace(sigma, n, s)) for s in subsets))
+        obset = reduce_to_expectations(mp).observable_set
+        d = 1 << n
+        perms, phases = pauli.string_tables(obset.codes)
+        assert np.array_equal(obset._gather - np.arange(d) * d, perms), subsets
+        assert np.array_equal(obset._flat, pauli.scatter_index(perms)), subsets
+        assert obset._phases.tobytes() == phases.tobytes(), subsets
