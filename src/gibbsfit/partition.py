@@ -6,9 +6,10 @@ entropy and the minimum eigenvalue need no further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and builds its Pauli strings' signed-permutation
 tables from their letter codes in one `pauli.string_tables` pass (or
-takes them from a marginal reduction, which gathers them), so that
-H(theta), expectations and Hessian columns are O(r d) array operations,
-never r dense matmuls.
+takes them from a marginal reduction, which gathers them) and keeps
+them as their phases and one `pauli.gather_index`, so that H(theta),
+expectations and Hessian columns are O(r d) array operations, never r
+dense matmuls.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ class InvalidEntryError(ValueError):
 class GibbsState:
     """exp(H)/Tr exp(H) with H = sum_i theta_i T_i, read from one
     eigendecomposition of H: rho, its spectrum, psi = log Tr exp(H) and
-    <T_i>.
-
-    `hamiltonian` (H itself) is filled in only on a solver's
-    converged result; iterates carry no d x d matrix besides rho.
+    <T_i>; it carries no d x d matrix besides rho.
     """
 
     theta: np.ndarray
@@ -53,7 +51,6 @@ class GibbsState:
     spectrum: np.ndarray  # eigenvalues of rho, ascending: exp(w - w_max) / z
     psi: float
     expectations: np.ndarray
-    hamiltonian: np.ndarray | None = None
 
     @property
     def entropy_bits(self) -> float:
@@ -78,7 +75,8 @@ class ObservableSet:
 
     `tables` is the Pauli rows' `pauli.string_tables(codes)`, for a
     caller that has it already (a marginal reduction gathers it from
-    `pauli.region_tables`); by default the set builds it.
+    `pauli.region_tables`); by default the set builds it.  The set keeps
+    the phases and, in place of the perms, their `pauli.gather_index`.
     """
 
     def __init__(self, observables, dim: int, n: int | None = None, tables=None):
@@ -130,12 +128,10 @@ class ObservableSet:
             tables = pauli.string_tables(codes)
         elif tables is None:
             tables = np.empty((0, self.dim), dtype=np.intp), np.empty((0, self.dim), dtype=np.complex128)
-        # (k, d) rows: column indices and entries, exact +-1/+-i
+        # (k, d) rows: entries, exact +-1/+-i, and their one layout, the
+        # `pauli.gather_index` that both H (into H^T) and <T> read
         perms, self._phases = tables
-        # flat positions of string j's column a in a d x d matrix: the
-        # entry (scatter, for H) and its transpose (gather, for <T>)
-        self._flat = pauli.scatter_index(perms)
-        self._gather = np.arange(self.dim) * self.dim + perms
+        self._gather = pauli.gather_index(perms)
 
     @property
     def observables(self) -> tuple:
@@ -147,8 +143,8 @@ class ObservableSet:
         """H(theta) = sum_i theta_i T_i."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
-            raise ValueError(f"theta has {theta.size} entries, expected r = {self.size}")
-        h = pauli.pauli_sum(theta[self.pauli_index], self._phases, self._flat)
+            raise ValueError(f"theta: expected r = {self.size} entries, got {theta.size}")
+        h = pauli.pauli_sum(theta[self.pauli_index], self._phases, self._gather)
         for j, i in enumerate(self.matrix_index):
             h += theta[i] * self.matrices[j]
         return h
@@ -207,7 +203,7 @@ class ObservableSet:
         hess = np.empty((r, r))
         means = np.empty(r)
         # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
-        perms = self._gather - np.arange(self.dim) * self.dim
+        perms = pauli.table_perms(self._gather)
         strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, self._phases))
         columns = itertools.chain(
             zip(self.pauli_index, strings), zip(self.matrix_index, (m @ v for m in self.matrices))

@@ -207,30 +207,36 @@ def string_keys(codes: np.ndarray) -> np.ndarray:
     return codes @ 4 ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def scatter_index(perms: np.ndarray) -> np.ndarray:
-    """Flat positions in a d x d matrix of every table entry: column a
-    of string j at row perms[j, a]."""
-    d = perms.shape[1]
-    return (perms * d + np.arange(d)).ravel()
+def gather_index(perms: np.ndarray) -> np.ndarray:
+    """Flat positions a * d + perms[j, a] of every table entry: A[a, perm_a]
+    in a d x d matrix A, which Tr(P_j A) sums, and P_j's column a in H^T."""
+    d = perms.shape[-1]
+    return np.arange(d) * d + perms
+
+
+def table_perms(index: np.ndarray) -> np.ndarray:
+    """The perms of a `gather_index`, read back."""
+    return index % index.shape[-1]
 
 
 def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Dense sum_j coeffs[j] P_j of the strings with these `phases` and
-    `scatter_index` of their perms, added in row order."""
+    `gather_index`, added into H^T in row order and returned as its
+    transpose (a view): each entry sums the same terms in string order."""
     d = phases.shape[1]
     out = np.zeros(d * d, dtype=np.complex128)
-    np.add.at(out, index, (coeffs[:, None] * phases).ravel())
-    return out.reshape(d, d)
+    np.add.at(out, index.ravel(), (coeffs[:, None] * phases).ravel())  # 1-D: add.at's fast path
+    return out.reshape(d, d).T
 
 
 def region_traces(a: np.ndarray) -> np.ndarray:
     """Tr(P_j A) for every string j of `region_tables(k)`, A a 2^k x 2^k
-    matrix: one batched gather, each trace summed by the same dot
-    product as `pauli_trace`, so the values are bitwise its values."""
+    matrix: one batched `gather_index` gather, each trace summed by the
+    same dot product as `pauli_trace`, so the values are bitwise its values."""
     d = a.shape[0]
     _, perms, phases = region_tables(d.bit_length() - 1)
     # Tr(P A) = sum_a phase_a A[a, perm_a]
-    gathered = np.asarray(a).ravel()[np.arange(d) * d + perms]
+    gathered = np.asarray(a).ravel()[gather_index(perms)]
     return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
 
 
@@ -317,7 +323,7 @@ def reconstruct(e: PauliExpansion) -> np.ndarray:
     """Dense sum_P alpha_P P; the inverse of expand."""
     perms, phases = string_tables(letter_codes(e.coefficients, e.n))
     alphas = np.array(list(e.coefficients.values()))
-    return pauli_sum(alphas, phases, scatter_index(perms))
+    return pauli_sum(alphas, phases, gather_index(perms))
 
 
 def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> tuple[np.ndarray, bool]:

@@ -264,9 +264,6 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
                 y_hist.pop(0)
         theta, f, grad, state = theta_new, f_new, grad_new, state_new
 
-    gibbs = None
-    if status == CONVERGED:
-        gibbs = dataclasses.replace(state, hamiltonian=obset.hamiltonian(theta))
     return SolveResult(
         status=status,
         theta=theta,
@@ -274,7 +271,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
         iterations=iterations,
         psi=state.psi,
         entropy_bits=state.entropy_bits,
-        gibbs=gibbs,
+        gibbs=state if status == CONVERGED else None,
         trace=trace,
         message=message,
     )
@@ -312,7 +309,7 @@ class MarginalStart:
         for reg in self.regions:
             d = reg.vectors.shape[0]
             _, perms, phases = pauli.region_tables(d.bit_length() - 1)
-            x = pauli.pauli_sum(g[reg.index], phases, pauli.scatter_index(perms))
+            x = pauli.pauli_sum(g[reg.index], phases, pauli.gather_index(perms))
             v, vh = reg.vectors, reg.vectors.conj().T
             y = v @ (reg.kernel * (vh @ x @ v)) @ vh
             out[reg.index] += reg.weight * pauli.region_traces(y).real
@@ -405,7 +402,7 @@ def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
         if qubits not in locals_:
             _, perms, phases = pauli.region_tables(len(qubits))
             locals_[qubits] = pauli.pauli_sum(
-                theta[index[first]], phases[first], pauli.scatter_index(perms[first])
+                theta[index[first]], phases[first], pauli.gather_index(perms[first])
             )
     return locals_
 

@@ -13,7 +13,12 @@ from gibbsfit import linalg, pauli
 from gibbsfit.cli import generate_thermal_marginals, main
 from gibbsfit.fileio import parse_problem
 from gibbsfit.partition import ObservableSet
-from gibbsfit.problem import ExpectationProblem, MarginalProblem, entropy_diagnostic
+from gibbsfit.problem import (
+    ExpectationProblem,
+    MarginalProblem,
+    entropy_diagnostic,
+    reduce_to_expectations,
+)
 from gibbsfit.solver import BOUNDARY, CONVERGED, SolveOptions, solve_expectations, solve_marginals
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -137,7 +142,8 @@ def test_criterion_2_generator_round_trip(thermal_suite):
             total = np.zeros((1 << n, 1 << n), dtype=complex)
             for qubits, block in result.local_terms.items():
                 total += embed_contiguous(block, qubits, n)
-            assert np.abs(total - result.gibbs.hamiltonian).max() < 1e-12, seed
+            obset = reduce_to_expectations(row["problem"]).observable_set
+            assert np.abs(total - obset.hamiltonian(result.theta)).max() < 1e-12, seed
         assert thermal_suite["elapsed"] < 60.0
 
     stamp(2, "100 thermal instances: converge, marginals < 1e-6, exact local split (< 60 s)", body)

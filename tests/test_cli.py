@@ -262,11 +262,12 @@ def test_verify_rejects_wrong_theta_length(tmp_path, capsys):
     assert main(["solve", str(prob), "--out", str(res)]) == 0
     doc = read(res)
     assert len(doc["theta"]) == 27
-    for theta in (doc["theta"][:-3], [], doc["theta"] + [0.0, 0.0]):
+    for theta in (doc["theta"][:-1], doc["theta"][:-3], [], doc["theta"] + [0.0, 0.0]):
         tampered = write(tmp_path / "t.json", dict(doc, theta=theta))
         assert main(["verify", str(prob), tampered]) == 65, len(theta)
-        err = capsys.readouterr().err
-        assert "theta" in err and str(len(theta)) in err and "27" in err
+        # a schema fault at the JSON path, as theta[i] faults are
+        want = f"error: theta: expected r = 27 entries, got {len(theta)}\n"
+        assert capsys.readouterr().err == want
 
 
 def test_verify_rejects_bad_result_tol(tmp_path, capsys, z_problem):

@@ -9,6 +9,7 @@ import pytest
 
 from gibbsfit import linalg, pauli
 from gibbsfit.partition import ObservableSet
+from gibbsfit.problem import MarginalProblem, reduce_to_expectations
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -210,6 +211,50 @@ def test_observable_set_leaves_no_tables_behind():
     finally:
         tracemalloc.stop()
     assert kept < 64 * 1024
+
+
+def test_observable_set_holds_one_index():
+    # r strings keep their phases (16 B an entry) and one r x d gather
+    # index (8 B) that both H and <T> read, no second layout of it
+    n, r = 8, 300
+    codes = np.random.default_rng(42).integers(0, 4, size=(r, n))
+    tracemalloc.start()
+    try:
+        oset = ObservableSet(codes, dim=1 << n, n=n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert oset.size == r
+    assert held <= r * (1 << n) * 24 + 64 * 1024
+
+
+def test_hamiltonian_is_its_definition_bitwise():
+    # H(theta) = sum_j theta_j T_j summed from zeros, the strings in order
+    # and then the dense observables: each entry of the built H adds the
+    # same terms in the same order, so it is bitwise the reference
+    rng = np.random.default_rng(43)
+    codes = rng.integers(0, 4, size=(60, 5))
+    codes = codes[codes.any(axis=1)]
+    n = 7
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
+    subsets = ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))
+    mp = MarginalProblem(n, tuple((s, linalg.partial_trace(sigma, n, s)) for s in subsets))
+    sets = (
+        mixed_observable_set(rng, 4, 30),
+        ObservableSet(codes, dim=1 << 5, n=5),
+        reduce_to_expectations(mp).observable_set,
+    )
+    for oset in sets:
+        theta = rng.normal(size=oset.size)
+        obs = oset.observables
+        want = np.zeros((oset.dim, oset.dim), dtype=np.complex128)
+        for i in oset.pauli_index:
+            want += theta[i] * pauli.materialize(obs[i])
+        for i in oset.matrix_index:
+            want += theta[i] * obs[i]
+        assert oset.hamiltonian(theta).tobytes() == want.tobytes(), oset.size
 
 
 def test_expectations_flat_gather_matches_2d_gather_bitwise():
