@@ -5,7 +5,6 @@ from .linalg import (
     as_density,
     as_hermitian,
     eigh,
-    log_trace_exp,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
@@ -74,7 +73,6 @@ __all__ = [
     "eigh",
     "entropy_diagnostic",
     "expand",
-    "log_trace_exp",
     "materialize",
     "parse_label",
     "partial_trace",

@@ -286,6 +286,8 @@ def _parse_range(text: str):
         raise UsageError(f"--range must be lo:hi:steps with numeric fields, got {text!r}") from None
     if not lo < hi:
         raise UsageError(f"--range needs lo < hi, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--range needs a finite span hi - lo, got {text!r}")
     if steps < 2:
         raise UsageError(f"--range needs at least 2 steps, got {steps}")
     return lo, hi, steps

@@ -29,7 +29,8 @@ TRACE_ATOL = 1e-10
 PSD_FLOOR = 1e-10
 
 # exp() of an eigenvalue above this overflows double precision; callers
-# that need larger arguments must shift first (see log_trace_exp).
+# that need larger arguments must shift first, as
+# `partition.ObservableSet` does with exp(w - w_max).
 EXP_CAP = 700.0
 
 # Spacing below which the divided-difference kernel switches to its
@@ -113,7 +114,7 @@ def matrix_exp(h) -> np.ndarray:
     """exp(H) for Hermitian H via eigendecomposition.
 
     Rejects max eigenvalue > 700: shifting exp(H) = e^c exp(H - cI) is
-    the caller's job (log_trace_exp does exactly that for traces).
+    the caller's job.
     """
     w, v = eigh(h)
     if w[-1] > EXP_CAP:
@@ -121,17 +122,6 @@ def matrix_exp(h) -> np.ndarray:
             f"matrix_exp would overflow: max eigenvalue {w[-1]:.6g} > {EXP_CAP:g}"
         )
     return _sym((v * np.exp(w)) @ v.conj().T)
-
-
-def log_trace_exp(h) -> float:
-    """log Tr exp(H), computed as lmax + log sum exp(l - lmax).
-
-    Safe for eigenvalues anywhere in +-1e6; diag(1000, -1000) gives
-    exactly 1000.0 at double precision.
-    """
-    w = eigh(h).eigenvalues
-    m = w[-1]
-    return float(m + np.log(np.exp(w - m).sum()))
 
 
 def partial_trace(rho, n: int, keep) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Log-partition function and Gibbs-state machinery.
 
-Everything routes through one Hermitian eigendecomposition per theta:
-GibbsState holds what it gives (rho, rho's spectrum, psi and <T>), so
-entropy and the minimum eigenvalue need no further eigensolve.
+Everything routes through one Hermitian eigendecomposition per theta,
+`ObservableSet._decompose`: GibbsState holds what it gives (rho, rho's
+spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
+further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and builds its Pauli strings' signed-permutation
 tables from their letter codes in one `pauli.string_tables` pass (or
@@ -46,7 +47,6 @@ class GibbsState:
     <T_i>; it carries no d x d matrix besides rho.
     """
 
-    theta: np.ndarray
     rho: np.ndarray
     spectrum: np.ndarray  # eigenvalues of rho, ascending: exp(w - w_max) / z
     psi: float
@@ -153,36 +153,35 @@ class ObservableSet:
         """<T_i> under rho; rho must have unit trace."""
         out = np.empty(self.size)
         if len(self.pauli_index):
-            # Tr(P rho) = sum_a phase_a * rho[a, perm_a]
-            vals = np.einsum("kd,kd->k", self._phases, rho.ravel()[self._gather])
-            out[self.pauli_index] = vals.real
+            out[self.pauli_index] = self.pauli_expectations(rho)
         for j, i in enumerate(self.matrix_index):
             out[i] = np.vdot(self.matrices[j], rho).real
         return out
 
-    def log_partition(self, theta: np.ndarray) -> float:
-        return linalg.log_trace_exp(self.hamiltonian(theta))
+    def pauli_expectations(self, m: np.ndarray) -> np.ndarray:
+        """Re Tr(P_k m) for the Pauli rows, in their order:
+        Tr(P m) = sum_a phase_a * m[a, perm_a]."""
+        return np.einsum("kd,kd->k", self._phases, m.ravel()[self._gather]).real
 
-    def gibbs(self, theta: np.ndarray) -> GibbsState:
-        """One eigh gives rho, its spectrum, psi and the gradient <T>.
-
-        H is Hermitian by construction, so it goes to numpy's eigh with
-        no gate.
-        """
-        theta = np.asarray(theta, dtype=np.float64).copy()
+    def _decompose(self, theta: np.ndarray) -> tuple:
+        """The one eigh of H(theta) that psi, rho, <T> and the Hessian read:
+        (w, V, the Gibbs weights exp(w - w_max)/z, z, psi = w_max + log z).
+        H is Hermitian by construction, so it goes to numpy's eigh with no
+        gate."""
         w, v = np.linalg.eigh(self.hamiltonian(theta))
         weights = np.exp(w - w[-1])
         z = weights.sum()
-        spectrum = weights / z
+        return w, v, weights / z, z, float(w[-1] + np.log(z))
+
+    def log_partition(self, theta: np.ndarray) -> float:
+        return self._decompose(theta)[4]
+
+    def gibbs(self, theta: np.ndarray) -> GibbsState:
+        """rho, its spectrum, psi and the gradient <T> from one eigh."""
+        _, v, spectrum, _, psi = self._decompose(theta)
         rho = (v * spectrum) @ v.conj().T
         rho = 0.5 * (rho + rho.conj().T)
-        return GibbsState(
-            theta=theta,
-            rho=rho,
-            spectrum=spectrum,
-            psi=float(w[-1] + np.log(z)),
-            expectations=self.expectations(rho),
-        )
+        return GibbsState(rho=rho, spectrum=spectrum, psi=psi, expectations=self.expectations(rho))
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """H_ij = d<T_i>/dtheta_j = Tr(T_i D_j)/Z - <T_i><T_j>, where
@@ -191,14 +190,9 @@ class ObservableSet:
         H's spectrum.  Built one column at a time from one eigh, so memory
         is O(d^2) for any r.  T_j V is V's rows permuted and phased for a
         Pauli string, one matmul for a matrix."""
-        theta = np.asarray(theta, dtype=np.float64)
-        w, v = np.linalg.eigh(self.hamiltonian(theta))
+        w, v, probs, z, _ = self._decompose(theta)
         vh = v.conj().T
-        shifted = w - w[-1]
-        weights = np.exp(shifted)
-        z = weights.sum()
-        probs = weights / z
-        kernel = linalg.divided_difference_kernel(shifted) / z
+        kernel = linalg.divided_difference_kernel(w - w[-1]) / z
         r = self.size
         hess = np.empty((r, r))
         means = np.empty(r)

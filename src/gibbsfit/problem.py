@@ -281,21 +281,32 @@ def check_independence(ep: ExpectationProblem) -> RankReport:
     largest.  Row and column 0 (the identity) hold d and Tr T_a.  Pauli
     strings are traceless and distinct ones are orthogonal, so the
     string block is d where `pauli.string_keys` agree and 0 elsewhere,
-    and no string is materialized; a dense observable's inner products
-    are its row of the problem's ObservableSet expectation kernel.  A
-    marginal reduction emits distinct strings only, so its family is
-    independent by construction and needs no check.
+    and no string is materialized.  A dense observable enters rescaled
+    to a string's Frobenius norm sqrt(d), divided by its largest |entry|
+    first so that no square overflows or underflows, so the verdict does
+    not depend on its scale; its products with the strings go through
+    the problem's ObservableSet kernel.  A marginal reduction emits
+    distinct strings only, so its family is independent by construction.
     """
     d = ep.dim
     m = ep.size + 1
     obset = ep.observable_set
     gram = np.zeros((m, m))
     gram[0, 0] = d
-    for a, op in zip(obset.matrix_index + 1, obset.matrices):
-        gram[a, 0] = gram[0, a] = np.trace(op).real
-        gram[a, 1:] = gram[1:, a] = obset.expectations(op)
-    keys = pauli.string_keys(obset.codes)
+    scaled = []
+    for op in obset.matrices:
+        peak = np.abs(op).max()
+        if peak > 0:
+            op = op / peak
+            op *= np.sqrt(d) / np.linalg.norm(op)
+        scaled.append(op)
     rows = obset.pauli_index + 1
+    dense = obset.matrix_index + 1
+    for a, op in zip(dense, scaled):
+        gram[a, 0] = gram[0, a] = np.trace(op).real
+        gram[a, rows] = gram[rows, a] = obset.pauli_expectations(op)
+        gram[a, dense] = gram[dense, a] = [np.vdot(b, op).real for b in scaled]
+    keys = pauli.string_keys(obset.codes)
     gram[np.ix_(rows, rows)] = d * (keys[:, None] == keys[None, :])
     w = np.linalg.eigvalsh(gram)
     return RankReport(

@@ -55,6 +55,10 @@ _MEMORY = 10  # curvature pairs kept by L-BFGS
 _FLAT_RTOL = 1e-13
 _WOLFE_DELTA = 0.1
 _WOLFE_SIGMA = 0.9
+# Bound on max_i |theta_i| * (hi_i - lo_i)/2 over spec(T_i) = [lo_i, hi_i]:
+# the spread theta_i T_i puts into H(theta), so the cap does not depend
+# on how an observable is scaled.  A Pauli string's half-width is 1.
+THETA_CAP = 50.0
 
 
 class DependentObservablesError(ValueError):
@@ -72,17 +76,11 @@ class DependentObservablesError(ValueError):
 class SolveOptions:
     grad_tol: float = 1e-8
     max_iter: int = 5000
-    # Bound on max_i |theta_i| * (hi_i - lo_i)/2 over spec(T_i) = [lo_i, hi_i]:
-    # the spread theta_i T_i puts into H(theta), so the cap does not depend
-    # on how an observable is scaled.  A Pauli string's half-width is 1.
-    theta_cap: float = 50.0
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if not self.theta_cap > 1:
-            raise ValueError("theta_cap must exceed 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.theta0 is not None and not np.isfinite(np.asarray(self.theta0, float)).all():
@@ -206,10 +204,10 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             status = CONVERGED
             iterations = it - 1
             break
-        if float(np.max(np.abs(theta) * ep.half_widths)) > options.theta_cap:
+        if float(np.max(np.abs(theta) * ep.half_widths)) > THETA_CAP:
             status = BOUNDARY
             message = (
-                f"max |theta_i| * half-width(T_i) exceeded cap {options.theta_cap} "
+                f"max |theta_i| * half-width(T_i) exceeded cap {THETA_CAP} "
                 f"with residual {gmax:.3e}"
             )
             break
@@ -316,12 +314,10 @@ class MarginalStart:
         return out
 
 
-def marginal_start(
-    mp: MarginalProblem, ep: ReducedProblem, theta_cap: float
-) -> MarginalStart | None:
+def marginal_start(mp: MarginalProblem, ep: ReducedProblem) -> MarginalStart | None:
     """One 2^k x 2^k eigh per region of `problem.kikuchi_regions`; None
     when a region marginal is singular (log undefined) or theta0 is
-    non-finite or beyond `theta_cap`, so that the solve starts at 0 with
+    non-finite or beyond THETA_CAP, so that the solve starts at 0 with
     H_0 = gamma I as an expectation problem does.  `ep` is the problem's
     reduction, whose `string_index` places each region's strings."""
     theta0 = np.zeros(ep.size)
@@ -342,7 +338,7 @@ def marginal_start(
         log_rho = (v * np.log(w)) @ v.conj().T
         theta0[index] += count * pauli.region_traces(log_rho).real / d
         regions.append(_Region(index, count / d**2, v, linalg.log_divided_difference(w)))
-    if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > theta_cap:
+    if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP:
         return None
     return MarginalStart(theta0, tuple(regions))
 
@@ -361,7 +357,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
     options = options or SolveOptions()
-    start = marginal_start(mp, ep, options.theta_cap)
+    start = marginal_start(mp, ep)
     h0 = None
     if start is not None:
         h0 = start.apply
@@ -371,11 +367,17 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     if result.status != CONVERGED:
         return result
     local = decompose_local_terms(result.theta, ep, mp.subsets)
-    dists = []
-    for qubits, rho_target in mp.constraints:
-        achieved = linalg.partial_trace(result.gibbs.rho, mp.n, qubits)
-        dists.append((qubits, float(linalg.trace_distance(achieved, rho_target))))
-    return dataclasses.replace(result, local_terms=local, marginal_distances=tuple(dists))
+    dists = _marginal_distances(result.gibbs.rho, mp)
+    return dataclasses.replace(result, local_terms=local, marginal_distances=dists)
+
+
+def _marginal_distances(rho: np.ndarray, mp: MarginalProblem) -> tuple:
+    """(qubits, trace distance of rho's marginal on them to the target)
+    per constraint, in constraint order."""
+    return tuple(
+        (qubits, float(linalg.trace_distance(linalg.partial_trace(rho, mp.n, qubits), target)))
+        for qubits, target in mp.constraints
+    )
 
 
 def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
@@ -423,13 +425,7 @@ def verify(
     state = ep.observable_set.gibbs(theta)
     residuals = state.expectations - ep.targets
     min_eig = float(state.spectrum[0])
-    dists = None
-    if marginal:
-        pairs = []
-        for qubits, rho_target in prob.constraints:
-            achieved = linalg.partial_trace(state.rho, prob.n, qubits)
-            pairs.append((qubits, float(linalg.trace_distance(achieved, rho_target))))
-        dists = tuple(pairs)
+    dists = _marginal_distances(state.rho, prob) if marginal else None
     max_res = float(np.max(np.abs(residuals)))
     return VerificationReport(
         residuals=residuals,

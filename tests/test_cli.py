@@ -420,7 +420,7 @@ def test_warm_started_solve_is_deterministic(tmp_path):
     prob = tmp_path / "gen.json"
     assert main(["gen", "--n", "6", "--beta", "2", "--seed", "12", "--out", str(prob)]) == 0
     mp, _ = fileio.load_problem(str(prob))
-    assert solver.marginal_start(mp, reduce_to_expectations(mp), 50.0) is not None
+    assert solver.marginal_start(mp, reduce_to_expectations(mp)) is not None
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert main(["solve", str(prob), "--out", str(out)]) == 0
@@ -507,6 +507,9 @@ def test_surface_rejections(tmp_path, chain_problem):
     assert main(["surface", single, "--range", "bad"]) == 64
     assert main(["surface", single, "--range", "3:-3:61"]) == 64
     assert main(["surface", single, "--range", "-1:1:1"]) == 64
+    # an infinite bound, or a span that overflows to inf
+    assert main(["surface", single, "--range", "0:inf:3"]) == 64
+    assert main(["surface", single, "--range", "-1e308:1e308:3"]) == 64
 
 
 def test_usage_errors(capsys, z_problem):

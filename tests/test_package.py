@@ -12,7 +12,7 @@ UNEXPORTED = {
 
 
 def test_every_exported_name_resolves_and_test_helpers_stay_in_their_modules():
-    assert len(gibbsfit.__all__) == len(set(gibbsfit.__all__)) == 36
+    assert len(gibbsfit.__all__) == len(set(gibbsfit.__all__)) == 35
     for name in gibbsfit.__all__:
         assert hasattr(gibbsfit, name), name
     for module, names in UNEXPORTED.items():

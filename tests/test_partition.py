@@ -377,3 +377,35 @@ def test_hessian_builds_one_hamiltonian(monkeypatch):
     monkeypatch.setattr(ObservableSet, "hamiltonian", counted)
     oset.hessian(theta)
     assert len(calls) == 1
+
+
+def test_psi_rho_and_hessian_read_one_decomposition(monkeypatch):
+    # gibbs, log_partition and hessian each take exactly one eigh of H(theta),
+    # and psi is the same number whichever of them asks for it
+    rng = np.random.default_rng(39)
+    oset = mixed_observable_set(rng, 4, 9)
+    theta = rng.normal(size=oset.size)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for method in (oset.gibbs, oset.log_partition, oset.hessian):
+        calls.clear()
+        method(theta)
+        assert calls == [(16, 16)], method.__name__
+    psi = oset.log_partition(theta)
+    assert type(psi) is float and psi == oset.gibbs(theta).psi
+
+
+def test_log_partition_shifts_and_sums_exactly():
+    # far beyond exp's range the shift by w_max makes psi exact
+    zset = ObservableSet([pauli.parse_label("Z0", 1)], dim=2, n=1)
+    assert zset.log_partition(np.array([1000.0])) == 1000.0
+    # theta = 0 on all 63 strings of 3 qubits: psi = log d
+    every = ObservableSet(list(pauli.strings_on((0, 1, 2), 3)), dim=8, n=3)
+    assert every.size == 63
+    assert every.log_partition(np.zeros(63)) == pytest.approx(3 * np.log(2), abs=1e-14)

@@ -170,6 +170,12 @@ def test_marginal_reductions_are_independent():
         assert rep.min_eigenvalue == rep.max_eigenvalue == 2**n
 
 
+def frobenius_sqrt_d(op):
+    """op rescaled to a Pauli string's Frobenius norm sqrt(d), the
+    scale at which check_independence reads a dense observable."""
+    return op * np.sqrt(op.shape[0]) / np.linalg.norm(op)
+
+
 def test_independence_gram_matches_dense_reference():
     # duplicated Pauli, dense copy of a Pauli, traceful random Hermitian,
     # identity components on the dense ones: every kind of Gram entry at once
@@ -185,7 +191,8 @@ def test_independence_gram_matches_dense_reference():
         ops = [obs[i] for i in keep]
         ep = ExpectationProblem(tuple(ops), np.zeros(len(ops)), dim=4, n=2)
         mats = [np.eye(4)] + [
-            pauli.materialize(op) if isinstance(op, pauli.PauliString) else op for op in ops
+            pauli.materialize(op) if isinstance(op, pauli.PauliString) else frobenius_sqrt_d(op)
+            for op in ops
         ]
         want = np.linalg.eigvalsh([[np.trace(a @ b).real for b in mats] for a in mats])
         rep = check_independence(ep)
@@ -203,10 +210,13 @@ def test_independence_rejects_duplicates_and_identity_shift():
     # a matrix observable equal to c*I duplicates the implicit identity row
     ep2 = ExpectationProblem.from_matrices([0.5 * np.eye(2, dtype=complex)], [0.3], n=1)
     assert not check_independence(ep2).independent
-    # shifted Pauli stays independent: {I, Z + 0.6 I} has Gram [[2, 1.2], [1.2, 2.72]]
+    # shifted Pauli stays independent: Z + 0.6 I has Frobenius norm^2 2.72, so
+    # rescaled to norm^2 2 with s = sqrt(2 / 2.72), {I, s (Z + 0.6 I)} has
+    # Gram [[2, 1.2 s], [1.2 s, 2]]
     ep3 = ExpectationProblem.from_matrices([Z + 0.6 * np.eye(2)], [0.0], n=1)
     rep = check_independence(ep3)
-    want = np.linalg.eigvalsh(np.array([[2.0, 1.2], [1.2, 2.72]]))
+    off = 1.2 * np.sqrt(2 / 2.72)
+    want = np.linalg.eigvalsh(np.array([[2.0, off], [off, 2.0]]))
     assert rep.independent
     assert rep.min_eigenvalue == pytest.approx(want[0], abs=1e-12)
     assert rep.max_eigenvalue == pytest.approx(want[1], abs=1e-12)

@@ -264,8 +264,6 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(theta_cap=0.5)
-    with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     for bad in ([np.nan], [0.0, np.inf], [-np.inf]):
         with pytest.raises(ValueError, match="theta0"):
@@ -279,6 +277,32 @@ def test_theta_cap_is_scale_free():
         res = solve_expectations(ExpectationProblem.from_matrices([s * z], [s * np.tanh(1.0)]))
         assert res.status == CONVERGED, s
         assert res.theta[0] * s == pytest.approx(1.0, rel=1e-4)
+
+
+def test_independence_verdict_is_scale_free():
+    # a dense observable is read at a Pauli string's Frobenius norm: a tiny
+    # or huge copy of X beside Z0 is as independent as X itself
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for s in (1e-5, 1e5):
+        ep = ExpectationProblem(
+            (pauli.parse_label("Z0", 1), s * x), np.array([0.1, 0.0]), dim=2, n=1
+        )
+        rep = solver.check_independence(ep)
+        assert rep.independent and rep.min_eigenvalue == rep.max_eigenvalue == 2.0, s
+        assert solve_expectations(ep).status == CONVERGED, s
+    # no square of an entry overflows or underflows
+    for s in (1e-300, 1e300):
+        ep = ExpectationProblem.from_matrices([np.diag([s, -s]).astype(complex)], [0.0], n=1)
+        rep = solver.check_independence(ep)
+        assert rep.independent and rep.min_eigenvalue == rep.max_eigenvalue == 2.0, s
+    # a scaled duplicate and a zero matrix stay dependent
+    z = np.diag([1.0, -1.0]).astype(complex)
+    dup = ExpectationProblem(
+        (pauli.parse_label("Z0", 1), 1e-5 * z), np.array([0.1, 1e-6]), dim=2, n=1
+    )
+    assert not solver.check_independence(dup).independent
+    zero = ExpectationProblem.from_matrices([np.zeros((2, 2), dtype=complex)], [0.0], n=1)
+    assert not solver.check_independence(zero).independent
 
 
 def test_one_eigensolve_per_evaluation(monkeypatch):
@@ -344,9 +368,9 @@ def test_one_eigensolve_per_evaluation(monkeypatch):
 def test_result_invariants_on_boundary():
     # cap crossing: residual stays large while theta grows
     mp = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
-    res = solve_marginals(mp, SolveOptions(theta_cap=20.0))
+    res = solve_marginals(mp)
     assert res.status == BOUNDARY
-    assert np.abs(res.theta).max() > 20.0 or "saturated" in res.message
+    assert np.abs(res.theta).max() > solver.THETA_CAP or "saturated" in res.message
 
 
 def count_evaluations(monkeypatch):
@@ -511,7 +535,7 @@ def test_preconditioner_is_exact_inverse_hessian(build):
     # diagonal by region, and each block's inverse is D log at rho_R
     mp = build(np.random.default_rng(51))
     ep = reduce_to_expectations(mp)
-    start = marginal_start(mp, ep, SolveOptions().theta_cap)
+    start = marginal_start(mp, ep)
     hess = ep.observable_set.hessian(start.theta0)
     product = np.column_stack([start.apply(col) for col in hess.T])
     assert np.abs(product - np.eye(ep.size)).max() < 1e-10
@@ -522,7 +546,7 @@ def test_singular_marginals_keep_the_cold_start():
     # undefined: the solve starts at 0 with gamma I, as it always did
     mp = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
     ep = reduce_to_expectations(mp)
-    assert marginal_start(mp, ep, SolveOptions().theta_cap) is None
+    assert marginal_start(mp, ep) is None
     res = solve_marginals(mp)
     cold = solver._minimize(ep, None)
     assert res.status == cold.status == BOUNDARY
