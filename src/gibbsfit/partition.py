@@ -5,18 +5,20 @@ Everything routes through one Hermitian eigendecomposition per theta,
 spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
 further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
-dense observable once and builds its Pauli strings' signed-permutation
-tables from their letter codes in one `pauli.string_tables` pass (or
-takes them from a marginal reduction, which gathers them) and keeps
-them as their phases and one `pauli.gather_index`, so that H(theta),
-expectations and Hessian columns are O(r d) array operations, never r
-dense matmuls.
+dense observable once and keeps its Pauli strings in blocks, one per
+qubit subset S that holds their support.  A block keeps its strings'
+signed-permutation tables on S's 2^k-dimensional space (phases and one
+`pauli.gather_index`) and S's `pauli.subset_positions` in the register,
+so that H(theta) adds each block's local sum M_S (x) I and <T> reads
+each block's strings from the marginal on S: O(r 2^k + d 2^k) array
+operations, never r dense matmuls nor an r x d table when k < n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,18 @@ class GibbsState:
         return linalg.spectrum_entropy(self.spectrum)
 
 
+class _Block(NamedTuple):
+    """Consecutive Pauli rows supported on one qubit subset."""
+
+    qubits: tuple  # the subset S, ascending
+    rows: slice  # its rows among the set's Pauli rows
+    # (m, 2^k) `pauli.string_tables` of the rows on S: phases, exact
+    # +-1/+-i, and the perms' `pauli.gather_index` on 2^k
+    phases: np.ndarray
+    gather: np.ndarray
+    positions: np.ndarray | None  # `pauli.subset_positions(S, n)`; None when S is the register
+
+
 class ObservableSet:
     """A fixed family {T_i} of Pauli strings and dense Hermitian matrices
     on a dim-dimensional space, with fast H/psi/grad/hess.
@@ -73,13 +87,14 @@ class ObservableSet:
     holds the gated family: strings as PauliStrings, matrices as gated;
     a set made from codes builds its PauliStrings on first access.
 
-    `tables` is the Pauli rows' `pauli.string_tables(codes)`, for a
-    caller that has it already (a marginal reduction gathers it from
-    `pauli.region_tables`); by default the set builds it.  The set keeps
-    the phases and, in place of the perms, their `pauli.gather_index`.
+    `blocks` splits the Pauli rows, in order, into runs of (qubits,
+    count): `count` consecutive rows whose strings act on the strictly
+    ascending `qubits` only (a marginal reduction passes one per
+    constraint).  By default the rows form one block on the whole
+    register.
     """
 
-    def __init__(self, observables, dim: int, n: int | None = None, tables=None):
+    def __init__(self, observables, dim: int, n: int | None = None, blocks=None):
         from_codes = isinstance(observables, np.ndarray)
         if not from_codes:
             observables = tuple(observables)
@@ -124,14 +139,26 @@ class ObservableSet:
         self.pauli_index = np.asarray(pauli_idx, dtype=np.intp)
         self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
         self.matrices = mats
-        if tables is None and len(codes):
-            tables = pauli.string_tables(codes)
-        elif tables is None:
-            tables = np.empty((0, self.dim), dtype=np.intp), np.empty((0, self.dim), dtype=np.complex128)
-        # (k, d) rows: entries, exact +-1/+-i, and their one layout, the
-        # `pauli.gather_index` that both H (into H^T) and <T> read
-        perms, self._phases = tables
-        self._gather = pauli.gather_index(perms)
+        if blocks is None:
+            blocks = [(range(n), len(codes))] if len(codes) else []
+        self._blocks = self._make_blocks(blocks)
+
+    def _make_blocks(self, blocks) -> tuple:
+        out, start = [], 0
+        for qubits, count in blocks:
+            qubits, rows = tuple(int(q) for q in qubits), slice(start, start + int(count))
+            if qubits != tuple(sorted(set(qubits) & set(range(self.n)))):
+                raise ValueError(f"block qubits {qubits} must be strictly ascending, below n={self.n}")
+            local = self.codes[rows]
+            if rows.stop > len(self.codes) or np.delete(local, qubits, axis=1).any():
+                raise ValueError(f"Pauli rows {rows.start}..{rows.stop} do not act on {qubits} only")
+            perms, phases = pauli.string_tables(local[:, qubits])
+            positions = None if len(qubits) == self.n else pauli.subset_positions(qubits, self.n)
+            out.append(_Block(qubits, rows, phases, pauli.gather_index(perms), positions))
+            start = rows.stop
+        if start != len(self.codes):
+            raise ValueError(f"blocks hold {start} of the {len(self.codes)} Pauli rows")
+        return tuple(out)
 
     @property
     def observables(self) -> tuple:
@@ -139,12 +166,34 @@ class ObservableSet:
             self._observables = pauli.strings_from_codes(self.codes)
         return self._observables
 
-    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
-        """H(theta) = sum_i theta_i T_i."""
+    @property
+    def subsets(self) -> tuple:
+        """The qubit subset of each block, in block order."""
+        return tuple(b.qubits for b in self._blocks)
+
+    def local_sums(self, theta: np.ndarray) -> list:
+        """Each block's sum of theta_j P_j over its rows, as the 2^k x 2^k
+        matrix on its qubits."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
             raise ValueError(f"theta: expected r = {self.size} entries, got {theta.size}")
-        h = pauli.pauli_sum(theta[self.pauli_index], self._phases, self._gather)
+        coeffs = theta[self.pauli_index]
+        return [pauli.pauli_sum(coeffs[b.rows], b.phases, b.gather) for b in self._blocks]
+
+    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
+        """H(theta) = sum_i theta_i T_i: the blocks' local sums, each
+        widened by the identity on the other qubits, added in block order,
+        then the dense observables.  One block on the whole register is
+        its own sum."""
+        theta = np.asarray(theta, dtype=np.float64)
+        local = self.local_sums(theta)
+        if len(self._blocks) == 1 and self._blocks[0].positions is None:
+            h = local[0]
+        else:
+            flat = np.zeros(self.dim * self.dim, dtype=np.complex128)
+            for b, m in zip(self._blocks, local):
+                flat[slice(None) if b.positions is None else b.positions] += m.ravel()
+            h = flat.reshape(self.dim, self.dim)
         for j, i in enumerate(self.matrix_index):
             h += theta[i] * self.matrices[j]
         return h
@@ -158,10 +207,25 @@ class ObservableSet:
             out[i] = np.vdot(self.matrices[j], rho).real
         return out
 
+    def marginals(self, m: np.ndarray) -> list:
+        """m's marginal on each block's qubits (the other qubits traced
+        out), as a 2^k x 2^k matrix."""
+        flat = m.ravel()
+        return [self._marginal(b, flat).reshape(1 << len(b.qubits), -1) for b in self._blocks]
+
+    @staticmethod
+    def _marginal(block: _Block, flat: np.ndarray) -> np.ndarray:
+        return flat if block.positions is None else flat[block.positions].sum(0)
+
     def pauli_expectations(self, m: np.ndarray) -> np.ndarray:
-        """Re Tr(P_k m) for the Pauli rows, in their order:
-        Tr(P m) = sum_a phase_a * m[a, perm_a]."""
-        return np.einsum("kd,kd->k", self._phases, m.ravel()[self._gather]).real
+        """Re Tr(P_k m) for the Pauli rows, in their order, each read from
+        m's marginal m_S on its block's qubits, for any d x d matrix m:
+        Tr((P (x) I) m) = Tr(P m_S) = sum_a phase_a * m_S[a, perm_a]."""
+        out = np.empty(len(self.codes))
+        flat = m.ravel()
+        for b in self._blocks:
+            out[b.rows] = np.einsum("kd,kd->k", b.phases, self._marginal(b, flat)[b.gather]).real
+        return out
 
     def _decompose(self, theta: np.ndarray) -> tuple:
         """The one eigh of H(theta) that psi, rho, <T> and the Hessian read:
@@ -188,8 +252,10 @@ class ObservableSet:
         D_j = V (K o V' T_j V) V' is the Daleckii-Krein derivative of exp
         at H(theta) along T_j, K the divided differences of exp over
         H's spectrum.  Built one column at a time from one eigh, so memory
-        is O(d^2) for any r.  T_j V is V's rows permuted and phased for a
-        Pauli string, one matmul for a matrix."""
+        is O(d^2 + r d), never r x d x d.  T_j V is V's rows permuted and
+        phased for a Pauli string, one matmul for a matrix; the strings'
+        full-register `pauli.string_tables` are built here, O(r d) beside
+        the O(r d^3) columns."""
         w, v, probs, z, _ = self._decompose(theta)
         vh = v.conj().T
         kernel = linalg.divided_difference_kernel(w - w[-1]) / z
@@ -197,8 +263,8 @@ class ObservableSet:
         hess = np.empty((r, r))
         means = np.empty(r)
         # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
-        perms = pauli.table_perms(self._gather)
-        strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, self._phases))
+        perms, phases = pauli.string_tables(self.codes)
+        strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, phases))
         columns = itertools.chain(
             zip(self.pauli_index, strings), zip(self.matrix_index, (m @ v for m in self.matrices))
         )

@@ -8,7 +8,8 @@ pairs, is the form at the API edge; `letter_codes` and
 `strings_from_codes` convert between the two.  `subset_codes` (the
 strings on a subset, placed on a register) and `string_keys` (one
 integer per string) are the only code that lays strings out or compares
-them.  A string is materialized only on demand.
+them; `subset_positions` is the only code that places a subset's
+matrix entries inside the register's.  A string is materialized only on demand.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -157,32 +158,6 @@ def region_tables(k: int):
     return codes, perms, phases
 
 
-def subset_tables(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`string_tables` of the strings `subset_codes(qubits, n)[rows]` of
-    each (qubits, rows) block, stacked in block order, bitwise, gathered
-    from the cached `region_tables(k)`: a string's phase at column a
-    depends only on a's bits on `qubits`, since qubits off its support
-    take no multiply, and its perm flips a by its region row's flip
-    mask (that row's perm at column 0) moved onto those qubits."""
-    blocks = [(qubits, np.asarray(rows, dtype=np.intp)) for qubits, rows in blocks]
-    m = sum(len(rows) for _, rows in blocks)
-    cols = np.arange(1 << n, dtype=np.int64)
-    perms = np.empty((m, 1 << n), dtype=np.int64)
-    phases = np.empty((m, 1 << n), dtype=np.complex128)
-    start = 0
-    for qubits, rows in blocks:
-        k, stop = len(qubits), start + len(rows)
-        _, region_perms, region_phases = region_tables(k)
-        at = n - 1 - np.asarray(qubits, dtype=np.int64)  # each qubit's bit in a column index
-        local_bits = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        local = ((cols[:, None] >> at) & 1) @ local_bits  # column a's region column
-        flips = ((region_perms[rows, 0, None] & local_bits) != 0) @ (1 << at)
-        np.bitwise_xor(cols, flips[:, None], out=perms[start:stop])
-        np.take(region_phases[rows], local, axis=1, out=phases[start:stop], mode="clip")
-        start = stop
-    return perms, phases
-
-
 def subset_codes(qubits, n: int) -> np.ndarray:
     """(4^k - 1, n) letter codes of the non-identity strings on the k
     `qubits` (strictly ascending) of an n-qubit register, last qubit
@@ -200,6 +175,25 @@ def subset_codes(qubits, n: int) -> np.ndarray:
     return codes
 
 
+def subset_positions(qubits, n: int) -> np.ndarray:
+    """(2^(n-k), 4^k) flat positions in a 2^n x 2^n matrix A of the
+    entries A[(a, e), (b, e)]: column a * 2^k + b for the basis indices
+    a, b of the k `qubits` (strictly ascending, read as a k-qubit
+    register), row e for each basis index of the other qubits.
+    A.ravel()[pos].sum(0) is A's marginal on the qubits, the others
+    traced out, and adding L.ravel() at pos adds L (x) I on the others."""
+    qubits = tuple(qubits)
+    others = [q for q in range(n) if q not in qubits]
+    d = 1 << n
+
+    def spread(qs):  # register index of each basis index of the qubits qs
+        bits = np.arange(1 << len(qs), dtype=np.int64)[:, None] >> np.arange(len(qs) - 1, -1, -1)
+        return (bits & 1) @ (1 << (n - 1 - np.asarray(qs, dtype=np.int64)))
+
+    local = spread(qubits)
+    return (spread(others) * (d + 1))[:, None] + (local[:, None] * d + local).ravel()
+
+
 def string_keys(codes: np.ndarray) -> np.ndarray:
     """One integer per row of (m, n) letter codes: the letters read as a
     base-4 number, qubit 0 most significant, so equal strings have equal
@@ -212,11 +206,6 @@ def gather_index(perms: np.ndarray) -> np.ndarray:
     in a d x d matrix A, which Tr(P_j A) sums, and P_j's column a in H^T."""
     d = perms.shape[-1]
     return np.arange(d) * d + perms
-
-
-def table_perms(index: np.ndarray) -> np.ndarray:
-    """The perms of a `gather_index`, read back."""
-    return index % index.shape[-1]
 
 
 def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.ndarray:

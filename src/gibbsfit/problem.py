@@ -208,13 +208,14 @@ class ReducedProblem(ExpectationProblem):
     qubits, in `pauli.region_tables` (= `strings_on`) order.
 
     It is built from the (r, n) letter codes of its strings, which are
-    distinct and non-identity, with targets in [-1, 1], and their
-    `pauli.string_tables`; `observables` builds their PauliStrings only
-    when it is read.
+    distinct and non-identity, with targets in [-1, 1], and its
+    ObservableSet holds one block per constraint, the strings that
+    constraint emitted first (see ObservableSet); `observables` builds
+    their PauliStrings only when it is read.
     """
 
-    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, string_index: tuple, tables):
-        self._accept(ObservableSet(codes, dim=1 << n, n=n, tables=tables), targets)
+    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, string_index: tuple, blocks):
+        self._accept(ObservableSet(codes, dim=1 << n, n=n, blocks=blocks), targets)
         self.string_index = string_index
 
 
@@ -230,8 +231,8 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     `pauli.region_traces` gather, and the dedup and both checks are
     array operations over every emitted string at once; the first
     offender, in constraint then string order, raises.  The emitted
-    strings' tables are gathered from the region tables by
-    `pauli.subset_tables`, not built again.
+    strings come constraint by constraint, so each constraint's first
+    emissions are one block of the ObservableSet, kept on its qubits.
     """
     n = mp.n
     codes = [pauli.subset_codes(qubits, n) for qubits, _ in mp.constraints]
@@ -262,16 +263,10 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
     targets = np.clip(t[first], -1.0, 1.0)
-    # the emitted strings come constraint by constraint: gather each
-    # one's rows of the string tables from its constraint's region table
-    bounds = np.searchsorted(first, starts)
-    blocks = [
-        (qubits, first[lo:hi] - start)
-        for (qubits, _), start, lo, hi in zip(mp.constraints, starts, bounds, bounds[1:])
-    ]
-    tables = pauli.subset_tables(blocks, n)
+    counts = np.diff(np.searchsorted(first, starts))  # strings each constraint emits first
+    blocks = [(qubits, count) for (qubits, _), count in zip(mp.constraints, counts)]
     string_index = tuple(np.split(where, starts[1:-1]))
-    return ReducedProblem(codes[first], targets, n, string_index, tables)
+    return ReducedProblem(codes[first], targets, n, string_index, blocks)
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:

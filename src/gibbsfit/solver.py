@@ -10,9 +10,9 @@ says so rather than a bogus certificate.
 Boundary detection is structural, not numeric: a target pinned to an
 endpoint of its observable's spectral interval has no full-rank witness,
 so such problems are flagged up front and never reported as Converged —
-the iteration runs until the theta cap or until the line search can no
-longer move theta (a gradient that underflows to exact zero gives a
-zero direction, which the line search refuses).
+the iteration runs until the theta cap or until no step lowers the
+objective any more: the line search finds no step, or the step it
+accepts leaves f where it was (f has saturated at float resolution).
 Interior-infeasible problems drift to the cap on their own because the
 residual stays bounded away from zero.
 
@@ -232,11 +232,12 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             direction = -grad  # stale memory produced an ascent direction
 
         moved = _armijo(theta, f, grad, direction, evaluate)
-        if moved is None:
+        if moved is None or (flagged and moved[1] >= f):
             if flagged:
                 # An extreme target drives the optimum to infinity; the
-                # objective has saturated at float resolution, which is as
-                # much of a certificate as finite arithmetic produces.
+                # objective has saturated at float resolution (no step
+                # lowers f), which is as much of a certificate as finite
+                # arithmetic produces.
                 status = BOUNDARY
                 message = (
                     "objective saturated at float resolution while chasing an "
@@ -367,16 +368,17 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     if result.status != CONVERGED:
         return result
     local = decompose_local_terms(result.theta, ep, mp.subsets)
-    dists = _marginal_distances(result.gibbs.rho, mp)
+    dists = _marginal_distances(result.gibbs.rho, mp, ep)
     return dataclasses.replace(result, local_terms=local, marginal_distances=dists)
 
 
-def _marginal_distances(rho: np.ndarray, mp: MarginalProblem) -> tuple:
+def _marginal_distances(rho: np.ndarray, mp: MarginalProblem, ep: ReducedProblem) -> tuple:
     """(qubits, trace distance of rho's marginal on them to the target)
-    per constraint, in constraint order."""
+    per constraint, in constraint order; `ep` is mp's reduction, whose
+    blocks (one per constraint) read the marginals."""
     return tuple(
-        (qubits, float(linalg.trace_distance(linalg.partial_trace(rho, mp.n, qubits), target)))
-        for qubits, target in mp.constraints
+        (qubits, float(linalg.trace_distance(marginal, target)))
+        for (qubits, target), marginal in zip(mp.constraints, ep.observable_set.marginals(rho))
     )
 
 
@@ -384,28 +386,20 @@ def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
     """Split H = sum theta_P P into per-subset local Hamiltonians, keyed
     by subset in the given order.
 
-    `ep` is the reduction of the marginal problem on `subsets`.  A
-    subset's block sums the strings its constraint emitted first (read
-    through `ep.string_index` and `pauli.region_tables`): those whose
-    lowest-indexed subset containing their support is this one.  So the
-    blocks, each widened by identities to the whole register, sum to H
-    exactly, a subset nested in an earlier one gets
+    `ep` is the reduction of the marginal problem on `subsets`, and a
+    subset's local Hamiltonian is its constraint's block's local sum
+    (`ObservableSet.local_sums`): the strings its constraint emitted
+    first, those whose lowest-indexed subset containing their support is
+    this one.  So the blocks, each widened by identities to the whole
+    register, sum to H exactly, a subset nested in an earlier one gets
     a zero block and a repeated subset keeps its first copy's block.
     """
-    subsets = [tuple(s) for s in subsets]
-    if [len(i) for i in ep.string_index] != [4 ** len(s) - 1 for s in subsets]:
+    obset = ep.observable_set
+    if obset.subsets != tuple(tuple(s) for s in subsets):
         raise ValueError("subsets do not match the reduction's constraints")
-    theta = np.asarray(theta, dtype=np.float64)
     locals_: dict[tuple, np.ndarray] = {}
-    emitted = 0  # strings emitted by the constraints before this one
-    for qubits, index in zip(subsets, ep.string_index):
-        first = index >= emitted
-        emitted += int(np.count_nonzero(first))
-        if qubits not in locals_:
-            _, perms, phases = pauli.region_tables(len(qubits))
-            locals_[qubits] = pauli.pauli_sum(
-                theta[index[first]], phases[first], pauli.gather_index(perms[first])
-            )
+    for qubits, local in zip(obset.subsets, obset.local_sums(theta)):
+        locals_.setdefault(qubits, local)
     return locals_
 
 
@@ -425,7 +419,7 @@ def verify(
     state = ep.observable_set.gibbs(theta)
     residuals = state.expectations - ep.targets
     min_eig = float(state.spectrum[0])
-    dists = _marginal_distances(state.rho, prob) if marginal else None
+    dists = _marginal_distances(state.rho, prob, ep) if marginal else None
     max_res = float(np.max(np.abs(residuals)))
     return VerificationReport(
         residuals=residuals,

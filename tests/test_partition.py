@@ -10,6 +10,7 @@ import pytest
 from gibbsfit import linalg, pauli
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import MarginalProblem, reduce_to_expectations
+from gibbsfit.solver import decompose_local_terms
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -229,24 +230,30 @@ def test_observable_set_holds_one_index():
     assert held <= r * (1 << n) * 24 + 64 * 1024
 
 
+def widen(local, qubits, n):
+    """local (x) I on the other qubits of an n-qubit register, by index
+    arithmetic: entries off local's block pattern stay exact +0."""
+    d, k = 1 << n, len(qubits)
+    idx = np.arange(d)
+    # basis index of each register index on the qubits, and whether two
+    # register indices agree on all the other qubits
+    sub = ((idx[:, None] >> (n - 1 - np.array(qubits))) & 1) @ (1 << np.arange(k - 1, -1, -1))
+    rest = idx & ~np.bitwise_or.reduce(1 << (n - 1 - np.array(qubits)))
+    out = np.zeros((d, d), dtype=np.complex128)
+    rows, cols = np.nonzero(rest[:, None] == rest[None, :])
+    out[rows, cols] = local[sub[rows], sub[cols]]
+    return out
+
+
 def test_hamiltonian_is_its_definition_bitwise():
     # H(theta) = sum_j theta_j T_j summed from zeros, the strings in order
     # and then the dense observables: each entry of the built H adds the
-    # same terms in the same order, so it is bitwise the reference
+    # same terms in the same order, so it is bitwise the reference.  A
+    # reduction's H adds its constraints' local sums in constraint order
     rng = np.random.default_rng(43)
     codes = rng.integers(0, 4, size=(60, 5))
     codes = codes[codes.any(axis=1)]
-    n = 7
-    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-    sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
-    subsets = ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))
-    mp = MarginalProblem(n, tuple((s, linalg.partial_trace(sigma, n, s)) for s in subsets))
-    sets = (
-        mixed_observable_set(rng, 4, 30),
-        ObservableSet(codes, dim=1 << 5, n=5),
-        reduce_to_expectations(mp).observable_set,
-    )
-    for oset in sets:
+    for oset in (mixed_observable_set(rng, 4, 30), ObservableSet(codes, dim=1 << 5, n=5)):
         theta = rng.normal(size=oset.size)
         obs = oset.observables
         want = np.zeros((oset.dim, oset.dim), dtype=np.complex128)
@@ -255,6 +262,42 @@ def test_hamiltonian_is_its_definition_bitwise():
         for i in oset.matrix_index:
             want += theta[i] * obs[i]
         assert oset.hamiltonian(theta).tobytes() == want.tobytes(), oset.size
+    n = 7
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
+    for subsets in (((0, 1, 2, 3, 4), (2, 3, 4, 5, 6)), ((1, 3), (0, 1, 2, 3, 4, 5, 6), (2,))):
+        mp = MarginalProblem(n, tuple((s, linalg.partial_trace(sigma, n, s)) for s in subsets))
+        ep = reduce_to_expectations(mp)
+        oset = ep.observable_set
+        theta = rng.normal(size=oset.size)
+        got = oset.hamiltonian(theta)
+        want = np.zeros((oset.dim, oset.dim), dtype=np.complex128)
+        for qubits, local in decompose_local_terms(theta, ep, subsets).items():
+            want += widen(local, qubits, n)
+        assert got.tobytes() == want.tobytes(), subsets
+        obs = oset.observables
+        dense = sum(theta[i] * pauli.materialize(obs[i]) for i in range(oset.size))
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max(), subsets
+
+
+def test_blocks_are_checked_against_the_rows():
+    # a block's qubits must hold its rows' support, and the blocks must
+    # cover the Pauli rows exactly: a wrong split would give a wrong H
+    codes = np.array([[1, 0, 0], [0, 2, 3], [3, 3, 0]])
+    good = [((0,), 1), ((1, 2), 1), ((0, 1), 1)]
+    oset = ObservableSet(codes, dim=8, n=3, blocks=good)
+    assert oset.subsets == ((0,), (1, 2), (0, 1))
+    theta = np.array([0.3, -0.7, 1.1])
+    whole = ObservableSet(codes, dim=8, n=3)
+    assert np.abs(oset.hamiltonian(theta) - whole.hamiltonian(theta)).max() < 1e-15
+    for blocks in (
+        [((0,), 2), ((0, 1, 2), 1)],  # row 1 acts off qubit 0
+        [((0,), 1), ((1, 2), 1)],  # row 2 in no block
+        [((0,), 1), ((2, 1), 1), ((0, 1), 1)],  # qubits not ascending
+        [((0,), 1), ((1, 2), 1), ((0, 1, 5), 1)],  # qubit beyond n
+    ):
+        with pytest.raises(ValueError):
+            ObservableSet(codes, dim=8, n=3, blocks=blocks)
 
 
 def test_expectations_flat_gather_matches_2d_gather_bitwise():

@@ -191,8 +191,10 @@ def test_table_rows_match_per_letter_reference_bitwise():
         perm, phase = pauli.perm_phase(strings[0])
         assert_rows_match_reference(strings[:1], perm[None], phase[None])
         oset = ObservableSet(strings, dim=1 << n, n=n)
-        # the set keeps its perms as their gather index
-        assert_rows_match_reference(strings, pauli.table_perms(oset._gather), oset._phases)
+        # the set keeps its perms as their gather index, in one block on
+        # the whole register
+        (block,) = oset._blocks
+        assert_rows_match_reference(strings, block.gather % (1 << n), block.phases)
     for k in (1, 2, 3):
         strings = list(pauli.strings_on(tuple(range(k)), k))
         assert_rows_match_reference(strings, *pauli.region_tables(k)[1:])

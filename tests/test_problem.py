@@ -1,5 +1,8 @@
 """Problem reduction, the Gram rank check, and the compatibility diagnostics."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -515,9 +518,10 @@ def test_reduction_matches_per_string_reference_on_random_families():
     assert kinds == {"ok", "conflict", "value"}
 
 
-def test_reduction_tables_equal_string_tables_bitwise():
-    # the reduction gathers its string tables from the region tables;
-    # they must be bitwise those string_tables builds from the codes
+def test_reduction_blocks_equal_string_tables_bitwise():
+    # the reduction keeps one block per constraint: the strings that
+    # constraint emitted first, as string_tables rows on its qubits.  H and
+    # <T> read through the blocks agree with the full-register tables
     rng = np.random.default_rng(53)
     families = []
     for n in range(2, 8):
@@ -532,9 +536,50 @@ def test_reduction_tables_equal_string_tables_bitwise():
         (5, [(1, 3), (0, 1, 2, 3, 4), (2,)]),  # one whole-register subset
     ]
     for n, subsets in families:
-        sigma = rand_density(rng, 1 << n)
+        d = 1 << n
+        sigma = rand_density(rng, d)
         mp = MarginalProblem(n, tuple((s, linalg.partial_trace(sigma, n, s)) for s in subsets))
-        obset = reduce_to_expectations(mp).observable_set
+        ep = reduce_to_expectations(mp)
+        obset = ep.observable_set
+        assert obset.subsets == tuple(subsets)
+        emitted = 0
+        for block, qubits, index in zip(obset._blocks, subsets, ep.string_index):
+            first = index >= emitted
+            emitted += int(np.count_nonzero(first))
+            assert np.array_equal(obset.pauli_index[block.rows], index[first]), subsets
+            _, perms, phases = pauli.region_tables(len(qubits))
+            assert np.array_equal(block.gather, pauli.gather_index(perms[first])), subsets
+            assert block.phases.tobytes() == phases[first].tobytes(), subsets
+        assert emitted == ep.size
         perms, phases = pauli.string_tables(obset.codes)
-        assert np.array_equal(obset._gather, pauli.gather_index(perms)), subsets
-        assert obset._phases.tobytes() == phases.tobytes(), subsets
+        index = pauli.gather_index(perms)
+        theta = rng.normal(size=ep.size)
+        want = pauli.pauli_sum(theta, phases, index)
+        got = obset.hamiltonian(theta)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), subsets
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for m in (sigma, a):
+            want = np.einsum("kd,kd->k", phases, m.ravel()[index]).real
+            got = obset.pauli_expectations(m)
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), subsets
+
+
+def test_reduction_holds_no_register_wide_string_tables():
+    # n = 10, four 5-qubit windows, r = 3711: kept per window on its own
+    # 2^5 entries, the reduction holds a few MB; as (r, d) phase and index
+    # tables (24 B an entry) it held 88 MB
+    n = 10
+    rng = np.random.default_rng(54)
+    vectors = {q: rng.uniform(-0.5, 0.5, size=3) for q in range(n)}
+    windows = ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6), (4, 5, 6, 7, 8), (5, 6, 7, 8, 9))
+    mp = MarginalProblem(n, tuple((w, product_marginal(vectors, w)) for w in windows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ep = reduce_to_expectations(mp)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ep.size == 3711
+    assert held < ep.size * (1 << n) * 24 / 10

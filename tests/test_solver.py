@@ -417,20 +417,54 @@ def test_zz_mixture_chain_reaches_boundary():
 
 
 def test_zz_mixture_gradient_underflow_ends_at_saturation():
-    # n = 3: the gradient underflows to exact zero at iteration 63.  The
-    # direction is then zero, the line search refuses it without an
-    # evaluation, and the saturation exit ends the solve there (a separate
-    # underflow exit used to, with its own message)
+    # n = 3: f is flat at float resolution from iteration 37 on, and the
+    # step accepted there leaves it where it was, so the saturation exit
+    # ends the solve (it used to go on until the gradient underflowed to
+    # exact zero at iteration 63 and the line search refused the zero
+    # direction; `test_armijo_refuses_a_zero_direction` keeps that path)
     zz = np.zeros((4, 4), dtype=complex)
     zz[0, 0] = zz[3, 3] = 0.5
     mp = MarginalProblem(3, tuple(((i, i + 1), zz) for i in range(2)))
     res = solve_marginals(mp, SolveOptions(max_iter=200))
     assert res.status == BOUNDARY
-    assert res.iterations == 63 and res.trace[-1] == 0.0
+    assert res.iterations == 37
     assert res.message == (
         "objective saturated at float resolution while chasing an extreme target "
-        "(residual 0.000e+00)"
+        "(residual 2.209e-09)"
     )
+
+
+def test_armijo_refuses_a_zero_direction():
+    # a gradient that underflows to exact zero gives a zero direction:
+    # no descent, so the line search returns None without an evaluation
+    calls = []
+
+    def evaluate(theta):
+        calls.append(theta)
+        return 0.0, np.zeros_like(theta), None
+
+    theta = np.array([3.0, -1.0])
+    assert solver._armijo(theta, 0.0, np.zeros(2), np.zeros(2), evaluate) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "n, diagonal", [(3, (0, 0.5, 0.5, 0)), (5, (0, 0.5, 0.5, 0)), (6, (0.3, 0, 0, 0.7))]
+)
+def test_saturated_extreme_chain_ends_at_boundary(n, diagonal, monkeypatch):
+    # (|01><01| + |10><10|)/2 and diag(0.3, 0, 0, 0.7) on every pair: some
+    # targets are extreme.  Once f was flat at float resolution the
+    # approximate Wolfe test kept accepting steps that left f unchanged,
+    # and these solves ended IterationLimit after 200 iterations (up to
+    # 539 evaluations)
+    rho = np.diag(diagonal).astype(complex)
+    mp = MarginalProblem(n, tuple(((i, i + 1), rho) for i in range(n - 1)))
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp, SolveOptions(max_iter=200))
+    assert res.status == BOUNDARY, (res.status, res.message)
+    assert res.message.startswith("objective saturated at float resolution")
+    assert res.iterations <= 60
+    assert counts["evaluations"] <= 120
 
 
 def test_armijo_refuses_a_null_step():
