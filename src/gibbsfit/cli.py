@@ -248,7 +248,9 @@ def generate_thermal_marginals(n: int, subsets, beta: float, seed: int):
 
     Coefficients are scaled so each subset's term has operator norm <= 1;
     beta alone then controls how close to the boundary the instance sits.
-    Returns (problem document, global thermal state).
+    Returns (problem document, global thermal state); the document holds
+    each marginal as its complex128 array, which `fileio.dump_json`
+    writes as the problem file's [re, im] rows.
     """
     rng = np.random.default_rng(seed)
     codes = [pauli.subset_codes(qubits, n) for qubits in subsets]
@@ -257,10 +259,7 @@ def generate_thermal_marginals(n: int, subsets, beta: float, seed: int):
     coeffs = np.concatenate([rng.uniform(-1.0, 1.0, len(c)) * (1.0 / len(c)) for c in codes])
     obset = ObservableSet(np.concatenate(codes), dim=1 << n, n=n)
     eta = obset.gibbs(-beta * coeffs).rho
-    marginals = []
-    for qubits in subsets:
-        rho = linalg.partial_trace(eta, n, qubits)
-        marginals.append({"qubits": list(qubits), "rho": fileio.matrix_to_json(rho)})
+    marginals = [{"qubits": list(q), "rho": linalg.partial_trace(eta, n, q)} for q in subsets]
     return {"n": n, "marginals": marginals}, eta
 
 

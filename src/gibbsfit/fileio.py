@@ -93,11 +93,6 @@ def matrix_from_json(obj, path: str) -> np.ndarray:
     return out
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def _parse_n(doc, max_qubits: int) -> int:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require("n" in doc, "n", "missing")

@@ -28,23 +28,10 @@ TRACE_ATOL = 1e-10
 # Eigenvalue floor for accepting a matrix as positive semidefinite.
 PSD_FLOOR = 1e-10
 
-# exp() of an eigenvalue above this overflows double precision; callers
-# that need larger arguments must shift first, as
-# `partition.ObservableSet` does with exp(w - w_max).
-EXP_CAP = 700.0
-
-# Spacing below which the divided-difference kernel switches to its
-# confluent limit exp(lambda_i).
-_DD_SWITCH = 1e-8
-
 
 class EigDecomposition(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # unitary, columns
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
 
 
 def as_hermitian(a) -> np.ndarray:
@@ -110,20 +97,6 @@ def eigh(h) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
-def matrix_exp(h) -> np.ndarray:
-    """exp(H) for Hermitian H via eigendecomposition.
-
-    Rejects max eigenvalue > 700: shifting exp(H) = e^c exp(H - cI) is
-    the caller's job.
-    """
-    w, v = eigh(h)
-    if w[-1] > EXP_CAP:
-        raise OverflowError(
-            f"matrix_exp would overflow: max eigenvalue {w[-1]:.6g} > {EXP_CAP:g}"
-        )
-    return _sym((v * np.exp(w)) @ v.conj().T)
-
-
 def partial_trace(rho, n: int, keep) -> np.ndarray:
     """Trace out all qubits not in `keep` from a 2^n-dimensional matrix.
 
@@ -160,40 +133,6 @@ def von_neumann_entropy(rho) -> float:
     return spectrum_entropy(_density_spectrum(rho)[1])
 
 
-def psd_modulus(a) -> np.ndarray:
-    """|A|: the PSD square root of A'A, defined for any square matrix."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    w, v = eigh(a.conj().T @ a)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return _sym((v * w) @ v.conj().T)
-
-
-def psd_power(a, p: float) -> np.ndarray:
-    """A^p for PSD A and real p > 0."""
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p!r}")
-    w, v = eigh(a)
-    if w[0] < -PSD_FLOOR:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None) ** p
-    return _sym((v * w) @ v.conj().T)
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def hilbert_schmidt_inner(a, b) -> complex:
-    """Tr(A'B)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def trace_distance(rho, sigma) -> float:
     """(1/2) Tr|rho - sigma|."""
     rho = np.asarray(rho, dtype=np.complex128)
@@ -202,21 +141,6 @@ def trace_distance(rho, sigma) -> float:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     w = eigh(rho - sigma).eigenvalues
     return float(0.5 * np.abs(w).sum())
-
-
-def divided_difference_kernel(w: np.ndarray) -> np.ndarray:
-    """First divided differences of exp over an eigenvalue vector.
-
-    K[i,j] = (exp w_i - exp w_j)/(w_i - w_j), with the confluent limit
-    exp(w_i) taken when |w_i - w_j| < 1e-8.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    ew = np.exp(w)
-    dif = w[:, None] - w[None, :]
-    close = np.abs(dif) < _DD_SWITCH
-    num = ew[:, None] - ew[None, :]
-    den = np.where(close, 1.0, dif)
-    return np.where(close, np.broadcast_to(ew[:, None], dif.shape), num / den)
 
 
 def log_divided_difference(w: np.ndarray) -> np.ndarray:
@@ -233,22 +157,3 @@ def log_divided_difference(w: np.ndarray) -> np.ndarray:
     same = dif == 0.0
     ratio = np.log1p(dif / w[None, :]) / np.where(same, 1.0, dif)
     return np.where(same, 1.0 / w[None, :], ratio)
-
-
-def expm_directional_derivative(h, e) -> np.ndarray:
-    """d/ds exp(H + sE) at s=0 for Hermitian H, E.
-
-    Computed in H's eigenbasis through the divided-difference kernel;
-    equals the Duhamel integral of exp((1-u)H) E exp(uH) over u in [0,1].
-    """
-    e = as_hermitian(e)
-    w, v = eigh(h)
-    if e.shape != v.shape:
-        raise ValueError(f"shape mismatch: {e.shape} vs {v.shape}")
-    if w[-1] > EXP_CAP:
-        raise OverflowError(
-            f"directional derivative would overflow: max eigenvalue "
-            f"{w[-1]:.6g} > {EXP_CAP:g}"
-        )
-    ep = v.conj().T @ e @ v
-    return _sym(v @ (divided_difference_kernel(w) * ep) @ v.conj().T)

@@ -16,7 +16,6 @@ operations, never r dense matmuls nor an r x d table when k < n.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,7 +72,7 @@ class _Block(NamedTuple):
 
 class ObservableSet:
     """A fixed family {T_i} of Pauli strings and dense Hermitian matrices
-    on a dim-dimensional space, with fast H/psi/grad/hess.
+    on a dim-dimensional space, with fast H/psi/grad.
 
     `observables` is a sequence of PauliStrings and matrices, or an
     (r, n) integer array of letter codes (`pauli.CODES`) for a family of
@@ -228,49 +227,27 @@ class ObservableSet:
         return out
 
     def _decompose(self, theta: np.ndarray) -> tuple:
-        """The one eigh of H(theta) that psi, rho, <T> and the Hessian read:
-        (w, V, the Gibbs weights exp(w - w_max)/z, z, psi = w_max + log z).
-        H is Hermitian by construction, so it goes to numpy's eigh with no
-        gate."""
+        """The one eigh of H(theta) that psi, rho and <T> read: (V, the
+        Gibbs weights exp(w - w_max)/z, psi = w_max + log z) for H's
+        spectrum w.  H is Hermitian by construction, so it goes to
+        numpy's eigh with no gate."""
         w, v = np.linalg.eigh(self.hamiltonian(theta))
         weights = np.exp(w - w[-1])
         z = weights.sum()
-        return w, v, weights / z, z, float(w[-1] + np.log(z))
+        return v, weights / z, float(w[-1] + np.log(z))
 
     def log_partition(self, theta: np.ndarray) -> float:
-        return self._decompose(theta)[4]
+        return self._decompose(theta)[2]
 
     def gibbs(self, theta: np.ndarray) -> GibbsState:
-        """rho, its spectrum, psi and the gradient <T> from one eigh."""
-        _, v, spectrum, _, psi = self._decompose(theta)
-        rho = (v * spectrum) @ v.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
+        """rho, its spectrum, psi and the gradient <T> from one eigh.
+        V is scaled in place and freed before rho is symmetrized in
+        place, so assembling rho holds at most three d x d arrays."""
+        v, spectrum, psi = self._decompose(theta)
+        vc = v.conj()
+        v *= spectrum
+        rho = v @ vc.T
+        del v, vc
+        rho += rho.conj().T
+        rho *= 0.5
         return GibbsState(rho=rho, spectrum=spectrum, psi=psi, expectations=self.expectations(rho))
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """H_ij = d<T_i>/dtheta_j = Tr(T_i D_j)/Z - <T_i><T_j>, where
-        D_j = V (K o V' T_j V) V' is the Daleckii-Krein derivative of exp
-        at H(theta) along T_j, K the divided differences of exp over
-        H's spectrum.  Built one column at a time from one eigh, so memory
-        is O(d^2 + r d), never r x d x d.  T_j V is V's rows permuted and
-        phased for a Pauli string, one matmul for a matrix; the strings'
-        full-register `pauli.string_tables` are built here, O(r d) beside
-        the O(r d^3) columns."""
-        w, v, probs, z, _ = self._decompose(theta)
-        vh = v.conj().T
-        kernel = linalg.divided_difference_kernel(w - w[-1]) / z
-        r = self.size
-        hess = np.empty((r, r))
-        means = np.empty(r)
-        # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
-        perms, phases = pauli.string_tables(self.codes)
-        strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, phases))
-        columns = itertools.chain(
-            zip(self.pauli_index, strings), zip(self.matrix_index, (m @ v for m in self.matrices))
-        )
-        for j, opv in columns:
-            e = vh @ opv
-            means[j] = e.diagonal().real @ probs
-            hess[:, j] = self.expectations(v @ (kernel * e) @ vh)
-        hess -= np.outer(means, means)
-        return 0.5 * (hess + hess.T)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -76,10 +75,6 @@ class PauliString:
 
     def __str__(self):
         return " ".join(f"{c}{q}" for q, c in self.letters)
-
-
-def identity(n: int) -> PauliString:
-    return PauliString(n)
 
 
 def parse_label(text: str, n: int) -> PauliString:
@@ -148,14 +143,16 @@ def perm_phase(p: PauliString):
 @lru_cache(maxsize=None)
 def region_tables(k: int):
     """The 4^k - 1 non-identity strings on k qubits, last qubit varying
-    fastest: their letter codes (m, k) and `string_tables` (perms, phases)."""
+    fastest: their letter codes (m, k), `string_tables` (perms, phases)
+    and the perms' `gather_index`, all read-only."""
     if not 1 <= k <= linalg.MAX_QUBITS:
         raise ValueError(f"k={k} outside 1..{linalg.MAX_QUBITS}")
     codes = subset_codes(range(k), k)
     perms, phases = string_tables(codes)
-    for a in (codes, perms, phases):
+    index = gather_index(perms)
+    for a in (codes, perms, phases, index):
         a.flags.writeable = False
-    return codes, perms, phases
+    return codes, perms, phases, index
 
 
 def subset_codes(qubits, n: int) -> np.ndarray:
@@ -220,12 +217,11 @@ def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.n
 
 def region_traces(a: np.ndarray) -> np.ndarray:
     """Tr(P_j A) for every string j of `region_tables(k)`, A a 2^k x 2^k
-    matrix: one batched `gather_index` gather, each trace summed by the
-    same dot product as `pauli_trace`, so the values are bitwise its values."""
+    matrix: one batched gather through the tables' `gather_index`, each
+    trace the dot product sum_a phase_a A[a, perm_a] of its string."""
     d = a.shape[0]
-    _, perms, phases = region_tables(d.bit_length() - 1)
-    # Tr(P A) = sum_a phase_a A[a, perm_a]
-    gathered = np.asarray(a).ravel()[gather_index(perms)]
+    _, _, phases, index = region_tables(d.bit_length() - 1)
+    gathered = np.asarray(a).ravel()[index]
     return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
 
 
@@ -236,45 +232,6 @@ def materialize(p: PauliString) -> np.ndarray:
     m = np.zeros((d, d), dtype=np.complex128)
     m[perm, np.arange(d)] = phase
     return m
-
-
-def pauli_trace(p: PauliString, a: np.ndarray) -> complex:
-    """Tr(P A) without materializing P."""
-    perm, phase = perm_phase(p)
-    d = perm.shape[0]
-    a = np.asarray(a)
-    if a.shape != (d, d):
-        raise ValueError(f"expected shape {(d, d)}, got {a.shape}")
-    return complex(phase @ a[np.arange(d), perm])
-
-
-def relabel(p: PauliString, qubits, n: int) -> PauliString:
-    """Map a local string on len(qubits) qubits onto the global indices
-    `qubits` (strictly ascending) of an n-qubit register."""
-    qubits = tuple(qubits)
-    if len(qubits) != p.n:
-        raise ValueError(f"expected {p.n} target qubits, got {len(qubits)}")
-    return PauliString(n, tuple((qubits[q], c) for q, c in p.letters))
-
-
-def restrict(p: PauliString, qubits) -> PauliString:
-    """Inverse of relabel: re-index a string supported inside `qubits`
-    onto the local register 0..len(qubits)-1."""
-    qubits = tuple(qubits)
-    pos = {q: i for i, q in enumerate(qubits)}
-    if not set(p.support) <= set(qubits):
-        raise ValueError(f"support {p.support} not contained in {qubits}")
-    return PauliString(len(qubits), tuple((pos[q], c) for q, c in p.letters))
-
-
-def strings_on(qubits, n: int, include_identity: bool = False) -> Iterator[PauliString]:
-    """All Pauli strings supported on `qubits` of an n-qubit register,
-    in `subset_codes` order (last qubit varies fastest), the identity
-    first when it is included."""
-    codes = subset_codes(qubits, n)
-    if include_identity:
-        codes = np.vstack([np.zeros((1, n), dtype=np.intp), codes])
-    return iter(strings_from_codes(codes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,38 +263,3 @@ def expand(rho) -> PauliExpansion:
     kept = np.flatnonzero(np.abs(alphas) >= 1e-14)
     coeffs = dict(zip(strings_from_codes(codes[kept]), alphas[kept].tolist()))
     return PauliExpansion(k, coeffs)
-
-
-def reconstruct(e: PauliExpansion) -> np.ndarray:
-    """Dense sum_P alpha_P P; the inverse of expand."""
-    perms, phases = string_tables(letter_codes(e.coefficients, e.n))
-    alphas = np.array(list(e.coefficients.values()))
-    return pauli_sum(alphas, phases, gather_index(perms))
-
-
-def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> tuple[np.ndarray, bool]:
-    """Build rho = sum_P (t_P/2^k) P on the subset `qubits` from Pauli
-    expectation targets (identity coefficient fixed to 1).
-
-    Keys may be global strings supported inside `qubits` or already
-    local.  Returns (matrix, psd_flag): the matrix is Hermitian with
-    unit trace by construction, but fails PSD when the targets are not
-    realizable — the flag reports that.
-    """
-    qubits = tuple(qubits)
-    if list(qubits) != sorted(set(qubits)):
-        raise ValueError(f"qubits must be sorted and duplicate-free, got {qubits}")
-    k = len(qubits)
-    d = 1 << k
-    rho = np.eye(d, dtype=np.complex128) / d
-    cols = np.arange(d)
-    for p, t in targets.items():
-        if p.is_identity:
-            if abs(float(t) - 1.0) > 1e-9:
-                raise ValueError(f"identity target must be 1, got {t!r}")
-            continue
-        loc = restrict(p, qubits)
-        perm, phase = perm_phase(loc)
-        rho[perm, cols] += (float(t) / d) * phase
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    return rho, bool(wmin >= -linalg.PSD_FLOOR)

@@ -205,7 +205,7 @@ class ReducedProblem(ExpectationProblem):
     """The ExpectationProblem of a marginal reduction, plus where each
     constraint's strings went: `string_index[c][j]` is the position in
     `observables` of the j-th non-identity string on constraint c's
-    qubits, in `pauli.region_tables` (= `strings_on`) order.
+    qubits, in `pauli.region_tables` (= `pauli.subset_codes`) order.
 
     It is built from the (r, n) letter codes of its strings, which are
     distinct and non-identity, with targets in [-1, 1], and its

@@ -168,7 +168,10 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
     Hessian of the two-loop recursion; otherwise H_0 = gamma I with the
     usual scaling gamma = s.y / y.y (the identity on the first step).
     Every reported quantity is read from the Gibbs state of the last
-    accepted iterate, so no eigensolve happens after the loop.
+    accepted iterate, so no eigensolve happens after the loop.  Only psi
+    and the spectrum of an iterate outlive its convergence test: its
+    state is dropped before the line search builds the next, so one
+    d x d state is held at a time.
 
     A failed line search ends a flagged problem BoundaryOrInfeasible;
     otherwise it clears the curvature memory and goes on from H_0, and
@@ -189,6 +192,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
         else np.asarray(options.theta0, dtype=np.float64).copy()
     )
     f, grad, state = evaluate(theta)
+    psi, spectrum = state.psi, state.spectrum
     trace: list[float] = []
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -231,6 +235,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
         if float(grad @ direction) >= 0:
             direction = -grad  # stale memory produced an ascent direction
 
+        state = None  # free this iterate's rho: the line search builds the next
         moved = _armijo(theta, f, grad, direction, evaluate)
         if moved is None or (flagged and moved[1] >= f):
             if flagged:
@@ -251,7 +256,9 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             y_hist.clear()
             continue
 
-        theta_new, f_new, grad_new, state_new = moved
+        theta_new, f_new, grad_new, state = moved
+        moved = None
+        psi, spectrum = state.psi, state.spectrum
         s = theta_new - theta
         y = grad_new - grad
         sy = float(s @ y)
@@ -261,15 +268,15 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
             if len(s_hist) > _MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
-        theta, f, grad, state = theta_new, f_new, grad_new, state_new
+        theta, f, grad = theta_new, f_new, grad_new
 
     return SolveResult(
         status=status,
         theta=theta,
         residuals=grad,
         iterations=iterations,
-        psi=state.psi,
-        entropy_bits=state.entropy_bits,
+        psi=psi,
+        entropy_bits=linalg.spectrum_entropy(spectrum),
         gibbs=state if status == CONVERGED else None,
         trace=trace,
         message=message,
@@ -307,8 +314,8 @@ class MarginalStart:
         out = np.zeros_like(g)
         for reg in self.regions:
             d = reg.vectors.shape[0]
-            _, perms, phases = pauli.region_tables(d.bit_length() - 1)
-            x = pauli.pauli_sum(g[reg.index], phases, pauli.gather_index(perms))
+            _, _, phases, index = pauli.region_tables(d.bit_length() - 1)
+            x = pauli.pauli_sum(g[reg.index], phases, index)
             v, vh = reg.vectors, reg.vectors.conj().T
             y = v @ (reg.kernel * (vh @ x @ v)) @ vh
             out[reg.index] += reg.weight * pauli.region_traces(y).real

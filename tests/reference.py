@@ -1,0 +1,207 @@
+"""Reference implementations that only tests call.
+
+Each is a dense or per-string form of something the package computes in
+bulk, kept here as the oracle the tests hold the package to: matrix
+functions through one eigendecomposition, per-string Pauli traces and
+relabelling, the Pauli expansion's inverse, and the Hessian of the
+log-partition function.  None of them runs in a command.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Mapping
+
+import numpy as np
+
+from gibbsfit import linalg, pauli
+from gibbsfit.pauli import PauliExpansion, PauliString
+
+# exp() of an eigenvalue above this overflows double precision; callers
+# that need larger arguments must shift first, as
+# `partition.ObservableSet` does with exp(w - w_max).
+EXP_CAP = 700.0
+
+# Spacing below which the divided-difference kernel switches to its
+# confluent limit exp(lambda_i).
+_DD_SWITCH = 1e-8
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+def matrix_exp(h) -> np.ndarray:
+    """exp(H) for Hermitian H via eigendecomposition.
+
+    Rejects max eigenvalue > 700: shifting exp(H) = e^c exp(H - cI) is
+    the caller's job.
+    """
+    w, v = linalg.eigh(h)
+    if w[-1] > EXP_CAP:
+        raise OverflowError(
+            f"matrix_exp would overflow: max eigenvalue {w[-1]:.6g} > {EXP_CAP:g}"
+        )
+    return _sym((v * np.exp(w)) @ v.conj().T)
+
+
+def psd_modulus(a) -> np.ndarray:
+    """|A|: the PSD square root of A'A, defined for any square matrix."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    w, v = linalg.eigh(a.conj().T @ a)
+    w = np.sqrt(np.clip(w, 0.0, None))
+    return _sym((v * w) @ v.conj().T)
+
+
+def psd_power(a, p: float) -> np.ndarray:
+    """A^p for PSD A and real p > 0."""
+    if not p > 0:
+        raise ValueError(f"power must be positive, got {p!r}")
+    w, v = linalg.eigh(a)
+    if w[0] < -linalg.PSD_FLOOR:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None) ** p
+    return _sym((v * w) @ v.conj().T)
+
+
+def divided_difference_kernel(w: np.ndarray) -> np.ndarray:
+    """First divided differences of exp over an eigenvalue vector.
+
+    K[i,j] = (exp w_i - exp w_j)/(w_i - w_j), with the confluent limit
+    exp(w_i) taken when |w_i - w_j| < 1e-8.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    ew = np.exp(w)
+    dif = w[:, None] - w[None, :]
+    close = np.abs(dif) < _DD_SWITCH
+    num = ew[:, None] - ew[None, :]
+    den = np.where(close, 1.0, dif)
+    return np.where(close, np.broadcast_to(ew[:, None], dif.shape), num / den)
+
+
+def expm_directional_derivative(h, e) -> np.ndarray:
+    """d/ds exp(H + sE) at s=0 for Hermitian H, E.
+
+    Computed in H's eigenbasis through the divided-difference kernel;
+    equals the Duhamel integral of exp((1-u)H) E exp(uH) over u in [0,1].
+    """
+    e = linalg.as_hermitian(e)
+    w, v = linalg.eigh(h)
+    if e.shape != v.shape:
+        raise ValueError(f"shape mismatch: {e.shape} vs {v.shape}")
+    if w[-1] > EXP_CAP:
+        raise OverflowError(
+            f"directional derivative would overflow: max eigenvalue "
+            f"{w[-1]:.6g} > {EXP_CAP:g}"
+        )
+    ep = v.conj().T @ e @ v
+    return _sym(v @ (divided_difference_kernel(w) * ep) @ v.conj().T)
+
+
+def hessian(obset, theta: np.ndarray) -> np.ndarray:
+    """Hessian of psi for an `ObservableSet` at theta:
+    H_ij = d<T_i>/dtheta_j = Tr(T_i D_j)/Z - <T_i><T_j>, where
+    D_j = V (K o V' T_j V) V' is the Daleckii-Krein derivative of exp
+    at H(theta) along T_j, K the divided differences of exp over
+    H's spectrum.  Built one column at a time from one eigh, so memory
+    is O(d^2 + r d), never r x d x d.  T_j V is V's rows permuted and
+    phased for a Pauli string, one matmul for a matrix; the strings'
+    full-register `pauli.string_tables` are built here, O(r d) beside
+    the O(r d^3) columns."""
+    w, v = np.linalg.eigh(obset.hamiltonian(theta))
+    weights = np.exp(w - w[-1])
+    z = weights.sum()
+    probs = weights / z
+    vh = v.conj().T
+    kernel = divided_difference_kernel(w - w[-1]) / z
+    r = obset.size
+    hess = np.empty((r, r))
+    means = np.empty(r)
+    # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
+    perms, phases = pauli.string_tables(obset.codes)
+    strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, phases))
+    columns = itertools.chain(
+        zip(obset.pauli_index, strings), zip(obset.matrix_index, (m @ v for m in obset.matrices))
+    )
+    for j, opv in columns:
+        e = vh @ opv
+        means[j] = e.diagonal().real @ probs
+        hess[:, j] = obset.expectations(v @ (kernel * e) @ vh)
+    hess -= np.outer(means, means)
+    return 0.5 * (hess + hess.T)
+
+
+def pauli_trace(p: PauliString, a: np.ndarray) -> complex:
+    """Tr(P A) without materializing P."""
+    perm, phase = pauli.perm_phase(p)
+    d = perm.shape[0]
+    a = np.asarray(a)
+    if a.shape != (d, d):
+        raise ValueError(f"expected shape {(d, d)}, got {a.shape}")
+    return complex(phase @ a[np.arange(d), perm])
+
+
+def relabel(p: PauliString, qubits, n: int) -> PauliString:
+    """Map a local string on len(qubits) qubits onto the global indices
+    `qubits` (strictly ascending) of an n-qubit register."""
+    qubits = tuple(qubits)
+    if len(qubits) != p.n:
+        raise ValueError(f"expected {p.n} target qubits, got {len(qubits)}")
+    return PauliString(n, tuple((qubits[q], c) for q, c in p.letters))
+
+
+def restrict(p: PauliString, qubits) -> PauliString:
+    """Inverse of relabel: re-index a string supported inside `qubits`
+    onto the local register 0..len(qubits)-1."""
+    qubits = tuple(qubits)
+    pos = {q: i for i, q in enumerate(qubits)}
+    if not set(p.support) <= set(qubits):
+        raise ValueError(f"support {p.support} not contained in {qubits}")
+    return PauliString(len(qubits), tuple((pos[q], c) for q, c in p.letters))
+
+
+def strings_on(qubits, n: int, include_identity: bool = False) -> Iterator[PauliString]:
+    """All Pauli strings supported on `qubits` of an n-qubit register,
+    in `pauli.subset_codes` order (last qubit varies fastest), the
+    identity first when it is included."""
+    codes = pauli.subset_codes(qubits, n)
+    if include_identity:
+        codes = np.vstack([np.zeros((1, n), dtype=np.intp), codes])
+    return iter(pauli.strings_from_codes(codes))
+
+
+def reconstruct(e: PauliExpansion) -> np.ndarray:
+    """Dense sum_P alpha_P P; the inverse of `pauli.expand`."""
+    perms, phases = pauli.string_tables(pauli.letter_codes(e.coefficients, e.n))
+    alphas = np.array(list(e.coefficients.values()))
+    return pauli.pauli_sum(alphas, phases, pauli.gather_index(perms))
+
+
+def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> tuple[np.ndarray, bool]:
+    """Build rho = sum_P (t_P/2^k) P on the subset `qubits` from Pauli
+    expectation targets (identity coefficient fixed to 1).
+
+    Keys may be global strings supported inside `qubits` or already
+    local.  Returns (matrix, psd_flag): the matrix is Hermitian with
+    unit trace by construction, but fails PSD when the targets are not
+    realizable — the flag reports that.
+    """
+    qubits = tuple(qubits)
+    if list(qubits) != sorted(set(qubits)):
+        raise ValueError(f"qubits must be sorted and duplicate-free, got {qubits}")
+    k = len(qubits)
+    d = 1 << k
+    rho = np.eye(d, dtype=np.complex128) / d
+    cols = np.arange(d)
+    for p, t in targets.items():
+        if p.is_identity:
+            if abs(float(t) - 1.0) > 1e-9:
+                raise ValueError(f"identity target must be 1, got {t!r}")
+            continue
+        loc = restrict(p, qubits)
+        perm, phase = pauli.perm_phase(loc)
+        rho[perm, cols] += (float(t) / d) * phase
+    wmin = float(np.linalg.eigvalsh(rho)[0])
+    return rho, bool(wmin >= -linalg.PSD_FLOOR)

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsfit import fileio, linalg, pauli, solver
+from gibbsfit import fileio, linalg, solver
 from gibbsfit.cli import generate_thermal_marginals, main
 from gibbsfit.partition import ObservableSet
 from gibbsfit.pauli import PauliString
 from gibbsfit.problem import reduce_to_expectations
+
+import reference
 
 BELL_JSON = [
     [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
@@ -27,6 +29,12 @@ BELL_JSON = [
 def write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def matrix_json(m):
+    """A matrix as a problem file holds it, [re, im] rows, read back from
+    the writer's text."""
+    return json.loads(fileio.dump_json(np.asarray(m, dtype=np.complex128)))
 
 
 def read(path):
@@ -217,8 +225,8 @@ def test_bad_entries_deep_in_arrays_name_the_path(tmp_path, capsys, z_problem):
     # row-major order, with the detail text of the entry-by-entry walk
     weights = np.arange(1.0, 9.0)
     good = {"n": 3, "marginals": [
-        {"qubits": [0], "rho": fileio.matrix_to_json(np.eye(2) / 2)},
-        {"qubits": [0, 1, 2], "rho": fileio.matrix_to_json(np.diag(weights / weights.sum()))},
+        {"qubits": [0], "rho": matrix_json(np.eye(2) / 2)},
+        {"qubits": [0, 1, 2], "rho": matrix_json(np.diag(weights / weights.sum()))},
     ]}
     huge = int("1" + "0" * 400)
     cases = (
@@ -293,7 +301,7 @@ def test_each_command_gates_observables_once(tmp_path, monkeypatch):
     for _ in range(2):
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = (a + a.conj().T) / 2
-        entries.append({"matrix": fileio.matrix_to_json(m), "target": float(np.trace(m @ rho).real)})
+        entries.append({"matrix": matrix_json(m), "target": float(np.trace(m @ rho).real)})
     prob = write(tmp_path / "p.json", {"n": 3, "observables": entries})
     res = str(tmp_path / "res.json")
     counts = {"sets": 0, "gates": 0}
@@ -390,7 +398,7 @@ def reference_thermal_state(n, subsets, beta, seed):
         ][1:]
         scale = 1.0 / len(local)
         for p in local:
-            strings.append(pauli.relabel(p, qubits, n))
+            strings.append(reference.relabel(p, qubits, n))
             coeffs.append(rng.uniform(-1.0, 1.0) * scale)
     return ObservableSet(strings, dim=1 << n, n=n).gibbs(-beta * np.asarray(coeffs)).rho
 
@@ -540,7 +548,7 @@ def test_schema_round_trip(tmp_path):
     again = {
         "n": mp.n,
         "marginals": [
-            {"qubits": list(q), "rho": fileio.matrix_to_json(r)} for q, r in mp.constraints
+            {"qubits": list(q), "rho": matrix_json(r)} for q, r in mp.constraints
         ],
     }
     assert again == doc

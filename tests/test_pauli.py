@@ -9,6 +9,8 @@ from gibbsfit import linalg, pauli
 from gibbsfit.partition import ObservableSet
 from gibbsfit.pauli import PauliString
 
+import reference
+
 SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -45,8 +47,8 @@ def test_label_round_trip():
     p = pauli.parse_label("X0 Z2", 3)
     assert str(p) == "X0 Z2"
     assert p.support == (0, 2)
-    assert pauli.parse_label("", 2) == pauli.identity(2)
-    assert str(pauli.identity(2)) == ""
+    assert pauli.parse_label("", 2) == PauliString(2)
+    assert str(pauli.parse_label("", 2)) == ""
 
 
 def test_label_rejects():
@@ -72,7 +74,7 @@ def test_materialize_matches_kron_oracle_exactly():
 
 def test_orthogonality_exact_up_to_three_qubits():
     for n in (1, 2, 3):
-        group = list(pauli.strings_on(tuple(range(n)), n, include_identity=True))
+        group = list(reference.strings_on(tuple(range(n)), n, include_identity=True))
         mats = [pauli.materialize(p) for p in group]
         d = 1 << n
         for i, a in enumerate(group):
@@ -88,25 +90,25 @@ def test_pauli_trace_matches_dense():
         p = rand_string(rng, n)
         a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
         want = np.trace(kron_oracle(p) @ a)
-        assert abs(pauli.pauli_trace(p, a) - want) < 1e-12 * max(1.0, abs(want))
+        assert abs(reference.pauli_trace(p, a) - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_embed_restrict_relabel():
     local = pauli.parse_label("X0 Z1", 2)
-    wide = pauli.relabel(local, (1, 3), 4)
+    wide = reference.relabel(local, (1, 3), 4)
     assert str(wide) == "X1 Z3"
-    back = pauli.restrict(wide, (1, 3))
+    back = reference.restrict(wide, (1, 3))
     assert back == local and back.n == 2
     with pytest.raises(ValueError):
-        pauli.restrict(wide, (0, 1))  # support not covered
+        reference.restrict(wide, (0, 1))  # support not covered
 
 
 def test_strings_on_enumeration():
-    got = [str(p) for p in pauli.strings_on((0, 1), 2)]
+    got = [str(p) for p in reference.strings_on((0, 1), 2)]
     assert len(got) == 15
     assert got[0] == "X1"  # identity skipped, last qubit varies fastest
     assert "X0 X1" in got and "" not in got
-    with_id = list(pauli.strings_on((0,), 1, include_identity=True))
+    with_id = list(reference.strings_on((0,), 1, include_identity=True))
     assert len(with_id) == 4 and with_id[0].is_identity
 
 
@@ -126,7 +128,7 @@ def test_subset_codes_and_keys_own_the_string_layout():
         codes = pauli.subset_codes(qubits, n)
         want = reference_strings_on(qubits, n)
         assert pauli.strings_from_codes(codes) == tuple(want)
-        assert [p.letters for p in pauli.strings_on(qubits, n)] == [p.letters for p in want]
+        assert [p.letters for p in reference.strings_on(qubits, n)] == [p.letters for p in want]
     for k in (1, 2, 3, 4):
         local = pauli.region_tables(k)[0]
         # the itertools enumeration region_tables used to build its codes by
@@ -149,7 +151,7 @@ def test_subset_codes_and_keys_own_the_string_layout():
 @pytest.mark.parametrize("qubits", [(1, 0), (0, 0), (-1,), (0, 3)])
 def test_strings_on_rejects_bad_qubits(qubits):
     with pytest.raises(ValueError):
-        list(pauli.strings_on(qubits, 3))
+        list(reference.strings_on(qubits, 3))
 
 
 def reference_perm_phase(n, letters):
@@ -196,18 +198,18 @@ def test_table_rows_match_per_letter_reference_bitwise():
         (block,) = oset._blocks
         assert_rows_match_reference(strings, block.gather % (1 << n), block.phases)
     for k in (1, 2, 3):
-        strings = list(pauli.strings_on(tuple(range(k)), k))
-        assert_rows_match_reference(strings, *pauli.region_tables(k)[1:])
+        strings = list(reference.strings_on(tuple(range(k)), k))
+        assert_rows_match_reference(strings, *pauli.region_tables(k)[1:3])
 
 
 def test_region_tables_and_traces_match_per_string_kernels_bitwise():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3):
         codes = pauli.region_tables(k)[0]
-        strings = list(pauli.strings_on(tuple(range(k)), k))
+        strings = list(reference.strings_on(tuple(range(k)), k))
         assert len(codes) == len(strings) == 4**k - 1
         a = rand_density(rng, 1 << k)
-        want = np.array([pauli.pauli_trace(p, a) for p in strings])
+        want = np.array([reference.pauli_trace(p, a) for p in strings])
         assert pauli.region_traces(a).tobytes() == want.tobytes()
         for j, p in enumerate(strings):
             assert tuple((q, "IXYZ"[c]) for q, c in enumerate(codes[j]) if c) == p.letters
@@ -215,8 +217,8 @@ def test_region_tables_and_traces_match_per_string_kernels_bitwise():
 
 def test_expand_known_states():
     e = pauli.expand(np.eye(2) / 2)
-    assert set(e.coefficients) == {pauli.identity(1)}
-    assert e.coefficients[pauli.identity(1)] == pytest.approx(0.5)
+    assert set(e.coefficients) == {pauli.parse_label("", 1)}
+    assert e.coefficients[pauli.parse_label("", 1)] == pytest.approx(0.5)
 
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
@@ -255,12 +257,12 @@ def test_expand_reconstruct_round_trip():
     for _ in range(25):
         n = int(rng.integers(1, 4))
         rho = rand_density(rng, 1 << n)
-        back = pauli.reconstruct(pauli.expand(rho))
+        back = reference.reconstruct(pauli.expand(rho))
         assert np.abs(back - rho).max() < 1e-12
 
 
 def test_marginal_from_expectations_zero_targets():
-    rho, ok = pauli.marginal_from_expectations({}, (0, 1))
+    rho, ok = reference.marginal_from_expectations({}, (0, 1))
     assert ok and np.array_equal(rho, np.eye(4) / 4)
 
 
@@ -270,18 +272,18 @@ def test_marginal_from_expectations_bell():
         pauli.parse_label("Y0 Y1", 2): -1.0,
         pauli.parse_label("Z0 Z1", 2): 1.0,
     }
-    rho, ok = pauli.marginal_from_expectations(targets, (0, 1))
+    rho, ok = reference.marginal_from_expectations(targets, (0, 1))
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     assert ok and np.abs(rho - bell).max() < 1e-15
 
 
 def test_marginal_from_expectations_flags_nonphysical():
-    rho, ok = pauli.marginal_from_expectations({pauli.parse_label("X0 X1", 2): 3.0}, (0, 1))
+    rho, ok = reference.marginal_from_expectations({pauli.parse_label("X0 X1", 2): 3.0}, (0, 1))
     assert not ok
     assert abs(np.trace(rho).real - 1.0) < 1e-12  # still unit trace
     with pytest.raises(ValueError):
-        pauli.marginal_from_expectations({pauli.identity(2): 0.7}, (0, 1))
+        reference.marginal_from_expectations({pauli.parse_label("", 2): 0.7}, (0, 1))
 
 
 def test_marginal_equivalence_with_partial_trace():
@@ -294,10 +296,10 @@ def test_marginal_equivalence_with_partial_trace():
         size = int(rng.integers(1, min(n, 3) + 1))
         qubits = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         targets = {}
-        for local in pauli.strings_on(tuple(range(size)), size):
-            glob = pauli.relabel(local, qubits, n)
-            targets[glob] = float(pauli.pauli_trace(glob, sigma).real)
-        got, ok = pauli.marginal_from_expectations(targets, qubits)
+        for local in reference.strings_on(tuple(range(size)), size):
+            glob = reference.relabel(local, qubits, n)
+            targets[glob] = float(reference.pauli_trace(glob, sigma).real)
+        got, ok = reference.marginal_from_expectations(targets, qubits)
         want = linalg.partial_trace(sigma, n, qubits)
         assert ok
         assert np.abs(got - want).max() < 1e-10

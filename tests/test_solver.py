@@ -1,11 +1,13 @@
 """Solver behaviour: closed-form fits, boundary handling, certificates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli, solver
+from gibbsfit.cli import generate_thermal_marginals
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import (
     ExpectationProblem,
@@ -27,6 +29,8 @@ from gibbsfit.solver import (
     verify,
 )
 
+import reference
+
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
@@ -41,9 +45,9 @@ def random_marginal_instance(rng, n, subsets, beta=1.0):
     """Exact marginals of a random local thermal state: always feasible."""
     strings, coeffs = [], []
     for s in subsets:
-        local = list(pauli.strings_on(tuple(range(len(s))), len(s)))
+        local = list(reference.strings_on(tuple(range(len(s))), len(s)))
         for p in local:
-            strings.append(pauli.relabel(p, s, n))
+            strings.append(reference.relabel(p, s, n))
             coeffs.append(rng.uniform(-1, 1) / len(local))
     eta = ObservableSet(strings, dim=1 << n, n=n).gibbs(-beta * np.array(coeffs)).rho
     cons = tuple((s, linalg.partial_trace(eta, n, s)) for s in subsets)
@@ -156,7 +160,7 @@ def per_string_decompose(theta, strings, subsets):
     locals_ = {s: np.zeros((1 << len(s), 1 << len(s)), dtype=np.complex128) for s in subsets}
     for coeff, p in zip(theta, strings):
         home = next(s for s in subsets if set(p.support) <= set(s))
-        perm, phase = pauli.perm_phase(pauli.restrict(p, home))
+        perm, phase = pauli.perm_phase(reference.restrict(p, home))
         locals_[home][perm, np.arange(len(perm))] += coeff * phase
     return locals_
 
@@ -570,7 +574,7 @@ def test_preconditioner_is_exact_inverse_hessian(build):
     mp = build(np.random.default_rng(51))
     ep = reduce_to_expectations(mp)
     start = marginal_start(mp, ep)
-    hess = ep.observable_set.hessian(start.theta0)
+    hess = reference.hessian(ep.observable_set, start.theta0)
     product = np.column_stack([start.apply(col) for col in hess.T])
     assert np.abs(product - np.eye(ep.size)).max() < 1e-10
 
@@ -600,3 +604,40 @@ def test_warm_start_halves_ring_evaluations(monkeypatch):
     res = solve_marginals(mp)
     assert res.status == CONVERGED
     assert counts["evaluations"] <= 27 // 2
+
+
+def test_marginal_start_reads_the_cached_region_index(monkeypatch):
+    # region_tables(k) carries its gather index: neither the start's H_0
+    # nor region_traces rebuilds it
+    mp = disjoint_pairs(np.random.default_rng(51))
+    ep = reduce_to_expectations(mp)
+    start = marginal_start(mp, ep)
+    calls = []
+    monkeypatch.setattr(pauli, "gather_index", lambda perms: calls.append(perms))
+    start.apply(np.ones(ep.size))
+    pauli.region_traces(np.eye(4, dtype=complex))
+    assert calls == []
+
+
+def test_solve_and_verify_hold_one_state_at_a_time():
+    # n = 8 pair chain at beta = 4 (d = 256): the solver drops each
+    # iterate's state before the line search builds the next, and gibbs
+    # assembles rho in place, so neither command's traced peak reaches
+    # 3.5 d x d complex arrays (5.2 and 4.2 when two states overlapped)
+    n = 8
+    subsets = [(i, i + 1) for i in range(n - 1)]
+    _, eta = generate_thermal_marginals(n, subsets, 4.0, 0)
+    mp = MarginalProblem(n, tuple((s, linalg.partial_trace(eta, n, s)) for s in subsets))
+    unit = (1 << n) ** 2 * 16
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    result, solve_peak = traced_peak(lambda: solve_marginals(mp))
+    report, verify_peak = traced_peak(lambda: verify(result, mp))
+    assert result.status == CONVERGED and report.ok
+    assert solve_peak <= 3.5 and verify_peak <= 3.5, (solve_peak, verify_peak)
