@@ -235,11 +235,10 @@ def _parse_subsets(text: str | None, n: int) -> list[tuple[int, ...]]:
             qubits = tuple(int(q) for q in chunk.split(","))
         except ValueError:
             raise UsageError(f"--subsets chunk {chunk!r} is not a comma-separated int list") from None
-        if list(qubits) != sorted(set(qubits)):
-            raise UsageError(f"--subsets chunk {chunk!r} must be strictly ascending")
-        if qubits[0] < 0 or qubits[-1] >= n:
-            raise UsageError(f"--subsets chunk {chunk!r} out of range for n={n}")
-        subsets.append(qubits)
+        try:
+            subsets.append(linalg.check_subset(qubits, n))
+        except ValueError as exc:
+            raise UsageError(f"--subsets chunk {chunk!r}: {exc}") from None
     return subsets
 
 
@@ -269,6 +268,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--n must be in 1..{cap}, got {args.n}")
     if not math.isfinite(args.beta):
         raise UsageError(f"--beta must be a finite number, got {args.beta}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     subsets = _parse_subsets(args.subsets, args.n)
     doc, _ = generate_thermal_marginals(args.n, subsets, args.beta, args.seed)
     _emit(fileio.dump_json(doc), args.out)

@@ -9,9 +9,9 @@ Problem files carry either marginals or expectation targets:
 Complex entries are always [re, im] pairs, matrices row-major.  Schema
 errors name the JSON path at fault ("marginals[0].rho", ...).  This
 module checks JSON shape and finite numbers only; what a value means
-(qubit order, density and Hermiticity gates, target bounds) is checked
-by the problem constructors, whose InvalidEntryError is mapped back to
-the JSON path.
+(the qubit subset rule, density and Hermiticity gates, target bounds)
+is checked by the problem constructors, whose InvalidEntryError is
+mapped back to the JSON path.
 """
 
 from __future__ import annotations
@@ -128,13 +128,7 @@ def _parse_marginals(doc, n: int) -> MarginalProblem:
         _require("qubits" in entry, f"{base}.qubits", "missing")
         _require("rho" in entry, f"{base}.rho", "missing")
         qubits = entry["qubits"]
-        _require(
-            isinstance(qubits, list)
-            and qubits
-            and all(isinstance(q, int) and not isinstance(q, bool) for q in qubits),
-            f"{base}.qubits",
-            "expected a non-empty array of integers",
-        )
+        _require(isinstance(qubits, list), f"{base}.qubits", "expected an array of integers")
         constraints.append((qubits, matrix_from_json(entry["rho"], f"{base}.rho")))
     try:
         return MarginalProblem(n=n, constraints=tuple(constraints))
@@ -142,10 +136,17 @@ def _parse_marginals(doc, n: int) -> MarginalProblem:
         raise SchemaError(f"marginals[{exc.index}].{exc.field}", exc.detail) from exc
 
 
+def _entries(doc, key: str) -> list:
+    """doc[key] as a list of entries: an absent key or null is none."""
+    entries = doc.get(key)
+    _require(entries is None or isinstance(entries, list), key, "expected an array")
+    return entries or []
+
+
 def _parse_expectations(doc, n: int) -> ExpectationProblem:
     observables: list = []
     targets: list[float] = []
-    for i, entry in enumerate(doc.get("expectations") or []):
+    for i, entry in enumerate(_entries(doc, "expectations")):
         base = f"expectations[{i}]"
         _require(isinstance(entry, dict), base, "expected an object")
         _require("pauli" in entry, f"{base}.pauli", "missing")
@@ -159,7 +160,7 @@ def _parse_expectations(doc, n: int) -> ExpectationProblem:
         observables.append(p)
         targets.append(_as_number(entry["target"], f"{base}.target"))
     paulis = len(observables)
-    for i, entry in enumerate(doc.get("observables") or []):
+    for i, entry in enumerate(_entries(doc, "observables")):
         base = f"observables[{i}]"
         _require(isinstance(entry, dict), base, "expected an object")
         _require("matrix" in entry, f"{base}.matrix", "missing")

@@ -1,9 +1,12 @@
-"""Dense Hermitian linear-algebra kernels.
+"""Dense Hermitian linear-algebra kernels and qubit-subset geometry.
 
 Every matrix function here is computed through one eigendecomposition
 path (`numpy.linalg.eigh`); there is no Pade or scaling-and-squaring
 branch.  Dimensions are capped at 4096 (12 qubits), which keeps dense
 eigensolves on a desk-scale budget.
+
+Qubit subsets have one rule (`check_subset`), one layout inside the
+register (`subset_positions`) and one partial trace, a gather there.
 
 Conventions: entropies are reported in bits (base 2); log-partition
 quantities use the natural log.
@@ -11,6 +14,7 @@ quantities use the natural log.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -97,28 +101,51 @@ def eigh(h) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
-def partial_trace(rho, n: int, keep) -> np.ndarray:
-    """Trace out all qubits not in `keep` from a 2^n-dimensional matrix.
+def check_subset(qubits, n: int) -> tuple[int, ...]:
+    """`qubits` as a tuple of ints, checked to be strictly ascending ints
+    (not bools) in 0..n-1, empty allowed: the one subset rule; ValueError
+    otherwise."""
+    qubits = tuple(qubits)
+    if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits):
+        raise ValueError(f"qubit indices must be integers, got {qubits}")
+    out = tuple(map(int, qubits))
+    if any(a >= b for a, b in zip(out, out[1:])) or (out and not (0 <= out[0] and out[-1] < n)):
+        raise ValueError(f"qubits {out} must be strictly ascending in 0..{n - 1}")
+    return out
 
-    `keep` is a sorted set of 0-based qubit indices; qubit 0 is the
-    leftmost (most significant) tensor factor.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
+
+def subset_positions(qubits, n: int) -> np.ndarray:
+    """(2^(n-k), 4^k) flat positions in a 2^n x 2^n matrix A of the
+    entries A[(a, e), (b, e)]: column a * 2^k + b for the basis indices
+    a, b of the k `qubits` (a `check_subset`, read as a k-qubit
+    register), row e for each basis index of the other qubits.
+    A.ravel()[pos].sum(0) is A's marginal on the qubits, the others
+    traced out, and adding L.ravel() at pos adds L (x) I on the others.
+    Qubit 0 is the most significant bit of a basis index."""
+    qubits = check_subset(qubits, n)
+    others = [q for q in range(n) if q not in qubits]
     d = 1 << n
-    if rho.shape != (d, d):
-        raise ValueError(f"expected shape {(d, d)} for n={n}, got {rho.shape}")
-    keep = tuple(keep)
-    if len(set(keep)) != len(keep) or list(keep) != sorted(keep):
-        raise ValueError(f"keep must be sorted and duplicate-free, got {keep}")
-    if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise ValueError(f"keep index out of range for n={n}: {keep}")
-    out = rho.reshape([2] * (2 * n))
-    left = n
-    for q in sorted(set(range(n)) - set(keep), reverse=True):
-        out = np.trace(out, axis1=q, axis2=q + left)
-        left -= 1
-    dk = 1 << len(keep)
-    return out.reshape(dk, dk)
+
+    def spread(qs):  # register index of each basis index of the qubits qs
+        bits = np.arange(1 << len(qs), dtype=np.int64)[:, None] >> np.arange(len(qs) - 1, -1, -1)
+        return (bits & 1) @ (1 << (n - 1 - np.asarray(qs, dtype=np.int64)))
+
+    local = spread(qubits)
+    return (spread(others) * (d + 1))[:, None] + (local[:, None] * d + local).ravel()
+
+
+def partial_trace(rho, n: int, keep) -> np.ndarray:
+    """Trace out all qubits not in `keep` (a `check_subset`) from a
+    2^n-dimensional matrix: the gather rho.ravel()[pos].sum(0) at keep's
+    `subset_positions`.  When keep is the whole register no index is
+    built and rho itself is returned."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (1 << n, 1 << n):
+        raise ValueError(f"expected shape {(1 << n, 1 << n)} for n={n}, got {rho.shape}")
+    keep = check_subset(keep, n)
+    if len(keep) == n:
+        return rho
+    return rho.ravel()[subset_positions(keep, n)].sum(0).reshape(1 << len(keep), -1)
 
 
 def spectrum_entropy(w) -> float:

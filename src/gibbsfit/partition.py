@@ -6,12 +6,14 @@ spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
 further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and keeps its Pauli strings in blocks, one per
-qubit subset S that holds their support.  A block keeps its strings'
-signed-permutation tables on S's 2^k-dimensional space (phases and one
-`pauli.gather_index`) and S's `pauli.subset_positions` in the register,
+qubit subset S (a `linalg.check_subset`) that holds their support.  A
+block keeps its strings' signed-permutation tables on S's
+2^k-dimensional space (phases and one `pauli.gather_index`) and S's
+`linalg.subset_positions` in the register,
 so that H(theta) adds each block's local sum M_S (x) I and <T> reads
-each block's strings from the marginal on S: O(r 2^k + d 2^k) array
-operations, never r dense matmuls nor an r x d table when k < n.
+each block's strings from the marginal on S, the gather that
+`linalg.partial_trace` makes: O(r 2^k + d 2^k) array operations, never
+r dense matmuls nor an r x d table when k < n.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class _Block(NamedTuple):
     # +-1/+-i, and the perms' `pauli.gather_index` on 2^k
     phases: np.ndarray
     gather: np.ndarray
-    positions: np.ndarray | None  # `pauli.subset_positions(S, n)`; None when S is the register
+    positions: np.ndarray | None  # `linalg.subset_positions(S, n)`; None when S is the register
 
 
 class ObservableSet:
@@ -87,8 +89,8 @@ class ObservableSet:
     a set made from codes builds its PauliStrings on first access.
 
     `blocks` splits the Pauli rows, in order, into runs of (qubits,
-    count): `count` consecutive rows whose strings act on the strictly
-    ascending `qubits` only (a marginal reduction passes one per
+    count): `count` consecutive rows whose strings act on `qubits`, a
+    `linalg.check_subset`, only (a marginal reduction passes one per
     constraint).  By default the rows form one block on the whole
     register.
     """
@@ -145,14 +147,12 @@ class ObservableSet:
     def _make_blocks(self, blocks) -> tuple:
         out, start = [], 0
         for qubits, count in blocks:
-            qubits, rows = tuple(int(q) for q in qubits), slice(start, start + int(count))
-            if qubits != tuple(sorted(set(qubits) & set(range(self.n)))):
-                raise ValueError(f"block qubits {qubits} must be strictly ascending, below n={self.n}")
+            qubits, rows = linalg.check_subset(qubits, self.n), slice(start, start + int(count))
             local = self.codes[rows]
             if rows.stop > len(self.codes) or np.delete(local, qubits, axis=1).any():
                 raise ValueError(f"Pauli rows {rows.start}..{rows.stop} do not act on {qubits} only")
             perms, phases = pauli.string_tables(local[:, qubits])
-            positions = None if len(qubits) == self.n else pauli.subset_positions(qubits, self.n)
+            positions = None if len(qubits) == self.n else linalg.subset_positions(qubits, self.n)
             out.append(_Block(qubits, rows, phases, pauli.gather_index(perms), positions))
             start = rows.stop
         if start != len(self.codes):

@@ -8,8 +8,8 @@ pairs, is the form at the API edge; `letter_codes` and
 `strings_from_codes` convert between the two.  `subset_codes` (the
 strings on a subset, placed on a register) and `string_keys` (one
 integer per string) are the only code that lays strings out or compares
-them; `subset_positions` is the only code that places a subset's
-matrix entries inside the register's.  A string is materialized only on demand.
+them.  A string's support and a subset pass `linalg.check_subset`, the
+one subset rule.  A string is materialized only on demand.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -48,16 +48,12 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
-        object.__setattr__(self, "letters", tuple((int(q), str(c)) for q, c in self.letters))
-        prev = -1
-        for q, c in self.letters:
+        qubits = linalg.check_subset((q for q, _ in self.letters), self.n)
+        letters = tuple((q, str(c)) for q, (_, c) in zip(qubits, self.letters))
+        for _, c in letters:
             if c not in _LETTERS:
                 raise ValueError(f"bad Pauli letter {c!r}")
-            if q <= prev:
-                raise ValueError(f"qubit indices must be strictly ascending, got {self.letters}")
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for n={self.n}")
-            prev = q
+        object.__setattr__(self, "letters", letters)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -85,9 +81,6 @@ def parse_label(text: str, n: int) -> PauliString:
         if m is None:
             raise ValueError(f"bad Pauli token {token!r} (expected letter+index like 'X0')")
         letters.append((int(m.group(2)), m.group(1)))
-    indices = [q for q, _ in letters]
-    if indices != sorted(set(indices)):
-        raise ValueError(f"qubit indices must be ascending and unique in {text!r}")
     return PauliString(n, tuple(letters))
 
 
@@ -157,38 +150,15 @@ def region_tables(k: int):
 
 def subset_codes(qubits, n: int) -> np.ndarray:
     """(4^k - 1, n) letter codes of the non-identity strings on the k
-    `qubits` (strictly ascending) of an n-qubit register, last qubit
+    `qubits` (a `linalg.check_subset`) of an n-qubit register, last qubit
     varying fastest: row j holds the base-4 digits of j + 1 on those
     qubits, so its `string_keys` on the k-qubit register is j + 1."""
-    qubits = tuple(qubits)
-    if list(qubits) != sorted(set(qubits)):
-        raise ValueError(f"qubit indices must be strictly ascending, got {qubits}")
-    if qubits and not (qubits[0] >= 0 and qubits[-1] < n):
-        raise ValueError(f"qubits {qubits} out of range for n={n}")
+    qubits = linalg.check_subset(qubits, n)
     k = len(qubits)
     codes = np.zeros((4**k - 1, n), dtype=np.intp)
     digits = 2 * np.arange(k - 1, -1, -1, dtype=np.intp)
     codes[:, qubits] = (np.arange(1, 4**k, dtype=np.intp)[:, None] >> digits) & 3
     return codes
-
-
-def subset_positions(qubits, n: int) -> np.ndarray:
-    """(2^(n-k), 4^k) flat positions in a 2^n x 2^n matrix A of the
-    entries A[(a, e), (b, e)]: column a * 2^k + b for the basis indices
-    a, b of the k `qubits` (strictly ascending, read as a k-qubit
-    register), row e for each basis index of the other qubits.
-    A.ravel()[pos].sum(0) is A's marginal on the qubits, the others
-    traced out, and adding L.ravel() at pos adds L (x) I on the others."""
-    qubits = tuple(qubits)
-    others = [q for q in range(n) if q not in qubits]
-    d = 1 << n
-
-    def spread(qs):  # register index of each basis index of the qubits qs
-        bits = np.arange(1 << len(qs), dtype=np.int64)[:, None] >> np.arange(len(qs) - 1, -1, -1)
-        return (bits & 1) @ (1 << (n - 1 - np.asarray(qs, dtype=np.int64)))
-
-    local = spread(qubits)
-    return (spread(others) * (d + 1))[:, None] + (local[:, None] * d + local).ravel()
 
 
 def string_keys(codes: np.ndarray) -> np.ndarray:

@@ -74,13 +74,12 @@ class MarginalProblem:
             raise ValueError("a marginal problem needs at least one constraint")
         fixed = []
         for i, (qubits, rho) in enumerate(self.constraints):
-            qubits = tuple(int(q) for q in qubits)
+            try:
+                qubits = linalg.check_subset(qubits, self.n)
+            except ValueError as exc:
+                raise InvalidEntryError(i, "qubits", str(exc)) from exc
             if not qubits:
                 raise InvalidEntryError(i, "qubits", "empty qubit subset")
-            if list(qubits) != sorted(set(qubits)):
-                raise InvalidEntryError(i, "qubits", f"subset must be strictly ascending, got {qubits}")
-            if qubits[0] < 0 or qubits[-1] >= self.n:
-                raise InvalidEntryError(i, "qubits", f"subset {qubits} out of range for n={self.n}")
             try:
                 rho = linalg.as_density(rho)
             except ValueError as exc:
@@ -331,10 +330,22 @@ def kikuchi_regions(subsets) -> list[tuple[tuple[int, ...], int]]:
     return [(tuple(sorted(r)), c) for r, c in counts.items() if c]
 
 
-def _overlap_marginal(constraint, overlap) -> np.ndarray:
-    qubits, rho = constraint
-    keep = tuple(i for i, q in enumerate(qubits) if q in overlap)
-    return linalg.partial_trace(rho, len(qubits), keep)
+def restrict_constraint(constraint, qubits) -> tuple[tuple[int, ...], np.ndarray]:
+    """A (subset, rho) constraint on its qubits in `qubits`: (keep, rho's
+    `linalg.partial_trace` on keep), keep being their positions in subset."""
+    subset, rho = constraint
+    keep = tuple(i for i, q in enumerate(subset) if q in qubits)
+    return keep, linalg.partial_trace(rho, len(subset), keep)
+
+
+def _overlapping_pairs(mp: MarginalProblem):
+    """(i, j, shared qubits) for each pair i < j of overlapping constraints."""
+    subsets = mp.subsets
+    for i in range(len(subsets)):
+        for j in range(i + 1, len(subsets)):
+            overlap = set(subsets[i]) & set(subsets[j])
+            if overlap:
+                yield i, j, overlap
 
 
 def check_local_compatibility(mp: MarginalProblem) -> CompatibilityReport:
@@ -342,17 +353,13 @@ def check_local_compatibility(mp: MarginalProblem) -> CompatibilityReport:
     the intersection (trace distance <= COMPAT_ATOL per pair)."""
     pairs = []
     verdict = COMPATIBLE
-    for i in range(len(mp.constraints)):
-        for j in range(i + 1, len(mp.constraints)):
-            overlap = set(mp.constraints[i][0]) & set(mp.constraints[j][0])
-            if not overlap:
-                continue
-            ri = _overlap_marginal(mp.constraints[i], overlap)
-            rj = _overlap_marginal(mp.constraints[j], overlap)
-            dist = linalg.trace_distance(ri, rj)
-            pairs.append((i, j, float(dist)))
-            if dist > COMPAT_ATOL:
-                verdict = LOCALLY_INCOMPATIBLE
+    for i, j, overlap in _overlapping_pairs(mp):
+        ri = restrict_constraint(mp.constraints[i], overlap)[1]
+        rj = restrict_constraint(mp.constraints[j], overlap)[1]
+        dist = linalg.trace_distance(ri, rj)
+        pairs.append((i, j, float(dist)))
+        if dist > COMPAT_ATOL:
+            verdict = LOCALLY_INCOMPATIBLE
     return CompatibilityReport(tuple(pairs), verdict)
 
 
@@ -368,13 +375,9 @@ def entropy_diagnostic(mp: MarginalProblem) -> list[EntropyViolation]:
     """
     entropies = [linalg.von_neumann_entropy(rho) for _, rho in mp.constraints]
     out = []
-    for i in range(len(mp.constraints)):
-        for j in range(i + 1, len(mp.constraints)):
-            overlap = set(mp.constraints[i][0]) & set(mp.constraints[j][0])
-            if not overlap:
-                continue
-            s_i, s_j = entropies[i], entropies[j]
-            s_ov = linalg.von_neumann_entropy(_overlap_marginal(mp.constraints[i], overlap))
-            if s_i + s_j < s_ov - ENTROPY_ATOL:
-                out.append(EntropyViolation(i, j, s_i, s_j, s_ov))
+    for i, j, overlap in _overlapping_pairs(mp):
+        s_i, s_j = entropies[i], entropies[j]
+        s_ov = linalg.von_neumann_entropy(restrict_constraint(mp.constraints[i], overlap)[1])
+        if s_i + s_j < s_ov - ENTROPY_ATOL:
+            out.append(EntropyViolation(i, j, s_i, s_j, s_ov))
     return out

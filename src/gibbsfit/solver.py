@@ -332,17 +332,14 @@ def marginal_start(mp: MarginalProblem, ep: ReducedProblem) -> MarginalStart | N
     regions = []
     for qubits, count in problem_mod.kikuchi_regions(mp.subsets):
         ci = next(i for i, s in enumerate(mp.subsets) if set(qubits) <= set(s))
-        host, rho = mp.constraints[ci]
-        keep = tuple(host.index(q) for q in qubits)
-        k = len(qubits)
+        keep, rho = problem_mod.restrict_constraint(mp.constraints[ci], qubits)
         # a region string's row among the host's strings is its key less 1
-        index = ep.string_index[ci][pauli.string_keys(pauli.subset_codes(keep, len(host))) - 1]
-        if k < len(host):
-            rho = linalg.partial_trace(rho, len(host), keep)
+        host_codes = pauli.subset_codes(keep, len(mp.subsets[ci]))
+        index = ep.string_index[ci][pauli.string_keys(host_codes) - 1]
         w, v = np.linalg.eigh(rho)
         if not w[0] > 0:
             return None
-        d = 1 << k
+        d = 1 << len(qubits)
         log_rho = (v * np.log(w)) @ v.conj().T
         theta0[index] += count * pauli.region_traces(log_rho).real / d
         regions.append(_Region(index, count / d**2, v, linalg.log_divided_difference(w)))
@@ -374,7 +371,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     result = _minimize(ep, options, h0)
     if result.status != CONVERGED:
         return result
-    local = decompose_local_terms(result.theta, ep, mp.subsets)
+    local = decompose_local_terms(result.theta, ep)
     dists = _marginal_distances(result.gibbs.rho, mp, ep)
     return dataclasses.replace(result, local_terms=local, marginal_distances=dists)
 
@@ -389,12 +386,12 @@ def _marginal_distances(rho: np.ndarray, mp: MarginalProblem, ep: ReducedProblem
     )
 
 
-def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
+def decompose_local_terms(theta, ep: ReducedProblem) -> dict:
     """Split H = sum theta_P P into per-subset local Hamiltonians, keyed
-    by subset in the given order.
+    by subset in constraint order.
 
-    `ep` is the reduction of the marginal problem on `subsets`, and a
-    subset's local Hamiltonian is its constraint's block's local sum
+    `ep` is the reduction of a marginal problem, and a subset's local
+    Hamiltonian is its constraint's block's local sum
     (`ObservableSet.local_sums`): the strings its constraint emitted
     first, those whose lowest-indexed subset containing their support is
     this one.  So the blocks, each widened by identities to the whole
@@ -402,8 +399,6 @@ def decompose_local_terms(theta, ep: ReducedProblem, subsets) -> dict:
     a zero block and a repeated subset keeps its first copy's block.
     """
     obset = ep.observable_set
-    if obset.subsets != tuple(tuple(s) for s in subsets):
-        raise ValueError("subsets do not match the reduction's constraints")
     locals_: dict[tuple, np.ndarray] = {}
     for qubits, local in zip(obset.subsets, obset.local_sums(theta)):
         locals_.setdefault(qubits, local)

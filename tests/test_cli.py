@@ -163,6 +163,11 @@ def test_malformed_inputs_name_the_path(tmp_path, capsys):
     negative = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
     for doc, path in (
         ({"n": 2, "marginals": [{"qubits": [1, 0], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 2, "marginals": [{"qubits": [True, 1], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 2, "marginals": [{"qubits": [0, 1.0], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 2, "marginals": [{"qubits": [[0], 1], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 2, "marginals": [{"qubits": [], "rho": BELL_JSON}]}, "marginals[0].qubits"),
+        ({"n": 2, "marginals": [{"qubits": 0, "rho": BELL_JSON}]}, "marginals[0].qubits"),
         ({"n": 1, "marginals": [{"qubits": [0], "rho": negative}]}, "marginals[0].rho"),
         ({"n": 1, "expectations": [{"pauli": "", "target": 0.0}]}, "expectations[0].pauli"),
         ({"n": 1, "expectations": [{"pauli": "Z0", "target": 1.5}]}, "expectations[0].target"),
@@ -518,6 +523,23 @@ def test_surface_rejections(tmp_path, chain_problem):
     # an infinite bound, or a span that overflows to inf
     assert main(["surface", single, "--range", "0:inf:3"]) == 64
     assert main(["surface", single, "--range", "-1e308:1e308:3"]) == 64
+
+
+def test_non_array_entry_lists_are_schema_errors(tmp_path, capsys):
+    z0 = [{"pauli": "Z0", "target": 0.1}]
+    for key in ("expectations", "observables"):
+        for value in (5, 3.5, True, "Z0", {"pauli": "Z0", "target": 0.1}):
+            doc = {"n": 1, key: value}
+            assert main(["check", write(tmp_path / "p.json", doc)]) == 65, (key, value)
+            assert capsys.readouterr().err == f"error: {key}: expected an array\n"
+    # null still means none
+    doc = {"n": 1, "expectations": z0, "observables": None}
+    assert main(["check", write(tmp_path / "p.json", doc)]) == 0
+
+
+def test_gen_negative_seed_is_a_usage_error(tmp_path, capsys):
+    assert main(["gen", "--n", "2", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 64
+    assert capsys.readouterr().err.startswith("usage error: --seed ")
 
 
 def test_usage_errors(capsys, z_problem):

@@ -1,9 +1,18 @@
 """Dense Hermitian kernel tests: closed forms first, then seeded sweeps."""
 
+import itertools
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gibbsfit import linalg
+from gibbsfit import fileio, linalg, pauli
+from gibbsfit.cli import main
+from gibbsfit.partition import InvalidEntryError, ObservableSet
+from gibbsfit.pauli import PauliString
+from gibbsfit.problem import MarginalProblem
 
 import reference
 
@@ -124,6 +133,66 @@ def brute_partial_trace(rho, n, keep):
                 acc += rho[assemble(rb, eb), assemble(cb, eb)]
             out[r, c] = acc
     return out
+
+
+def test_partial_trace_is_the_block_marginal_bitwise():
+    """One gather: partial_trace reads the same subset_positions, in the
+    same order, as an ObservableSet block's marginal."""
+    rng = np.random.default_rng(70)
+    for n in range(1, 8):
+        d = 1 << n
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        codes = np.zeros((1, n), dtype=np.intp)
+        codes[0, 0] = 3  # Z0, in a last block on the register; the subsets' blocks hold no rows
+        oset = ObservableSet(codes, dim=d, n=n, blocks=[(s, 0) for s in subsets] + [(range(n), 1)])
+        for s, want in zip(subsets, oset.marginals(m)):
+            assert linalg.partial_trace(m, n, s).tobytes() == want.tobytes(), (n, s)
+
+
+def test_partial_trace_of_the_whole_register_builds_no_index():
+    n = 10
+    d = 1 << n
+    rho = np.eye(d, dtype=np.complex128) / d
+    tracemalloc.start()
+    try:
+        out = linalg.partial_trace(rho, n, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d * d * 16
+    assert np.array_equal(out, rho)
+
+
+def test_every_entry_point_rejects_a_bad_subset(tmp_path, capsys):
+    """The one subset rule, reached through each caller's own error."""
+    n = 3
+    for bad in ((1, 0), (0, 0), (-1,), (n,)):
+        with pytest.raises(ValueError) as rule:
+            linalg.check_subset(bad, n)
+        msg = re.escape(str(rule.value))
+        d = 1 << len(bad)
+        with pytest.raises(InvalidEntryError, match=msg) as exc:
+            MarginalProblem(n, ((bad, np.eye(d) / d),))
+        assert (exc.value.index, exc.value.field) == (0, "qubits")
+        rho = json.loads(fileio.dump_json(np.eye(d, dtype=np.complex128) / d))
+        doc = {"n": n, "marginals": [{"qubits": list(bad), "rho": rho}]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        assert main(["check", str(tmp_path / "p.json")]) == 65, bad
+        assert capsys.readouterr().err.startswith("error: marginals[0].qubits: "), bad
+        with pytest.raises(ValueError, match=msg):
+            PauliString(n, tuple((q, "Z") for q in bad))
+        with pytest.raises(ValueError, match=msg):
+            pauli.subset_codes(bad, n)
+        codes = np.zeros((1, n), dtype=np.intp)
+        codes[0, 0] = 3
+        with pytest.raises(ValueError, match=msg):
+            ObservableSet(codes, dim=1 << n, n=n, blocks=[(bad, 0), (range(n), 1)])
+        with pytest.raises(ValueError, match=msg):
+            linalg.partial_trace(np.eye(1 << n) / (1 << n), n, bad)
+        chunk = ",".join(map(str, bad))
+        assert main(["gen", "--n", str(n), "--subsets", chunk, "--out", str(tmp_path / "g.json")]) == 64
+        assert "usage error: --subsets" in capsys.readouterr().err, bad
 
 
 def test_partial_trace_against_brute_force():

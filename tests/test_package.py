@@ -5,13 +5,14 @@ from gibbsfit import fileio, linalg, pauli
 from gibbsfit.partition import ObservableSet
 
 # test-only helpers that left the package: the reference forms now live in
-# tests/reference.py, the rest were deleted
+# tests/reference.py, the rest were deleted; pauli.subset_positions moved
+# to linalg
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
              "frobenius_norm", "hilbert_schmidt_inner"),
     pauli: ("pauli_trace", "relabel", "restrict", "strings_on", "reconstruct",
-            "marginal_from_expectations", "identity"),
+            "marginal_from_expectations", "identity", "subset_positions"),
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian",),
 }

@@ -274,7 +274,7 @@ def test_hamiltonian_is_its_definition_bitwise():
         theta = rng.normal(size=oset.size)
         got = oset.hamiltonian(theta)
         want = np.zeros((oset.dim, oset.dim), dtype=np.complex128)
-        for qubits, local in decompose_local_terms(theta, ep, subsets).items():
+        for qubits, local in decompose_local_terms(theta, ep).items():
             want += widen(local, qubits, n)
         assert got.tobytes() == want.tobytes(), subsets
         obs = oset.observables

@@ -171,7 +171,7 @@ def test_decompose_tie_breaks_to_lowest_indexed_subset():
     ep = reduce_to_expectations(mp)
     theta = np.zeros(ep.size)
     theta[ep.observables.index(pauli.parse_label("Z1", 3))] = 0.7  # on both subsets
-    out = decompose_local_terms(theta, ep, subsets)
+    out = decompose_local_terms(theta, ep)
     z1_local = 0.7 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
     assert np.abs(out[(0, 1)] - z1_local).max() == 0.0
     assert np.abs(out[(1, 2)]).max() == 0.0
@@ -185,15 +185,13 @@ def test_decompose_nested_and_duplicate_subsets_match_per_string_loop():
     mp = MarginalProblem(4, tuple((s, linalg.partial_trace(rho, 4, s)) for s in subsets))
     ep = reduce_to_expectations(mp)
     theta = rng.normal(size=ep.size)
-    out = decompose_local_terms(theta, ep, subsets)
+    out = decompose_local_terms(theta, ep)
     want = per_string_decompose(theta, ep.observables, subsets)
     assert list(out) == list(want) == [(0, 1, 2), (1, 2), (2, 3)]
     for s, block in want.items():
         assert out[s].tobytes() == block.tobytes(), s
     assert out[(0, 1, 2)].any() and out[(2, 3)].any()
     assert not out[(1, 2)].any()  # nested in (0, 1, 2): every string is home there
-    with pytest.raises(ValueError):
-        decompose_local_terms(theta, ep, subsets[:2])
 
 
 def test_verify_round_trip_and_tamper():
