@@ -306,7 +306,11 @@ def cmd_surface(args) -> int:
     def translated_psi(theta):
         # psi of T_i - t_i I: the objective the solver minimizes
         theta = np.array(theta)
-        return ep.observable_set.log_partition(theta) - float(theta @ ep.targets)
+        with np.errstate(over="ignore"):
+            value = ep.observable_set.log_partition(theta) - float(theta @ ep.targets)
+        if not math.isfinite(value):
+            raise UsageError(f"--range {args.grid_range!r}: psi overflows at theta {theta.tolist()}")
+        return value
 
     lines = []
     if ep.size == 1:

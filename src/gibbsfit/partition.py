@@ -210,29 +210,31 @@ class ObservableSet:
         """m's marginal on each block's qubits (the other qubits traced
         out), as a 2^k x 2^k matrix."""
         flat = m.ravel()
-        return [self._marginal(b, flat).reshape(1 << len(b.qubits), -1) for b in self._blocks]
-
-    @staticmethod
-    def _marginal(block: _Block, flat: np.ndarray) -> np.ndarray:
-        return flat if block.positions is None else flat[block.positions].sum(0)
+        sums = (flat if b.positions is None else flat[b.positions].sum(0) for b in self._blocks)
+        return [s.reshape(1 << len(b.qubits), -1) for b, s in zip(self._blocks, sums)]
 
     def pauli_expectations(self, m: np.ndarray) -> np.ndarray:
         """Re Tr(P_k m) for the Pauli rows, in their order, each read from
         m's marginal m_S on its block's qubits, for any d x d matrix m:
-        Tr((P (x) I) m) = Tr(P m_S) = sum_a phase_a * m_S[a, perm_a]."""
+        Tr((P (x) I) m) = Tr(P m_S), which `pauli.traces` reads."""
         out = np.empty(len(self.codes))
-        flat = m.ravel()
-        for b in self._blocks:
-            out[b.rows] = np.einsum("kd,kd->k", b.phases, self._marginal(b, flat)[b.gather]).real
+        for b, marginal in zip(self._blocks, self.marginals(m)):
+            out[b.rows] = pauli.traces(b.phases, b.gather, marginal).real
         return out
 
     def _decompose(self, theta: np.ndarray) -> tuple:
         """The one eigh of H(theta) that psi, rho and <T> read: (V, the
         Gibbs weights exp(w - w_max)/z, psi = w_max + log z) for H's
         spectrum w.  H is Hermitian by construction, so it goes to
-        numpy's eigh with no gate."""
-        w, v = np.linalg.eigh(self.hamiltonian(theta))
-        weights = np.exp(w - w[-1])
+        numpy's eigh with no gate.  Where H overflows all is NaN, quietly:
+        a line search backtracks from there and `solver.verify` rejects it."""
+        try:  # eigh keeps its own floating-point error handling
+            with np.errstate(over="raise", invalid="raise"):
+                w, v = np.linalg.eigh(self.hamiltonian(theta))
+        except FloatingPointError:
+            w, v = np.full(self.dim, np.nan), np.eye(self.dim, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(w - w[-1])
         z = weights.sum()
         return v, weights / z, float(w[-1] + np.log(z))
 

@@ -185,14 +185,18 @@ def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.n
     return out.reshape(d, d).T
 
 
-def region_traces(a: np.ndarray) -> np.ndarray:
-    """Tr(P_j A) for every string j of `region_tables(k)`, A a 2^k x 2^k
-    matrix: one batched gather through the tables' `gather_index`, each
-    trace the dot product sum_a phase_a A[a, perm_a] of its string."""
-    d = a.shape[0]
-    _, _, phases, index = region_tables(d.bit_length() - 1)
+def traces(phases: np.ndarray, index: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Tr(P_j A) for the strings with these `phases` and `gather_index`,
+    A a matrix of their dimension: the one Pauli-trace kernel, a batched
+    gather and the dot products sum_a phase_a A[a, perm_a]."""
     gathered = np.asarray(a).ravel()[index]
     return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
+
+
+def region_traces(a: np.ndarray) -> np.ndarray:
+    """`traces` of every string of `region_tables(k)` on a 2^k x 2^k A."""
+    _, _, phases, index = region_tables(a.shape[0].bit_length() - 1)
+    return traces(phases, index, a)
 
 
 def materialize(p: PauliString) -> np.ndarray:

@@ -201,21 +201,16 @@ class CompatibilityReport:
 
 
 class ReducedProblem(ExpectationProblem):
-    """The ExpectationProblem of a marginal reduction, plus where each
-    constraint's strings went: `string_index[c][j]` is the position in
-    `observables` of the j-th non-identity string on constraint c's
-    qubits, in `pauli.region_tables` (= `pauli.subset_codes`) order.
-
-    It is built from the (r, n) letter codes of its strings, which are
-    distinct and non-identity, with targets in [-1, 1], and its
-    ObservableSet holds one block per constraint, the strings that
+    """The ExpectationProblem of a marginal reduction, built from the
+    (r, n) letter codes of its strings, which are distinct and
+    non-identity, with targets in [-1, 1].  Its ObservableSet holds one
+    block per constraint, in constraint order: the strings that
     constraint emitted first (see ObservableSet); `observables` builds
     their PauliStrings only when it is read.
     """
 
-    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, string_index: tuple, blocks):
+    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, blocks):
         self._accept(ObservableSet(codes, dim=1 << n, n=n, blocks=blocks), targets)
-        self.string_index = string_index
 
 
 def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
@@ -264,8 +259,7 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     targets = np.clip(t[first], -1.0, 1.0)
     counts = np.diff(np.searchsorted(first, starts))  # strings each constraint emits first
     blocks = [(qubits, count) for (qubits, _), count in zip(mp.constraints, counts)]
-    string_index = tuple(np.split(where, starts[1:-1]))
-    return ReducedProblem(codes[first], targets, n, string_index, blocks)
+    return ReducedProblem(codes[first], targets, n, blocks)
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:
@@ -330,12 +324,12 @@ def kikuchi_regions(subsets) -> list[tuple[tuple[int, ...], int]]:
     return [(tuple(sorted(r)), c) for r, c in counts.items() if c]
 
 
-def restrict_constraint(constraint, qubits) -> tuple[tuple[int, ...], np.ndarray]:
-    """A (subset, rho) constraint on its qubits in `qubits`: (keep, rho's
-    `linalg.partial_trace` on keep), keep being their positions in subset."""
+def restrict_constraint(constraint, qubits) -> np.ndarray:
+    """A (subset, rho) constraint's marginal on its qubits in `qubits`:
+    rho's `linalg.partial_trace` on their positions in subset."""
     subset, rho = constraint
     keep = tuple(i for i, q in enumerate(subset) if q in qubits)
-    return keep, linalg.partial_trace(rho, len(subset), keep)
+    return linalg.partial_trace(rho, len(subset), keep)
 
 
 def _overlapping_pairs(mp: MarginalProblem):
@@ -354,8 +348,8 @@ def check_local_compatibility(mp: MarginalProblem) -> CompatibilityReport:
     pairs = []
     verdict = COMPATIBLE
     for i, j, overlap in _overlapping_pairs(mp):
-        ri = restrict_constraint(mp.constraints[i], overlap)[1]
-        rj = restrict_constraint(mp.constraints[j], overlap)[1]
+        ri = restrict_constraint(mp.constraints[i], overlap)
+        rj = restrict_constraint(mp.constraints[j], overlap)
         dist = linalg.trace_distance(ri, rj)
         pairs.append((i, j, float(dist)))
         if dist > COMPAT_ATOL:
@@ -371,13 +365,15 @@ def entropy_diagnostic(mp: MarginalProblem) -> list[EntropyViolation]:
     produce these marginals.  Advisory and one-directional: absence of
     flags proves nothing.  The overlap marginal is taken from the
     lower-indexed constraint, so pairs should pass the local
-    compatibility check first.  Slack: ENTROPY_ATOL bits.
+    compatibility check first.  Slack: ENTROPY_ATOL bits.  The marginals
+    and their partial traces are gated density matrices: no gate here.
     """
-    entropies = [linalg.von_neumann_entropy(rho) for _, rho in mp.constraints]
+    entropies = [linalg.spectrum_entropy(np.linalg.eigvalsh(rho)) for _, rho in mp.constraints]
     out = []
     for i, j, overlap in _overlapping_pairs(mp):
         s_i, s_j = entropies[i], entropies[j]
-        s_ov = linalg.von_neumann_entropy(restrict_constraint(mp.constraints[i], overlap)[1])
+        overlap_rho = restrict_constraint(mp.constraints[i], overlap)
+        s_ov = linalg.spectrum_entropy(np.linalg.eigvalsh(overlap_rho))
         if s_i + s_j < s_ov - ENTROPY_ATOL:
             out.append(EntropyViolation(i, j, s_i, s_j, s_ov))
     return out

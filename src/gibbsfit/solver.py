@@ -76,15 +76,12 @@ class DependentObservablesError(ValueError):
 class SolveOptions:
     grad_tol: float = 1e-8
     max_iter: int = 5000
-    theta0: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.theta0 is not None and not np.isfinite(np.asarray(self.theta0, float)).all():
-            raise ValueError("theta0 must be finite")
 
 
 @dataclass
@@ -160,9 +157,9 @@ def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = No
     return _minimize(ep, options)
 
 
-def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> SolveResult:
+def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None, h0=None) -> SolveResult:
     """Minimize the translated log-partition f(theta) = psi(theta) - theta.t
-    with L-BFGS; grad f_i = <T_i>_theta - t_i is the residual vector.
+    with L-BFGS from theta0 (default 0); the residual is grad f = <T> - t.
 
     `h0`, when given, maps a vector q to H_0 q, the initial inverse
     Hessian of the two-loop recursion; otherwise H_0 = gamma I with the
@@ -186,11 +183,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, h0=None) -> 
         state = obset.gibbs(theta)
         return state.psi - float(theta @ targets), state.expectations - targets, state
 
-    theta = (
-        np.zeros(ep.size)
-        if options.theta0 is None
-        else np.asarray(options.theta0, dtype=np.float64).copy()
-    )
+    theta = np.zeros(ep.size) if theta0 is None else np.array(theta0, dtype=np.float64)
     f, grad, state = evaluate(theta)
     psi, spectrum = state.psi, state.spectrum
     trace: list[float] = []
@@ -292,8 +285,9 @@ class _Region(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MarginalStart:
-    """A marginal solve's start, read from the region marginals rho_R
-    of `problem.kikuchi_regions` with counting numbers c_R.
+    """A marginal solve's start, read from the region marginals
+    rho_R = (I + sum_{P in R} t_P P) / 2^k at the targets, with the
+    counting numbers c_R of `problem.kikuchi_regions`.
 
     `theta0` holds the Pauli coefficients of sum_R c_R log rho_R, the
     Bethe/Kikuchi approximation of the fitted Hamiltonian; it is exact
@@ -322,24 +316,25 @@ class MarginalStart:
         return out
 
 
-def marginal_start(mp: MarginalProblem, ep: ReducedProblem) -> MarginalStart | None:
-    """One 2^k x 2^k eigh per region of `problem.kikuchi_regions`; None
-    when a region marginal is singular (log undefined) or theta0 is
-    non-finite or beyond THETA_CAP, so that the solve starts at 0 with
-    H_0 = gamma I as an expectation problem does.  `ep` is the problem's
-    reduction, whose `string_index` places each region's strings."""
+def marginal_start(ep: ReducedProblem) -> MarginalStart | None:
+    """One 2^k x 2^k eigh per region of the reduction's block subsets (one
+    per constraint); None when a region marginal is singular (log
+    undefined) or theta0 is non-finite or beyond THETA_CAP, so that the
+    solve starts at 0 with H_0 = gamma I as an expectation problem does.
+    Region strings are found among the reduction's distinct strings by key."""
+    keys = pauli.string_keys(ep.observable_set.codes)
+    order = np.argsort(keys)
     theta0 = np.zeros(ep.size)
     regions = []
-    for qubits, count in problem_mod.kikuchi_regions(mp.subsets):
-        ci = next(i for i, s in enumerate(mp.subsets) if set(qubits) <= set(s))
-        keep, rho = problem_mod.restrict_constraint(mp.constraints[ci], qubits)
-        # a region string's row among the host's strings is its key less 1
-        host_codes = pauli.subset_codes(keep, len(mp.subsets[ci]))
-        index = ep.string_index[ci][pauli.string_keys(host_codes) - 1]
+    for qubits, count in problem_mod.kikuchi_regions(ep.observable_set.subsets):
+        region_keys = pauli.string_keys(pauli.subset_codes(qubits, ep.n))
+        index = order[np.searchsorted(keys, region_keys, sorter=order)]
+        d = 1 << len(qubits)
+        _, _, phases, gather = pauli.region_tables(len(qubits))
+        rho = (pauli.pauli_sum(ep.targets[index], phases, gather) + np.eye(d)) / d
         w, v = np.linalg.eigh(rho)
         if not w[0] > 0:
             return None
-        d = 1 << len(qubits)
         log_rho = (v * np.log(w)) @ v.conj().T
         theta0[index] += count * pauli.region_traces(log_rho).real / d
         regions.append(_Region(index, count / d**2, v, linalg.log_divided_difference(w)))
@@ -353,22 +348,17 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     per-subset Hamiltonian decomposition and achieved marginal distances
     on success.
 
-    The fit starts from `marginal_start` (theta0 unless options.theta0
-    is given, and H_0) when the region marginals allow it.
+    The fit starts from `marginal_start` (theta0 and H_0) when the region
+    marginals allow it.
     """
     report = check_local_compatibility(mp)
     if report.verdict != problem_mod.COMPATIBLE:
         raise IncompatibleMarginalsError(report)
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
-    options = options or SolveOptions()
-    start = marginal_start(mp, ep)
-    h0 = None
-    if start is not None:
-        h0 = start.apply
-        if options.theta0 is None:
-            options = dataclasses.replace(options, theta0=start.theta0)
-    result = _minimize(ep, options, h0)
+    start = marginal_start(ep)
+    theta0, h0 = (None, None) if start is None else (start.theta0, start.apply)
+    result = _minimize(ep, options, theta0, h0)
     if result.status != CONVERGED:
         return result
     local = decompose_local_terms(result.theta, ep)
@@ -411,7 +401,8 @@ def verify(
     tol: float = 1e-8,
 ) -> VerificationReport:
     """Recompute everything from theta alone and compare against the
-    problem's targets; trusts nothing else in the result."""
+    problem's targets; trusts nothing else in the result.  A theta whose
+    H(theta) overflows is a ValueError."""
     theta = (
         result_or_theta.theta if isinstance(result_or_theta, SolveResult) else result_or_theta
     )
@@ -419,6 +410,8 @@ def verify(
     marginal = isinstance(prob, MarginalProblem)
     ep = reduce_to_expectations(prob) if marginal else prob
     state = ep.observable_set.gibbs(theta)
+    if not np.isfinite(state.psi):
+        raise ValueError("theta: H(theta) overflows double precision, so it has no Gibbs state")
     residuals = state.expectations - ep.targets
     min_eig = float(state.spectrum[0])
     dists = _marginal_distances(state.rho, prob, ep) if marginal else None

@@ -3,8 +3,9 @@
 Each is a dense or per-string form of something the package computes in
 bulk, kept here as the oracle the tests hold the package to: matrix
 functions through one eigendecomposition, per-string Pauli traces and
-relabelling, the Pauli expansion's inverse, and the Hessian of the
-log-partition function.  None of them runs in a command.
+relabelling, the Pauli expansion's inverse, the Hessian of the
+log-partition function and a marginal solve's warm start read from the
+raw marginals.  None of them runs in a command.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from gibbsfit import linalg, pauli
+from gibbsfit import linalg, pauli, problem
 from gibbsfit.pauli import PauliExpansion, PauliString
 
 # exp() of an eigenvalue above this overflows double precision; callers
@@ -205,3 +206,39 @@ def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> 
         rho[perm, cols] += (float(t) / d) * phase
     wmin = float(np.linalg.eigvalsh(rho)[0])
     return rho, bool(wmin >= -linalg.PSD_FLOOR)
+
+
+def marginal_start(mp, ep):
+    """A marginal solve's warm start (`solver.MarginalStart`) read from
+    the raw marginals, not from the reduced targets: each region of
+    `problem.kikuchi_regions` takes its marginal from the first
+    constraint holding it, by partial trace, finds its strings in `ep`
+    (mp's reduction) by their letters, and takes traces string by string.
+    -> (theta0, apply), or None when a region marginal is singular."""
+    position = {p: i for i, p in enumerate(ep.observables)}
+    theta0 = np.zeros(ep.size)
+    regions = []
+    for qubits, count in problem.kikuchi_regions(mp.subsets):
+        host, rho = next(c for c in mp.constraints if set(qubits) <= set(c[0]))
+        keep = [i for i, q in enumerate(host) if q in qubits]
+        rho = linalg.partial_trace(rho, len(host), keep)
+        k, d = len(qubits), 1 << len(qubits)
+        local = list(strings_on(range(k), k))
+        index = np.array([position[relabel(p, qubits, mp.n)] for p in local])
+        w, v = np.linalg.eigh(rho)
+        if not w[0] > 0:
+            return None
+        log_rho = (v * np.log(w)) @ v.conj().T
+        theta0[index] += count * np.array([pauli_trace(p, log_rho).real for p in local]) / d
+        regions.append((index, count / d**2, local, v, linalg.log_divided_difference(w)))
+
+    def apply(g):
+        # sum_R c_R Tr(P D log_{rho_R}[sum_{P in R} g_P P]) / 4^k, densely
+        out = np.zeros_like(g)
+        for index, weight, local, v, kernel in regions:
+            x = sum(gp * pauli.materialize(p) for gp, p in zip(g[index], local))
+            y = v @ (kernel * (v.conj().T @ x @ v)) @ v.conj().T
+            out[index] += weight * np.array([pauli_trace(p, y).real for p in local])
+        return out
+
+    return theta0, apply

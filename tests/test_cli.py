@@ -224,6 +224,16 @@ def test_non_finite_inputs_name_the_path(tmp_path, capsys, z_problem):
         assert main(["verify", z_problem, tampered]) == 65
         assert "theta[0]" in capsys.readouterr().err
 
+    # finite entries whose H(theta) overflows: no NaN report, no warning
+    pair = write(tmp_path / "pair.json", {"n": 2, "expectations": [
+        {"pauli": "Z0", "target": 0.1}, {"pauli": "Z0 Z1", "target": 0.2}]})
+    assert main(["solve", pair, "--out", str(res)]) == 0
+    tampered = write(tmp_path / "bad.json", dict(read(res), theta=[1e308, 1e308]))
+    report = tmp_path / "v.json"
+    assert main(["verify", pair, tampered, "--out", str(report)]) == 65
+    assert capsys.readouterr().err.startswith("error: theta: ")
+    assert not report.exists()
+
 
 def test_bad_entries_deep_in_arrays_name_the_path(tmp_path, capsys, z_problem):
     # a fault away from index 0 exits 65 naming the first bad entry in
@@ -433,7 +443,7 @@ def test_warm_started_solve_is_deterministic(tmp_path):
     prob = tmp_path / "gen.json"
     assert main(["gen", "--n", "6", "--beta", "2", "--seed", "12", "--out", str(prob)]) == 0
     mp, _ = fileio.load_problem(str(prob))
-    assert solver.marginal_start(mp, reduce_to_expectations(mp)) is not None
+    assert solver.marginal_start(reduce_to_expectations(mp)) is not None
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert main(["solve", str(prob), "--out", str(out)]) == 0
@@ -507,7 +517,7 @@ def test_surface_one_observable(tmp_path, z_problem):
     assert np.all(np.diff(rows[:, 1], 2) > -1e-12)
 
 
-def test_surface_rejections(tmp_path, chain_problem):
+def test_surface_rejections(tmp_path, capsys, chain_problem):
     assert main(["surface", chain_problem]) == 64  # 27 observables after reduction
     dup = write(
         tmp_path / "dup.json",
@@ -523,6 +533,14 @@ def test_surface_rejections(tmp_path, chain_problem):
     # an infinite bound, or a span that overflows to inf
     assert main(["surface", single, "--range", "0:inf:3"]) == 64
     assert main(["surface", single, "--range", "-1e308:1e308:3"]) == 64
+    # a finite grid point whose H(theta) overflows
+    pair = write(tmp_path / "pair.json", {"n": 2, "expectations": [
+        {"pauli": "Z0", "target": 0.1}, {"pauli": "Z0 Z1", "target": 0.2}]})
+    out = tmp_path / "grid.csv"
+    capsys.readouterr()
+    assert main(["surface", pair, "--range=0:1.7e308:2", "--out", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("usage error: --range ")
+    assert not out.exists()
 
 
 def test_non_array_entry_lists_are_schema_errors(tmp_path, capsys):

@@ -1,12 +1,19 @@
 """The package's exported names."""
 
+import dataclasses
+
+import numpy as np
+
 import gibbsfit
 from gibbsfit import fileio, linalg, pauli
 from gibbsfit.partition import ObservableSet
+from gibbsfit.problem import MarginalProblem, reduce_to_expectations
+from gibbsfit.solver import SolveOptions
 
 # test-only helpers that left the package: the reference forms now live in
 # tests/reference.py, the rest were deleted; pauli.subset_positions moved
-# to linalg
+# to linalg.  A reduction's string_index was an instance attribute, so a
+# reduction is the owner that shows it gone.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
@@ -15,6 +22,8 @@ GONE = {
             "marginal_from_expectations", "identity", "subset_positions"),
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian",),
+    SolveOptions: ("theta0",),
+    reduce_to_expectations(MarginalProblem(1, (((0,), np.eye(2) / 2),))): ("string_index",),
 }
 
 
@@ -27,5 +36,9 @@ def test_every_exported_name_resolves():
 def test_test_only_helpers_are_gone_from_the_package():
     for owner, names in GONE.items():
         for name in names:
-            assert not hasattr(owner, name), (owner.__name__, name)
+            assert not hasattr(owner, name), (owner, name)
             assert name not in gibbsfit.__all__ and not hasattr(gibbsfit, name), name
+
+
+def test_solve_options_hold_only_the_stopping_rule():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["grad_tol", "max_iter"]

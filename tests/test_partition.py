@@ -314,7 +314,8 @@ def test_expectations_flat_gather_matches_2d_gather_bitwise():
         for a in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rand_hermitian(rng, d)):
             want = np.empty(oset.size)
             gathered = a[np.arange(d)[None, :], perms]
-            want[oset.pauli_index] = np.einsum("kd,kd->k", phases, gathered).real
+            traces = np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
+            want[oset.pauli_index] = traces.real
             for j, i in enumerate(oset.matrix_index):
                 want[i] = np.vdot(oset.matrices[j], a).real
             assert oset.expectations(a).tobytes() == want.tobytes()

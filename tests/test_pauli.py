@@ -136,7 +136,7 @@ def test_subset_codes_and_keys_own_the_string_layout():
         assert np.array_equal(pauli.subset_codes(range(k), k), local)
         # the key of row j of region_tables(k) is j + 1 (the identity is 0)
         assert np.array_equal(pauli.string_keys(local), np.arange(1, 4**k))
-    # a region's strings inside a host constraint's strings: key - 1 is
+    # a subset's strings inside a larger subset's strings: key - 1 is
     # the row, as the base-4 arithmetic it replaced and a lookup both say
     for h in (2, 3, 4, 5):
         pos = {p.letters: j for j, p in enumerate(reference_strings_on(range(h), h))}
@@ -213,6 +213,17 @@ def test_region_tables_and_traces_match_per_string_kernels_bitwise():
         assert pauli.region_traces(a).tobytes() == want.tobytes()
         for j, p in enumerate(strings):
             assert tuple((q, "IXYZ"[c]) for q, c in enumerate(codes[j]) if c) == p.letters
+
+
+def test_one_trace_kernel_serves_regions_and_blocks():
+    # a block of an ObservableSet and region_traces read the same strings
+    # through pauli.traces, so their traces agree bitwise
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 5):
+        codes = pauli.region_tables(k)[0]
+        oset = ObservableSet(codes, dim=1 << k, n=k)
+        a = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+        assert oset.pauli_expectations(a).tobytes() == pauli.region_traces(a).real.tobytes()
 
 
 def test_expand_known_states():

@@ -113,13 +113,12 @@ def test_reduce_matches_string_by_string_reference():
     mp = MarginalProblem(n, tuple((s, linalg.partial_trace(full, n, s)) for s in subsets))
     ep = reduce_to_expectations(mp)
     seen = {}
-    for ci, (qubits, rho) in enumerate(mp.constraints):
+    for qubits, rho in mp.constraints:
         k = len(qubits)
-        for j, local in enumerate(reference.strings_on(tuple(range(k)), k)):
+        for local in reference.strings_on(tuple(range(k)), k):
             glob = reference.relabel(local, qubits, n)
             t = float(reference.pauli_trace(local, rho).real)
             seen.setdefault(glob, t)
-            assert ep.observables[ep.string_index[ci][j]] == glob
     assert ep.observables == tuple(seen)
     want = np.clip(np.array(list(seen.values())), -1.0, 1.0)
     assert want.tobytes() == ep.targets.tobytes()
@@ -313,19 +312,22 @@ def per_pair_entropy_diagnostic(mp):
 
 def test_entropy_diagnostic_takes_each_constraint_entropy_once(monkeypatch):
     # a star of Bell pairs (0, i): all six pairs overlap on qubit 0 and
-    # all six are flagged; the pair loop took 3 entropies per pair (18)
+    # all six are flagged; the pair loop took 3 entropies per pair (18).
+    # The marginals passed the constructor's gate, so no entropy gates
+    # them again.
     star = MarginalProblem(5, tuple(((0, i), BELL) for i in range(1, 5)))
     want = per_pair_entropy_diagnostic(star)
-    calls = []
-    entropy = linalg.von_neumann_entropy
+    calls, gates = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(rho):
         calls.append(np.shape(rho))
-        return entropy(rho)
+        return eigvalsh(rho)
 
-    monkeypatch.setattr(linalg, "von_neumann_entropy", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(linalg, "as_hermitian", lambda a: gates.append(a))
     got = entropy_diagnostic(star)
-    assert len(calls) == 10  # 4 constraints, 6 overlaps
+    assert len(calls) == 10 and gates == []  # 4 constraints, 6 overlaps
     assert len(got) == 6
     assert got == want  # field by field, floats compared exactly
 
@@ -378,10 +380,9 @@ def test_target_bound_does_not_depend_on_observable_scale():
 def reference_reduce(mp):
     """The per-string loop the code-based reduction replaced: one letters
     tuple and one dict lookup per emitted string, first offender raises."""
-    table, observables, targets, owner, string_index = {}, [], [], [], []
+    table, observables, targets, owner = {}, [], [], []
     for ci, (qubits, rho) in enumerate(mp.constraints):
         codes = pauli.region_tables(len(qubits))[0]
-        index = []
         for row, val in zip(codes.tolist(), pauli.region_traces(rho).tolist()):
             if abs(val.imag) > 1e-10:
                 raise ValueError(f"non-real expectation {val!r} for constraint {ci}")
@@ -397,9 +398,7 @@ def reference_reduce(mp):
                 raise TargetConflictError(
                     str(observables[pos]), mp.constraints[owner[pos]][0], qubits, targets[pos], t
                 )
-            index.append(pos)
-        string_index.append(index)
-    return tuple(observables), np.clip(np.array(targets), -1.0, 1.0), string_index
+    return tuple(observables), np.clip(np.array(targets), -1.0, 1.0)
 
 
 def outcome(reduce, mp):
@@ -410,11 +409,8 @@ def outcome(reduce, mp):
         return ("conflict", str(exc), exc.label, exc.subsets, exc.values)
     except ValueError as exc:
         return ("value", str(exc))
-    if isinstance(ep, tuple):
-        observables, targets, index = ep
-    else:
-        observables, targets, index = ep.observables, ep.targets, ep.string_index
-    return ("ok", observables, targets.tobytes(), [list(map(int, i)) for i in index])
+    observables, targets = ep if isinstance(ep, tuple) else (ep.observables, ep.targets)
+    return ("ok", observables, targets.tobytes())
 
 
 def bloch_state(v):
@@ -544,8 +540,11 @@ def test_reduction_blocks_equal_string_tables_bitwise():
         ep = reduce_to_expectations(mp)
         obset = ep.observable_set
         assert obset.subsets == tuple(subsets)
+        position = {key: i for i, key in enumerate(pauli.string_keys(obset.codes).tolist())}
         emitted = 0
-        for block, qubits, index in zip(obset._blocks, subsets, ep.string_index):
+        for block, qubits in zip(obset._blocks, subsets):
+            keys = pauli.string_keys(pauli.subset_codes(qubits, n)).tolist()
+            index = np.array([position[key] for key in keys])
             first = index >= emitted
             emitted += int(np.count_nonzero(first))
             assert np.array_equal(obset.pauli_index[block.rows], index[first]), subsets

@@ -219,8 +219,9 @@ def test_objective_descends_monotonically():
     rng = np.random.default_rng(42)
     mp, _ = random_marginal_instance(rng, 3, ((0, 1, 2),))
     # one marginal on the whole register: its warm start log(rho) is the
-    # optimum, so start at 0 to have a trajectory
-    ep_res = solve_marginals(mp, SolveOptions(theta0=np.zeros(63)))
+    # optimum, so start at 0 (keeping its H_0) to have a trajectory
+    ep = reduce_to_expectations(mp)
+    ep_res = solver._minimize(ep, None, np.zeros(63), marginal_start(ep).apply)
     assert ep_res.status == CONVERGED
     # residual trace is not strictly monotone for quasi-Newton, but the
     # objective is; re-play the trajectory cheaply via gradient norms
@@ -247,7 +248,7 @@ def test_unique_optimum_from_scattered_starts():
     assert base.status == CONVERGED
     for _ in range(10):
         theta0 = rng.uniform(-5, 5, size=4)
-        res = solve_expectations(ep, SolveOptions(theta0=theta0))
+        res = solver._minimize(ep, None, theta0)
         assert res.status == CONVERGED
         assert np.abs(res.theta - base.theta).max() < 1e-5
 
@@ -267,9 +268,21 @@ def test_solve_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    for bad in ([np.nan], [0.0, np.inf], [-np.inf]):
-        with pytest.raises(ValueError, match="theta0"):
-            SolveOptions(theta0=np.array(bad))
+
+
+def test_line_search_backtracks_from_overflowing_trial_points():
+    # H(theta) overflows at the first trial points: psi is NaN there, with
+    # no eigh and no warning, and the search halves the step to its floor
+    ep = pauli_problem(2, [("Z0", 0.1), ("Z0 Z1", 0.2)])
+    obset = ep.observable_set
+    assert np.isnan(obset.log_partition(np.array([1e308, 1e308])))
+
+    def evaluate(theta):
+        state = obset.gibbs(theta)
+        return state.psi - float(theta @ ep.targets), state.expectations - ep.targets, state
+
+    f, grad, _ = evaluate(np.zeros(2))
+    assert solver._armijo(np.zeros(2), f, grad, -1e308 * np.sign(grad), evaluate) is None
 
 
 def test_theta_cap_is_scale_free():
@@ -571,10 +584,28 @@ def test_preconditioner_is_exact_inverse_hessian(build):
     # diagonal by region, and each block's inverse is D log at rho_R
     mp = build(np.random.default_rng(51))
     ep = reduce_to_expectations(mp)
-    start = marginal_start(mp, ep)
+    start = marginal_start(ep)
     hess = reference.hessian(ep.observable_set, start.theta0)
     product = np.column_stack([start.apply(col) for col in hess.T])
     assert np.abs(product - np.eye(ep.size)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,subsets", [
+    (4, ((0, 1, 2), (1, 2), (1, 2), (0, 1, 2), (3,))),  # nested and repeated
+    (6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))),  # the ring below
+    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))),  # 5-qubit windows sharing 3
+])
+def test_marginal_start_matches_host_partial_trace_reference(n, subsets):
+    # the start reads rho_R from the reduced targets; the reference reads
+    # it from the first constraint holding R, by partial trace
+    mp, _ = random_marginal_instance(np.random.default_rng(61), n, subsets, beta=2.0)
+    ep = reduce_to_expectations(mp)
+    start = marginal_start(ep)
+    theta0, apply = reference.marginal_start(mp, ep)
+    assert np.abs(start.theta0 - theta0).max() <= 1e-12
+    for g in np.random.default_rng(62).normal(size=(2, ep.size)):
+        want = apply(g)
+        assert np.abs(start.apply(g) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_singular_marginals_keep_the_cold_start():
@@ -582,7 +613,7 @@ def test_singular_marginals_keep_the_cold_start():
     # undefined: the solve starts at 0 with gamma I, as it always did
     mp = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
     ep = reduce_to_expectations(mp)
-    assert marginal_start(mp, ep) is None
+    assert marginal_start(ep) is None
     res = solve_marginals(mp)
     cold = solver._minimize(ep, None)
     assert res.status == cold.status == BOUNDARY
@@ -609,7 +640,7 @@ def test_marginal_start_reads_the_cached_region_index(monkeypatch):
     # nor region_traces rebuilds it
     mp = disjoint_pairs(np.random.default_rng(51))
     ep = reduce_to_expectations(mp)
-    start = marginal_start(mp, ep)
+    start = marginal_start(ep)
     calls = []
     monkeypatch.setattr(pauli, "gather_index", lambda perms: calls.append(perms))
     start.apply(np.ones(ep.size))
