@@ -1,6 +1,8 @@
 """Fit Gibbs states exp(sum_i theta_i T_i)/Z to expectation targets and
 qubit marginals by convex minimization of the log-partition function."""
 
+__version__ = "0.1.0"  # result files' tool_version; pyproject.toml reads it here
+
 from .linalg import (
     as_density,
     as_hermitian,
@@ -43,8 +45,6 @@ from .solver import (
     solve_marginals,
     verify,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY",

@@ -22,10 +22,8 @@ import math
 
 import numpy as np
 
-from . import linalg, pauli
+from . import __version__ as TOOL_VERSION, linalg, pauli
 from .problem import ExpectationProblem, InvalidEntryError, MarginalProblem
-
-TOOL_VERSION = "0.1.0"
 
 
 class SchemaError(ValueError):
@@ -178,14 +176,19 @@ def _parse_expectations(doc, n: int) -> ExpectationProblem:
         raise SchemaError(f"{base}.{exc.field}", exc.detail) from exc
 
 
-def load_problem(path: str, max_qubits: int = linalg.MAX_QUBITS):
-    """-> (problem, raw bytes).  Raw bytes feed the digest."""
+def _read_json(path: str) -> tuple:
+    """-> (document, raw bytes) of a UTF-8 JSON file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8")), raw
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError("$", f"not valid UTF-8 JSON: {exc}") from exc
+
+
+def load_problem(path: str, max_qubits: int = linalg.MAX_QUBITS):
+    """-> (problem, raw bytes).  Raw bytes feed the digest."""
+    doc, raw = _read_json(path)
     return parse_problem(doc, max_qubits), raw
 
 
@@ -221,12 +224,7 @@ def result_to_doc(result, tol: float, input_digest: str, include_trace: bool = F
 
 
 def load_result(path: str) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError("$", f"not valid UTF-8 JSON: {exc}") from exc
+    doc, _ = _read_json(path)
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     for key in ("status", "theta", "input_digest"):
         _require(key in doc, key, "missing")

@@ -181,18 +181,16 @@ class ObservableSet:
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """H(theta) = sum_i theta_i T_i: the blocks' local sums, each
-        widened by the identity on the other qubits, added in block order,
-        then the dense observables.  One block on the whole register is
-        its own sum."""
+        widened by the identity on the other qubits, added into zeros in
+        block order, then the dense observables.  It is assembled as H^T,
+        the layout `pauli_sum` leaves a local sum M in, and returned as its
+        transpose (a view): the positions of M (x) I are symmetric under
+        transposition, so M^T added there makes (M (x) I)^T."""
         theta = np.asarray(theta, dtype=np.float64)
-        local = self.local_sums(theta)
-        if len(self._blocks) == 1 and self._blocks[0].positions is None:
-            h = local[0]
-        else:
-            flat = np.zeros(self.dim * self.dim, dtype=np.complex128)
-            for b, m in zip(self._blocks, local):
-                flat[slice(None) if b.positions is None else b.positions] += m.ravel()
-            h = flat.reshape(self.dim, self.dim)
+        flat = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        for b, m in zip(self._blocks, self.local_sums(theta)):
+            flat[slice(None) if b.positions is None else b.positions] += m.T.ravel()
+        h = flat.reshape(self.dim, self.dim).T
         for j, i in enumerate(self.matrix_index):
             h += theta[i] * self.matrices[j]
         return h
@@ -226,14 +224,16 @@ class ObservableSet:
         """The one eigh of H(theta) that psi, rho and <T> read: (V, the
         Gibbs weights exp(w - w_max)/z, psi = w_max + log z) for H's
         spectrum w.  H is Hermitian by construction, so it goes to
-        numpy's eigh with no gate.  Where H overflows all is NaN, quietly:
-        a line search backtracks from there and `solver.verify` rejects it."""
-        try:  # eigh keeps its own floating-point error handling
-            with np.errstate(over="raise", invalid="raise"):
-                w, v = np.linalg.eigh(self.hamiltonian(theta))
-        except FloatingPointError:
-            w, v = np.full(self.dim, np.nan), np.eye(self.dim, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
+        numpy's eigh with no gate.  Where H is not finite (theta holds a
+        NaN or an infinity, or H overflows) all is NaN, quietly, with no
+        eigh: a line search backtracks from there and `solver.verify`
+        rejects it."""
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's eigh sets its own
+            h = self.hamiltonian(theta)
+            if np.isfinite(h).all():
+                w, v = np.linalg.eigh(h)
+            else:
+                w, v = np.full(self.dim, np.nan), np.eye(self.dim, dtype=np.complex128)
             weights = np.exp(w - w[-1])
         z = weights.sum()
         return v, weights / z, float(w[-1] + np.log(z))

@@ -127,12 +127,6 @@ def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:
     return perms, phases
 
 
-def perm_phase(p: PauliString):
-    """(perm, phase) of one string: its row of `string_tables`."""
-    perms, phases = string_tables(letter_codes([p], p.n))
-    return perms[0], phases[0]
-
-
 @lru_cache(maxsize=None)
 def region_tables(k: int):
     """The 4^k - 1 non-identity strings on k qubits, last qubit varying
@@ -200,12 +194,10 @@ def region_traces(a: np.ndarray) -> np.ndarray:
 
 
 def materialize(p: PauliString) -> np.ndarray:
-    """Dense 2^n matrix of the string (Hermitian, unitary, involutory)."""
-    perm, phase = perm_phase(p)
-    d = perm.shape[0]
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[perm, np.arange(d)] = phase
-    return m
+    """Dense 2^n matrix of the string (Hermitian, unitary, involutory):
+    the `pauli_sum` of the string alone."""
+    perms, phases = string_tables(letter_codes([p], p.n))
+    return pauli_sum(np.ones(1), phases, gather_index(perms))
 
 
 @dataclass(frozen=True, eq=False)

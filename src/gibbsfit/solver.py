@@ -402,7 +402,7 @@ def verify(
 ) -> VerificationReport:
     """Recompute everything from theta alone and compare against the
     problem's targets; trusts nothing else in the result.  A theta whose
-    H(theta) overflows is a ValueError."""
+    H(theta) is not finite is a ValueError."""
     theta = (
         result_or_theta.theta if isinstance(result_or_theta, SolveResult) else result_or_theta
     )
@@ -411,7 +411,7 @@ def verify(
     ep = reduce_to_expectations(prob) if marginal else prob
     state = ep.observable_set.gibbs(theta)
     if not np.isfinite(state.psi):
-        raise ValueError("theta: H(theta) overflows double precision, so it has no Gibbs state")
+        raise ValueError("theta: H(theta) is not finite, so it has no Gibbs state")
     residuals = state.expectations - ep.targets
     min_eig = float(state.spectrum[0])
     dists = _marginal_distances(state.rho, prob, ep) if marginal else None

@@ -134,9 +134,15 @@ def hessian(obset, theta: np.ndarray) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def perm_phase(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of one string: its row of `pauli.string_tables`."""
+    perms, phases = pauli.string_tables(pauli.letter_codes([p], p.n))
+    return perms[0], phases[0]
+
+
 def pauli_trace(p: PauliString, a: np.ndarray) -> complex:
     """Tr(P A) without materializing P."""
-    perm, phase = pauli.perm_phase(p)
+    perm, phase = perm_phase(p)
     d = perm.shape[0]
     a = np.asarray(a)
     if a.shape != (d, d):
@@ -202,7 +208,7 @@ def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> 
                 raise ValueError(f"identity target must be 1, got {t!r}")
             continue
         loc = restrict(p, qubits)
-        perm, phase = pauli.perm_phase(loc)
+        perm, phase = perm_phase(loc)
         rho[perm, cols] += (float(t) / d) * phase
     wmin = float(np.linalg.eigvalsh(rho)[0])
     return rho, bool(wmin >= -linalg.PSD_FLOOR)

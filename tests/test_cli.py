@@ -543,6 +543,53 @@ def test_surface_rejections(tmp_path, capsys, chain_problem):
     assert not out.exists()
 
 
+def test_incompatible_marginals_exit_2_from_solve_and_verify(tmp_path, capsys):
+    # qubit 1 is diag(0.75, 0.25) in the first marginal and I/2 in the
+    # second: solve stops at the compatibility check, and verify's
+    # reduction finds two targets for Z1
+    rho01 = np.kron(np.eye(2) / 2, np.diag([0.75, 0.25]))
+    prob = write(tmp_path / "bad.json", {"n": 3, "marginals": [
+        {"qubits": [0, 1], "rho": matrix_json(rho01)},
+        {"qubits": [1, 2], "rho": matrix_json(np.eye(4) / 4)}]})
+    out = tmp_path / "res.json"
+    assert main(["solve", prob, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: marginals are locally incompatible")
+    assert not out.exists()
+    digest = fileio.digest(Path(prob).read_bytes())
+    res = write(out, {"status": "Converged", "theta": [0.0], "input_digest": digest})
+    assert main(["verify", prob, res]) == 2
+    assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
+
+
+def test_check_rejects_dependent_expectation_observables(tmp_path, capsys):
+    # diag(2, -2) is 2 Z0: the report is written, then the exit is 65
+    prob = write(tmp_path / "dep.json", {"n": 1,
+        "expectations": [{"pauli": "Z0", "target": 0.1}],
+        "observables": [{"matrix": matrix_json(np.diag([2.0, -2.0])), "target": 0.2}]})
+    out = tmp_path / "c.json"
+    assert main(["check", prob, "--out", str(out)]) == 65
+    assert "linearly dependent" in capsys.readouterr().err
+    assert read(out)["observables_independent"] is False
+
+
+def test_surface_without_a_minimizer_says_so(tmp_path):
+    # <Z0> = -1 is an endpoint target: the grid is written and theta*
+    # is reported unavailable, with the solver's status
+    prob = write(tmp_path / "edge.json", {"n": 1, "expectations": [{"pauli": "Z0", "target": -1.0}]})
+    out = tmp_path / "grid.csv"
+    assert main(["surface", prob, "--range", "-1:1:3", "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert len(lines) == 1 + 3 + 1 + 1
+    assert lines[-2] == "# theta_star = unavailable (BoundaryOrInfeasible)"
+
+
+def test_verify_rejects_a_result_that_is_not_json(tmp_path, capsys, z_problem):
+    res = tmp_path / "res.json"
+    res.write_text("{not json")
+    assert main(["verify", z_problem, str(res)]) == 65
+    assert capsys.readouterr().err.startswith("error: $: not valid UTF-8 JSON")
+
+
 def test_non_array_entry_lists_are_schema_errors(tmp_path, capsys):
     z0 = [{"pauli": "Z0", "target": 0.1}]
     for key in ("expectations", "observables"):

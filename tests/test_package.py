@@ -1,6 +1,7 @@
 """The package's exported names."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +20,7 @@ GONE = {
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
              "frobenius_norm", "hilbert_schmidt_inner"),
     pauli: ("pauli_trace", "relabel", "restrict", "strings_on", "reconstruct",
-            "marginal_from_expectations", "identity", "subset_positions"),
+            "marginal_from_expectations", "identity", "subset_positions", "perm_phase"),
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian",),
     SolveOptions: ("theta0",),
@@ -42,3 +43,11 @@ def test_test_only_helpers_are_gone_from_the_package():
 
 def test_solve_options_hold_only_the_stopping_rule():
     assert [f.name for f in dataclasses.fields(SolveOptions)] == ["grad_tol", "max_iter"]
+
+
+def test_one_version_string():
+    # result files write the package's version; pyproject.toml reads it there
+    assert fileio.TOOL_VERSION is gibbsfit.__version__ == "0.1.0"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "gibbsfit.__version__"}' in pyproject

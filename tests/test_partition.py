@@ -3,14 +3,15 @@
 import gc
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli
 from gibbsfit.partition import ObservableSet
-from gibbsfit.problem import MarginalProblem, reduce_to_expectations
-from gibbsfit.solver import decompose_local_terms
+from gibbsfit.problem import ExpectationProblem, MarginalProblem, reduce_to_expectations
+from gibbsfit.solver import decompose_local_terms, verify
 
 import reference
 
@@ -455,3 +456,25 @@ def test_log_partition_shifts_and_sums_exactly():
     every = ObservableSet(list(reference.strings_on((0, 1, 2), 3)), dim=8, n=3)
     assert every.size == 63
     assert every.log_partition(np.zeros(63)) == pytest.approx(3 * np.log(2), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_non_finite_theta_gives_a_quiet_nan_state(n, monkeypatch):
+    # a NaN or infinite theta makes H(theta) non-finite: psi is NaN with no
+    # eigh (numpy's eigh fails to converge on a NaN matrix at some sizes),
+    # no exception and no warning, and verify rejects theta by name
+    labels = [f"X{q}" for q in range(n)] + [f"Z{q} Z{q + 1}" for q in range(n - 1)]
+    labels += [f"Y{q}" for q in range(n)]
+    ep = ExpectationProblem.from_paulis(n, [(pauli.parse_label(s, n), 0.0) for s in labels])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(1) or eigh(a, *args))
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = np.full(ep.size, 0.3)
+        theta[ep.size // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(ep.observable_set.gibbs(theta).psi), bad
+            with pytest.raises(ValueError, match="^theta: "):
+                verify(theta, ep)
+    assert calls == []

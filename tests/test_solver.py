@@ -160,7 +160,7 @@ def per_string_decompose(theta, strings, subsets):
     locals_ = {s: np.zeros((1 << len(s), 1 << len(s)), dtype=np.complex128) for s in subsets}
     for coeff, p in zip(theta, strings):
         home = next(s for s in subsets if set(p.support) <= set(s))
-        perm, phase = pauli.perm_phase(reference.restrict(p, home))
+        perm, phase = reference.perm_phase(reference.restrict(p, home))
         locals_[home][perm, np.arange(len(perm))] += coeff * phase
     return locals_
 
@@ -283,6 +283,29 @@ def test_line_search_backtracks_from_overflowing_trial_points():
 
     f, grad, _ = evaluate(np.zeros(2))
     assert solver._armijo(np.zeros(2), f, grad, -1e308 * np.sign(grad), evaluate) is None
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (1, [("Z0", -0.6)]),
+    (2, [("Z0", 0.3), ("X1", -0.2), ("Z0 Z1", 0.1)]),
+])
+def test_ascent_direction_falls_back_to_steepest_descent(n, pairs, monkeypatch):
+    # H_0 = -I turns the L-BFGS direction uphill: the solver steps along
+    # -grad instead and still reaches the default run's optimum
+    ep = pauli_problem(n, pairs)
+    want = solver._minimize(ep, None)
+    fallbacks = []
+    armijo = solver._armijo
+
+    def recorded(theta, f, grad, direction, evaluate):
+        fallbacks.append(np.array_equal(direction, -grad))
+        return armijo(theta, f, grad, direction, evaluate)
+
+    monkeypatch.setattr(solver, "_armijo", recorded)
+    got = solver._minimize(ep, None, h0=lambda q: -q)
+    assert want.status == got.status == CONVERGED
+    assert fallbacks[0]
+    assert np.abs(got.theta - want.theta).max() <= 1e-8
 
 
 def test_theta_cap_is_scale_free():
