@@ -6,14 +6,15 @@ spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
 further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
 dense observable once and keeps its Pauli strings in blocks, one per
-qubit subset S (a `linalg.check_subset`) that holds their support.  A
-block keeps its strings' signed-permutation tables on S's
-2^k-dimensional space (phases and one `pauli.gather_index`) and S's
-`linalg.subset_positions` in the register,
-so that H(theta) adds each block's local sum M_S (x) I and <T> reads
-each block's strings from the marginal on S, the gather that
-`linalg.partial_trace` makes: O(r 2^k + d 2^k) array operations, never
-r dense matmuls nor an r x d table when k < n.
+qubit subset S (a `linalg.check_subset`) that holds their support, and
+S's `linalg.subset_positions` in the register, so that H(theta) adds
+each block's local sum M_S (x) I and <T> reads each block's strings
+from the marginal on S, the gather that `linalg.partial_trace` makes.
+A block given to the constructor (a marginal reduction's, whose strings
+are enumerated from S) keeps only its strings' keys on S and reads M_S
+and the traces through the Pauli transforms, O(k 4^k) a block; the
+default block on the whole register keeps its strings' signed-
+permutation tables, O(r d).  Never r dense matmuls.
 """
 
 from __future__ import annotations
@@ -61,15 +62,32 @@ class GibbsState:
 
 
 class _Block(NamedTuple):
-    """Consecutive Pauli rows supported on one qubit subset."""
+    """Consecutive Pauli rows supported on one qubit subset S."""
 
     qubits: tuple  # the subset S, ascending
     rows: slice  # its rows among the set's Pauli rows
-    # (m, 2^k) `pauli.string_tables` of the rows on S: phases, exact
-    # +-1/+-i, and the perms' `pauli.gather_index` on 2^k
-    phases: np.ndarray
-    gather: np.ndarray
     positions: np.ndarray | None  # `linalg.subset_positions(S, n)`; None when S is the register
+    # a transform block's rows' `pauli.string_keys` on S; None in the
+    # default whole-register block
+    keys: np.ndarray | None
+    # the default block's (r, d) `pauli.string_tables` phases, exact
+    # +-1/+-i, and the perms' `pauli.gather_index`; None in a transform block
+    phases: np.ndarray | None
+    gather: np.ndarray | None
+
+    def local_sum(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_j coeffs[j] P_j over the rows, as a 2^k x 2^k matrix on S."""
+        if self.keys is None:
+            return pauli.pauli_sum(coeffs, self.phases, self.gather)
+        full = np.zeros(4 ** len(self.qubits))
+        full[self.keys] = coeffs
+        return pauli.sum_transform(full)
+
+    def traces(self, marginal: np.ndarray) -> np.ndarray:
+        """Tr(P_j m_S) for the rows, m_S a 2^k x 2^k matrix on S."""
+        if self.keys is None:
+            return pauli.traces(self.phases, self.gather, marginal)
+        return pauli.trace_transform(marginal)[self.keys]
 
 
 class ObservableSet:
@@ -91,8 +109,9 @@ class ObservableSet:
     `blocks` splits the Pauli rows, in order, into runs of (qubits,
     count): `count` consecutive rows whose strings act on `qubits`, a
     `linalg.check_subset`, only (a marginal reduction passes one per
-    constraint).  By default the rows form one block on the whole
-    register.
+    constraint); such a block is read through the Pauli transforms on
+    its qubits.  By default the rows form one block on the whole
+    register, read through their `pauli.string_tables`.
     """
 
     def __init__(self, observables, dim: int, n: int | None = None, blocks=None):
@@ -141,19 +160,29 @@ class ObservableSet:
         self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
         self.matrices = mats
         if blocks is None:
-            blocks = [(range(n), len(codes))] if len(codes) else []
-        self._blocks = self._make_blocks(blocks)
+            self._blocks = (self._whole_register_block(),) if len(codes) else ()
+        else:
+            self._blocks = self._make_blocks(blocks)
+
+    def _whole_register_block(self) -> _Block:
+        """The default block: every Pauli row on the whole register, read
+        through its rows' `pauli.string_tables`, r x d entries."""
+        perms, phases = pauli.string_tables(self.codes)
+        rows = slice(0, len(self.codes))
+        return _Block(tuple(range(self.n)), rows, None, None, phases, pauli.gather_index(perms))
 
     def _make_blocks(self, blocks) -> tuple:
+        """Blocks of (qubits, count) runs, each read through the Pauli
+        transforms on its qubits."""
         out, start = [], 0
         for qubits, count in blocks:
             qubits, rows = linalg.check_subset(qubits, self.n), slice(start, start + int(count))
             local = self.codes[rows]
             if rows.stop > len(self.codes) or np.delete(local, qubits, axis=1).any():
                 raise ValueError(f"Pauli rows {rows.start}..{rows.stop} do not act on {qubits} only")
-            perms, phases = pauli.string_tables(local[:, qubits])
             positions = None if len(qubits) == self.n else linalg.subset_positions(qubits, self.n)
-            out.append(_Block(qubits, rows, phases, pauli.gather_index(perms), positions))
+            keys = pauli.string_keys(local[:, qubits])
+            out.append(_Block(qubits, rows, positions, keys, None, None))
             start = rows.stop
         if start != len(self.codes):
             raise ValueError(f"blocks hold {start} of the {len(self.codes)} Pauli rows")
@@ -173,23 +202,33 @@ class ObservableSet:
     def local_sums(self, theta: np.ndarray) -> list:
         """Each block's sum of theta_j P_j over its rows, as the 2^k x 2^k
         matrix on its qubits."""
+        coeffs = self._pauli_coeffs(theta)
+        return [b.local_sum(coeffs[b.rows]) for b in self._blocks]
+
+    def _pauli_coeffs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.size,):
             raise ValueError(f"theta: expected r = {self.size} entries, got {theta.size}")
-        coeffs = theta[self.pauli_index]
-        return [pauli.pauli_sum(coeffs[b.rows], b.phases, b.gather) for b in self._blocks]
+        return theta[self.pauli_index]
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """H(theta) = sum_i theta_i T_i: the blocks' local sums, each
         widened by the identity on the other qubits, added into zeros in
         block order, then the dense observables.  It is assembled as H^T,
-        the layout `pauli_sum` leaves a local sum M in, and returned as its
-        transpose (a view): the positions of M (x) I are symmetric under
-        transposition, so M^T added there makes (M (x) I)^T."""
+        the layout `pauli.pauli_sum` writes, and returned as its transpose
+        (a view): the default block, always its set's only one, adds its
+        terms straight into the zeros, and a transform block adds M^T at
+        its positions, which are symmetric under transposition, making
+        (M (x) I)^T."""
         theta = np.asarray(theta, dtype=np.float64)
+        coeffs = self._pauli_coeffs(theta)
         flat = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        for b, m in zip(self._blocks, self.local_sums(theta)):
-            flat[slice(None) if b.positions is None else b.positions] += m.T.ravel()
+        for b in self._blocks:
+            if b.keys is None:
+                pauli.pauli_sum(coeffs[b.rows], b.phases, b.gather, out=flat)
+            else:
+                at = slice(None) if b.positions is None else b.positions
+                flat[at] += b.local_sum(coeffs[b.rows]).T.ravel()
         h = flat.reshape(self.dim, self.dim).T
         for j, i in enumerate(self.matrix_index):
             h += theta[i] * self.matrices[j]
@@ -214,10 +253,10 @@ class ObservableSet:
     def pauli_expectations(self, m: np.ndarray) -> np.ndarray:
         """Re Tr(P_k m) for the Pauli rows, in their order, each read from
         m's marginal m_S on its block's qubits, for any d x d matrix m:
-        Tr((P (x) I) m) = Tr(P m_S), which `pauli.traces` reads."""
+        Tr((P (x) I) m) = Tr(P m_S), which the block reads."""
         out = np.empty(len(self.codes))
         for b, marginal in zip(self._blocks, self.marginals(m)):
-            out[b.rows] = pauli.traces(b.phases, b.gather, marginal).real
+            out[b.rows] = b.traces(marginal).real
         return out
 
     def _decompose(self, theta: np.ndarray) -> tuple:

@@ -6,10 +6,17 @@ thousands of strings, and deduplication across overlapping subsets
 has to be exact, not numeric.  PauliString, the (qubit index, letter)
 pairs, is the form at the API edge; `letter_codes` and
 `strings_from_codes` convert between the two.  `subset_codes` (the
-strings on a subset, placed on a register) and `string_keys` (one
-integer per string) are the only code that lays strings out or compares
-them.  A string's support and a subset pass `linalg.check_subset`, the
-one subset rule.  A string is materialized only on demand.
+strings on a subset, placed on a register), `string_keys` (one integer
+per string) and its inverse `key_codes` are the only code that lays
+strings out or compares them.  A string's support and a subset pass
+`linalg.check_subset`, the one subset rule.  A string is materialized
+only on demand.
+
+Dense sums and traces of strings take one of two kernels.  All 4^k
+strings on k qubits, in key order, go through the Pauli transforms
+(`trace_transform`, `sum_transform`): O(k 4^k), no table.  A sparse
+family on the whole register goes through its strings' signed-
+permutation tables (`string_tables`, `traces`, `pauli_sum`): O(r 2^n).
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -21,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,19 +133,11 @@ def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:
     return perms, phases
 
 
-@lru_cache(maxsize=None)
-def region_tables(k: int):
-    """The 4^k - 1 non-identity strings on k qubits, last qubit varying
-    fastest: their letter codes (m, k), `string_tables` (perms, phases)
-    and the perms' `gather_index`, all read-only."""
-    if not 1 <= k <= linalg.MAX_QUBITS:
-        raise ValueError(f"k={k} outside 1..{linalg.MAX_QUBITS}")
-    codes = subset_codes(range(k), k)
-    perms, phases = string_tables(codes)
-    index = gather_index(perms)
-    for a in (codes, perms, phases, index):
-        a.flags.writeable = False
-    return codes, perms, phases, index
+def key_codes(keys, k: int) -> np.ndarray:
+    """(m, k) letter codes of the strings on k qubits with these
+    `string_keys`: each key's base-4 digits, qubit 0 most significant."""
+    digits = 2 * np.arange(k - 1, -1, -1, dtype=np.intp)
+    return (np.asarray(keys, dtype=np.intp)[:, None] >> digits) & 3
 
 
 def subset_codes(qubits, n: int) -> np.ndarray:
@@ -150,16 +148,71 @@ def subset_codes(qubits, n: int) -> np.ndarray:
     qubits = linalg.check_subset(qubits, n)
     k = len(qubits)
     codes = np.zeros((4**k - 1, n), dtype=np.intp)
-    digits = 2 * np.arange(k - 1, -1, -1, dtype=np.intp)
-    codes[:, qubits] = (np.arange(1, 4**k, dtype=np.intp)[:, None] >> digits) & 3
+    codes[:, qubits] = key_codes(np.arange(1, 4**k), k)
     return codes
 
 
 def string_keys(codes: np.ndarray) -> np.ndarray:
     """One integer per row of (m, n) letter codes: the letters read as a
     base-4 number, qubit 0 most significant, so equal strings have equal
-    keys (the inverse of `subset_codes` on all n qubits)."""
+    keys (the inverse of `key_codes`)."""
     return codes @ 4 ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def trace_transform(a) -> np.ndarray:
+    """Tr(P A) for all 4^k strings P on k qubits, A a 2^k x 2^k matrix,
+    entry j for the string with `string_keys` j (entry 0 is Tr A).
+
+    Qubit by qubit, the 2 x 2 block (a00, a01; a10, a11) of A on that
+    qubit's row and column bits becomes the traces against
+    (I, X, Y, Z): (a00 + a11, a01 + a10, i(a01 - a10), a00 - a11).
+    k passes over 4^k entries, O(k 4^k), and no table.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    d = a.shape[0]
+    k = d.bit_length() - 1
+    if a.shape != (1 << k, 1 << k):
+        raise ValueError(f"expected a 2^k x 2^k matrix, got shape {a.shape}")
+    # entry (a_0 b_0, ..., a_{k-1} b_{k-1}): each qubit's row and column
+    # bit side by side, read only
+    t = a.reshape((2,) * 2 * k).transpose(np.arange(2 * k).reshape(2, k).T.ravel())
+    for q in range(k):
+        src = t.reshape(4**q, 4, -1)
+        t = np.empty(4**k, dtype=np.complex128)
+        dst = t.reshape(4**q, 4, -1)
+        np.add(src[:, 0], src[:, 3], out=dst[:, 0])
+        np.add(src[:, 1], src[:, 2], out=dst[:, 1])
+        np.subtract(src[:, 1], src[:, 2], out=dst[:, 2])
+        dst[:, 2] *= 1j
+        np.subtract(src[:, 0], src[:, 3], out=dst[:, 3])
+    return t.reshape(-1)
+
+
+def sum_transform(coeffs) -> np.ndarray:
+    """The 2^k x 2^k matrix sum_P c_P P over all 4^k strings P on k
+    qubits, coeffs[j] the coefficient of the string with `string_keys` j:
+    `trace_transform`'s inverse up to the factor 2^k.
+
+    Qubit by qubit, (c_I, c_X, c_Y, c_Z) becomes the 2 x 2 block
+    (c_I + c_Z, c_X - i c_Y; c_X + i c_Y, c_I - c_Z) on that qubit's row
+    and column bits.  k passes over 4^k entries, O(k 4^k), and no table.
+    """
+    t = np.asarray(coeffs, dtype=np.complex128)
+    k = (t.size.bit_length() - 1) // 2
+    if t.shape != (4**k,):
+        raise ValueError(f"expected 4^k coefficients, got shape {t.shape}")
+    for q in range(k):
+        src = t.reshape(4**q, 4, -1)
+        t = np.empty(4**k, dtype=np.complex128)
+        dst = t.reshape(4**q, 4, -1)
+        iy = 1j * src[:, 2]
+        np.add(src[:, 0], src[:, 3], out=dst[:, 0])
+        np.subtract(src[:, 1], iy, out=dst[:, 1])
+        np.add(src[:, 1], iy, out=dst[:, 2])
+        np.subtract(src[:, 0], src[:, 3], out=dst[:, 3])
+    # back from (a_0 b_0, ..., a_{k-1} b_{k-1}) to rows (a) and columns (b)
+    t = t.reshape((2,) * 2 * k).transpose(np.arange(2 * k).reshape(k, 2).T.ravel())
+    return t.reshape(1 << k, 1 << k)
 
 
 def gather_index(perms: np.ndarray) -> np.ndarray:
@@ -169,28 +222,25 @@ def gather_index(perms: np.ndarray) -> np.ndarray:
     return np.arange(d) * d + perms
 
 
-def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray) -> np.ndarray:
+def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
     """Dense sum_j coeffs[j] P_j of the strings with these `phases` and
     `gather_index`, added into H^T in row order and returned as its
-    transpose (a view): each entry sums the same terms in string order."""
+    transpose (a view): each entry sums the same terms in string order.
+    The terms go into `out`, a flat d * d buffer of H^T, when it is given,
+    else into zeros."""
     d = phases.shape[1]
-    out = np.zeros(d * d, dtype=np.complex128)
+    if out is None:
+        out = np.zeros(d * d, dtype=np.complex128)
     np.add.at(out, index.ravel(), (coeffs[:, None] * phases).ravel())  # 1-D: add.at's fast path
     return out.reshape(d, d).T
 
 
 def traces(phases: np.ndarray, index: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Tr(P_j A) for the strings with these `phases` and `gather_index`,
-    A a matrix of their dimension: the one Pauli-trace kernel, a batched
-    gather and the dot products sum_a phase_a A[a, perm_a]."""
+    A a matrix of their dimension: a batched gather and the dot products
+    sum_a phase_a A[a, perm_a]."""
     gathered = np.asarray(a).ravel()[index]
     return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
-
-
-def region_traces(a: np.ndarray) -> np.ndarray:
-    """`traces` of every string of `region_tables(k)` on a 2^k x 2^k A."""
-    _, _, phases, index = region_tables(a.shape[0].bit_length() - 1)
-    return traces(phases, index, a)
 
 
 def materialize(p: PauliString) -> np.ndarray:
@@ -215,17 +265,14 @@ def expand(rho) -> PauliExpansion:
     rho = linalg.as_hermitian(rho)
     d = rho.shape[0]
     k = d.bit_length() - 1
-    if 1 << k != d:
-        raise ValueError(f"dimension {d} is not a power of 2")
     if k > linalg.MAX_QUBITS:
         raise ValueError(f"n={k} exceeds the {linalg.MAX_QUBITS}-qubit cap")
-    codes = np.vstack([np.zeros((1, k), dtype=np.intp), region_tables(k)[0]])
-    vals = np.concatenate([[np.trace(rho)], region_traces(rho)])
+    vals = trace_transform(rho)
     bad = np.flatnonzero(np.abs(vals.imag / d) > 1e-10)
     if bad.size:
-        val, p = complex(vals[bad[0]]) / d, strings_from_codes(codes[bad[:1]])[0]
+        val, p = complex(vals[bad[0]]) / d, strings_from_codes(key_codes(bad[:1], k))[0]
         raise ValueError(f"non-real coefficient {val!r} for {str(p) or 'identity'}")
     alphas = vals.real / d
     kept = np.flatnonzero(np.abs(alphas) >= 1e-14)
-    coeffs = dict(zip(strings_from_codes(codes[kept]), alphas[kept].tolist()))
+    coeffs = dict(zip(strings_from_codes(key_codes(kept, k)), alphas[kept].tolist()))
     return PauliExpansion(k, coeffs)

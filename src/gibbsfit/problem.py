@@ -222,7 +222,7 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     string and cross-checked against every other; disagreement beyond
     1e-9 is a pairwise-compatibility violation reported as a conflict.
     All 4^k - 1 targets of a constraint come from one
-    `pauli.region_traces` gather, and the dedup and both checks are
+    `pauli.trace_transform` of its marginal, and the dedup and both checks are
     array operations over every emitted string at once; the first
     offender, in constraint then string order, raises.  The emitted
     strings come constraint by constraint, so each constraint's first
@@ -230,7 +230,7 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     """
     n = mp.n
     codes = [pauli.subset_codes(qubits, n) for qubits, _ in mp.constraints]
-    vals = np.concatenate([pauli.region_traces(rho) for _, rho in mp.constraints])
+    vals = np.concatenate([pauli.trace_transform(rho)[1:] for _, rho in mp.constraints])
     starts = np.cumsum([0] + [len(c) for c in codes])
     codes = np.concatenate(codes)
     _, first, inverse = np.unique(pauli.string_keys(codes), return_index=True, return_inverse=True)

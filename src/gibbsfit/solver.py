@@ -277,7 +277,7 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
 
 
 class _Region(NamedTuple):
-    index: np.ndarray  # theta positions of the region's strings, region_tables order
+    index: np.ndarray  # theta positions of the region's strings, by key 1..4^k - 1 on R
     weight: float  # c_R / 4^k
     vectors: np.ndarray  # eigenvectors of rho_R
     kernel: np.ndarray  # divided differences of log over rho_R's spectrum
@@ -304,15 +304,14 @@ class MarginalStart:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k,
-        with coeffs_R(Y)_P = Tr(P Y); matrix-free, 2^k x 2^k work per region."""
+        with coeffs_R(Y)_P = Tr(P Y); matrix-free, through the Pauli
+        transforms on each region's 2^k x 2^k space."""
         out = np.zeros_like(g)
         for reg in self.regions:
-            d = reg.vectors.shape[0]
-            _, _, phases, index = pauli.region_tables(d.bit_length() - 1)
-            x = pauli.pauli_sum(g[reg.index], phases, index)
+            x = pauli.sum_transform(np.concatenate(([0.0], g[reg.index])))
             v, vh = reg.vectors, reg.vectors.conj().T
             y = v @ (reg.kernel * (vh @ x @ v)) @ vh
-            out[reg.index] += reg.weight * pauli.region_traces(y).real
+            out[reg.index] += reg.weight * pauli.trace_transform(y)[1:].real
         return out
 
 
@@ -330,13 +329,12 @@ def marginal_start(ep: ReducedProblem) -> MarginalStart | None:
         region_keys = pauli.string_keys(pauli.subset_codes(qubits, ep.n))
         index = order[np.searchsorted(keys, region_keys, sorter=order)]
         d = 1 << len(qubits)
-        _, _, phases, gather = pauli.region_tables(len(qubits))
-        rho = (pauli.pauli_sum(ep.targets[index], phases, gather) + np.eye(d)) / d
+        rho = pauli.sum_transform(np.concatenate(([1.0], ep.targets[index]))) / d
         w, v = np.linalg.eigh(rho)
         if not w[0] > 0:
             return None
         log_rho = (v * np.log(w)) @ v.conj().T
-        theta0[index] += count * pauli.region_traces(log_rho).real / d
+        theta0[index] += count * pauli.trace_transform(log_rho)[1:].real / d
         regions.append(_Region(index, count / d**2, v, linalg.log_divided_difference(w)))
     if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP:
         return None

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import gibbsfit
-from gibbsfit import fileio, linalg, pauli
+from gibbsfit import cli, fileio, linalg, partition, pauli, problem, solver
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import MarginalProblem, reduce_to_expectations
 from gibbsfit.solver import SolveOptions
@@ -14,13 +14,16 @@ from gibbsfit.solver import SolveOptions
 # test-only helpers that left the package: the reference forms now live in
 # tests/reference.py, the rest were deleted; pauli.subset_positions moved
 # to linalg.  A reduction's string_index was an instance attribute, so a
-# reduction is the owner that shows it gone.
+# reduction is the owner that shows it gone.  The cached all-strings
+# tables (region_tables) and their trace kernel (region_traces) gave way
+# to the Pauli transforms.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
              "frobenius_norm", "hilbert_schmidt_inner"),
     pauli: ("pauli_trace", "relabel", "restrict", "strings_on", "reconstruct",
-            "marginal_from_expectations", "identity", "subset_positions", "perm_phase"),
+            "marginal_from_expectations", "identity", "subset_positions", "perm_phase",
+            "region_tables", "region_traces"),
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian",),
     SolveOptions: ("theta0",),
@@ -39,6 +42,14 @@ def test_test_only_helpers_are_gone_from_the_package():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
             assert name not in gibbsfit.__all__ and not hasattr(gibbsfit, name), name
+
+
+def test_no_function_keeps_a_cache():
+    # a cache outlives every problem that filled it; the package keeps
+    # none (the Pauli tables it once cached are gone)
+    for mod in (gibbsfit, fileio, linalg, pauli, partition, problem, solver, cli):
+        for name, obj in vars(mod).items():
+            assert not hasattr(obj, "cache_info"), (mod.__name__, name)
 
 
 def test_solve_options_hold_only_the_stopping_rule():

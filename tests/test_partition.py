@@ -283,6 +283,28 @@ def test_hamiltonian_is_its_definition_bitwise():
         assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max(), subsets
 
 
+def test_code_built_hamiltonian_holds_one_d2_buffer():
+    # the default whole-register block, always its set's only Pauli
+    # block, adds its terms straight into the zeroed H: one d x d buffer
+    # and the (r, d) terms, where filling a fresh local sum and copying it
+    # into a second zeroed buffer peaked at 2.23 d x d buffers (n = 9
+    # pair chain, r = 99)
+    n = 9
+    codes = np.concatenate([pauli.subset_codes((i, i + 1), n) for i in range(n - 1)])
+    _, first = np.unique(pauli.string_keys(codes), return_index=True)
+    oset = ObservableSet(codes[np.sort(first)], dim=1 << n, n=n)
+    theta = np.random.default_rng(44).normal(size=oset.size)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oset.hamiltonian(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oset.size == 99
+    assert peak <= 1.5 * 16 * (1 << n) ** 2, peak / (16 * (1 << n) ** 2)
+
+
 def test_blocks_are_checked_against_the_rows():
     # a block's qubits must hold its rows' support, and the blocks must
     # cover the Pauli rows exactly: a wrong split would give a wrong H

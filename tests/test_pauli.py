@@ -130,12 +130,13 @@ def test_subset_codes_and_keys_own_the_string_layout():
         assert pauli.strings_from_codes(codes) == tuple(want)
         assert [p.letters for p in reference.strings_on(qubits, n)] == [p.letters for p in want]
     for k in (1, 2, 3, 4):
-        local = pauli.region_tables(k)[0]
-        # the itertools enumeration region_tables used to build its codes by
+        local = pauli.subset_codes(range(k), k)
+        # the itertools enumeration these codes were once built by
         assert np.array_equal(local, list(itertools.product(range(4), repeat=k))[1:])
-        assert np.array_equal(pauli.subset_codes(range(k), k), local)
-        # the key of row j of region_tables(k) is j + 1 (the identity is 0)
+        # the key of row j is j + 1 (the identity is 0), and key_codes
+        # reads the codes back from the keys
         assert np.array_equal(pauli.string_keys(local), np.arange(1, 4**k))
+        assert np.array_equal(pauli.key_codes(np.arange(1, 4**k), k), local)
     # a subset's strings inside a larger subset's strings: key - 1 is
     # the row, as the base-4 arithmetic it replaced and a lookup both say
     for h in (2, 3, 4, 5):
@@ -143,7 +144,7 @@ def test_subset_codes_and_keys_own_the_string_layout():
         for size in range(1, h + 1):
             for keep in itertools.combinations(range(h), size):
                 got = pauli.string_keys(pauli.subset_codes(keep, h)) - 1
-                old = pauli.region_tables(size)[0] @ 4 ** (h - 1 - np.array(keep)) - 1
+                old = pauli.subset_codes(range(size), size) @ 4 ** (h - 1 - np.array(keep)) - 1
                 looked_up = [pos[p.letters] for p in reference_strings_on(keep, h)]
                 assert np.array_equal(got, old) and got.tolist() == looked_up, keep
 
@@ -199,31 +200,82 @@ def test_table_rows_match_per_letter_reference_bitwise():
         assert_rows_match_reference(strings, block.gather % (1 << n), block.phases)
     for k in (1, 2, 3):
         strings = list(reference.strings_on(tuple(range(k)), k))
-        assert_rows_match_reference(strings, *pauli.region_tables(k)[1:3])
+        assert_rows_match_reference(strings, *pauli.string_tables(pauli.subset_codes(range(k), k)))
 
 
-def test_region_tables_and_traces_match_per_string_kernels_bitwise():
+EPS = np.finfo(np.float64).eps
+
+
+def local_strings(k):
+    """The 4^k strings on k qubits in `string_keys` order, identity first."""
+    return [PauliString(k, ())] + list(reference.strings_on(tuple(range(k)), k))
+
+
+def test_trace_transform_matches_per_string_traces():
+    # every Tr(P A), the identity's (the trace) first, against one
+    # per-string reference trace each.  Each side sums 2^k terms of unit
+    # modulus, the transform along a k-level tree and the reference along
+    # one dot product, so (k + 2^k) eps sum|A| bounds their difference
     rng = np.random.default_rng(7)
-    for k in (1, 2, 3):
-        codes = pauli.region_tables(k)[0]
-        strings = list(reference.strings_on(tuple(range(k)), k))
-        assert len(codes) == len(strings) == 4**k - 1
-        a = rand_density(rng, 1 << k)
-        want = np.array([reference.pauli_trace(p, a) for p in strings])
-        assert pauli.region_traces(a).tobytes() == want.tobytes()
-        for j, p in enumerate(strings):
-            assert tuple((q, "IXYZ"[c]) for q, c in enumerate(codes[j]) if c) == p.letters
+    for k in range(1, 7):
+        d = 1 << k
+        strings = local_strings(k)
+        assert pauli.string_keys(pauli.letter_codes(strings, k)).tolist() == list(range(4**k))
+        for a in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rand_density(rng, d)):
+            got = pauli.trace_transform(a)
+            want = np.array([np.trace(a)] + [reference.pauli_trace(p, a) for p in strings[1:]])
+            assert np.abs(got - want).max() <= (k + d) * EPS * np.abs(a).sum(), k
+
+
+def test_sum_transform_matches_per_string_sum():
+    # sum_P c_P P against the reference's string-by-string sum, within the
+    # same (k + 2^k) eps sum|c|: each entry sums 2^k of the terms
+    rng = np.random.default_rng(9)
+    for k in range(1, 7):
+        strings = local_strings(k)
+        coeffs = rng.normal(size=4**k)
+        got = pauli.sum_transform(coeffs)
+        want = reference.reconstruct(pauli.PauliExpansion(k, dict(zip(strings, coeffs.tolist()))))
+        assert np.abs(got - want).max() <= (k + (1 << k)) * EPS * np.abs(coeffs).sum(), k
+
+
+def test_transforms_round_trip():
+    # A = sum_P Tr(P A) P / 2^k and back: each leg adds at most k eps of
+    # the 1-norm of its input, so 2 k eps of it bounds the round trip
+    rng = np.random.default_rng(10)
+    for k in range(1, 7):
+        d = 1 << k
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        back = pauli.sum_transform(pauli.trace_transform(a)) / d
+        assert np.abs(back - a).max() <= 2 * k * EPS * np.abs(a).sum(), k
+        c = rng.normal(size=4**k)
+        back = pauli.trace_transform(pauli.sum_transform(c)) / d
+        assert np.abs(back - c).max() <= 2 * k * EPS * np.abs(c).sum(), k
+
+
+def test_transforms_reject_sizes_that_are_not_powers_of_two():
+    for a in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+        with pytest.raises(ValueError, match="2\\^k x 2\\^k"):
+            pauli.trace_transform(a)
+    for c in (np.ones(8), np.ones(5), np.ones((4, 4))):
+        with pytest.raises(ValueError, match="4\\^k coefficients"):
+            pauli.sum_transform(c)
 
 
 def test_one_trace_kernel_serves_regions_and_blocks():
-    # a block of an ObservableSet and region_traces read the same strings
-    # through pauli.traces, so their traces agree bitwise
+    # a block given to an ObservableSet reads its strings through the
+    # trace transform, as the warm start's regions do, so their traces
+    # agree bitwise; the default block's tables agree to round-off
     rng = np.random.default_rng(8)
     for k in (1, 2, 3, 5):
-        codes = pauli.region_tables(k)[0]
-        oset = ObservableSet(codes, dim=1 << k, n=k)
-        a = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
-        assert oset.pauli_expectations(a).tobytes() == pauli.region_traces(a).real.tobytes()
+        d = 1 << k
+        codes = pauli.subset_codes(range(k), k)
+        oset = ObservableSet(codes, dim=d, n=k, blocks=[(range(k), len(codes))])
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = oset.pauli_expectations(a)
+        assert got.tobytes() == pauli.trace_transform(a)[1:].real.tobytes()
+        tables = ObservableSet(codes, dim=d, n=k).pauli_expectations(a)
+        assert np.abs(got - tables).max() <= (k + d) * EPS * np.abs(a).sum()
 
 
 def test_expand_known_states():
