@@ -5,16 +5,14 @@ Everything routes through one Hermitian eigendecomposition per theta,
 spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
 further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
-dense observable once and keeps its Pauli strings in blocks, one per
-qubit subset S (a `linalg.check_subset`) that holds their support, and
-S's `linalg.subset_positions` in the register, so that H(theta) adds
-each block's local sum M_S (x) I and <T> reads each block's strings
-from the marginal on S, the gather that `linalg.partial_trace` makes.
-A block given to the constructor (a marginal reduction's, whose strings
-are enumerated from S) keeps only its strings' keys on S and reads M_S
-and the traces through the Pauli transforms, O(k 4^k) a block; the
-default block on the whole register keeps its strings' signed-
-permutation tables, O(r d).  Never r dense matmuls.
+dense observable once and splits its Pauli strings over qubit subsets S
+(`linalg.check_subset`) holding their supports: a reduction's
+constraints, or else the maximal supports (those in no other), each
+string in the first that holds it.  H(theta) adds each subset's local
+sum M_S (x) I at S's `linalg.subset_positions`, and <T> reads each
+subset's strings from the marginal on S, the `linalg.partial_trace`
+gather; both go through the Pauli transforms on S, O(k 4^k), and a
+repeated string's terms add up.  Never r dense matmuls.
 """
 
 from __future__ import annotations
@@ -62,32 +60,38 @@ class GibbsState:
 
 
 class _Block(NamedTuple):
-    """Consecutive Pauli rows supported on one qubit subset S."""
+    """Pauli rows on a run of g qubit subsets of one size k, read through
+    one stacked Pauli transform."""
 
-    qubits: tuple  # the subset S, ascending
-    rows: slice  # its rows among the set's Pauli rows
-    positions: np.ndarray | None  # `linalg.subset_positions(S, n)`; None when S is the register
-    # a transform block's rows' `pauli.string_keys` on S; None in the
-    # default whole-register block
-    keys: np.ndarray | None
-    # the default block's (r, d) `pauli.string_tables` phases, exact
-    # +-1/+-i, and the perms' `pauli.gather_index`; None in a transform block
-    phases: np.ndarray | None
-    gather: np.ndarray | None
+    subsets: tuple  # the subsets, each ascending
+    rows: np.ndarray  # their rows among the set's Pauli rows, subset by subset
+    positions: np.ndarray | None  # (g, 2^(n-k), 4^k) `linalg.subset_positions`; None on the register
+    bins: np.ndarray  # each row's j * 4^k + its `pauli.string_keys` on its subset j
 
-    def local_sum(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_j coeffs[j] P_j over the rows, as a 2^k x 2^k matrix on S."""
-        if self.keys is None:
-            return pauli.pauli_sum(coeffs, self.phases, self.gather)
-        full = np.zeros(4 ** len(self.qubits))
-        full[self.keys] = coeffs
-        return pauli.sum_transform(full)
+    def local_sums(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """(g, 2^k, 2^k): each subset's sum_j coeffs[j] P_j over its rows, a
+        repeated string's terms added in row order; added into `out` if given."""
+        size = 4 ** len(self.subsets[0])
+        full = np.bincount(self.bins, weights=coeffs, minlength=len(self.subsets) * size)
+        return pauli.sum_transform(full.reshape(-1, size), out)
 
-    def traces(self, marginal: np.ndarray) -> np.ndarray:
-        """Tr(P_j m_S) for the rows, m_S a 2^k x 2^k matrix on S."""
-        if self.keys is None:
-            return pauli.traces(self.phases, self.gather, marginal)
-        return pauli.trace_transform(marginal)[self.keys]
+
+def _maximal_supports(codes: np.ndarray) -> list:
+    """(qubits, rows) of the strings with (r, n) letter codes: their
+    maximal supports, those no other support holds, in first-appearance
+    order, each string's row in the first that holds its support."""
+    if not len(codes):
+        return []
+    n = codes.shape[1]
+    masks = (codes != 0) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct = distinct[order]  # in first-appearance order
+    inside = (distinct[:, None] & ~distinct[None, :]) == 0  # [i, j]: support i within j
+    maximal = np.flatnonzero(inside.sum(1) == 1)  # within no other but itself
+    owner = np.argmax(inside[:, maximal], axis=1)[np.argsort(order)][inverse]
+    bits = (distinct[maximal, None] >> np.arange(n - 1, -1, -1)) & 1
+    return [(tuple(np.flatnonzero(b).tolist()), np.flatnonzero(owner == j)) for j, b in enumerate(bits)]
 
 
 class ObservableSet:
@@ -109,9 +113,10 @@ class ObservableSet:
     `blocks` splits the Pauli rows, in order, into runs of (qubits,
     count): `count` consecutive rows whose strings act on `qubits`, a
     `linalg.check_subset`, only (a marginal reduction passes one per
-    constraint); such a block is read through the Pauli transforms on
-    its qubits.  By default the rows form one block on the whole
-    register, read through their `pauli.string_tables`.
+    constraint, empty ones included).  By default the rows are split by
+    support: one block per maximal support, those no other support
+    holds, in first-appearance order, each row in the first that holds
+    its support.  `subsets` lists the blocks' qubits.
     """
 
     def __init__(self, observables, dim: int, n: int | None = None, blocks=None):
@@ -159,34 +164,41 @@ class ObservableSet:
         self.pauli_index = np.asarray(pauli_idx, dtype=np.intp)
         self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
         self.matrices = mats
-        if blocks is None:
-            self._blocks = (self._whole_register_block(),) if len(codes) else ()
-        else:
-            self._blocks = self._make_blocks(blocks)
+        parts = _maximal_supports(codes) if blocks is None else self._parts(blocks)
+        self._blocks = self._runs(parts)
 
-    def _whole_register_block(self) -> _Block:
-        """The default block: every Pauli row on the whole register, read
-        through its rows' `pauli.string_tables`, r x d entries."""
-        perms, phases = pauli.string_tables(self.codes)
-        rows = slice(0, len(self.codes))
-        return _Block(tuple(range(self.n)), rows, None, None, phases, pauli.gather_index(perms))
-
-    def _make_blocks(self, blocks) -> tuple:
-        """Blocks of (qubits, count) runs, each read through the Pauli
-        transforms on its qubits."""
+    def _parts(self, blocks) -> list:
+        """(qubits, rows) of the (qubits, count) runs of consecutive rows,
+        checked to act on their qubits only and to cover the rows."""
         out, start = [], 0
         for qubits, count in blocks:
-            qubits, rows = linalg.check_subset(qubits, self.n), slice(start, start + int(count))
-            local = self.codes[rows]
-            if rows.stop > len(self.codes) or np.delete(local, qubits, axis=1).any():
-                raise ValueError(f"Pauli rows {rows.start}..{rows.stop} do not act on {qubits} only")
-            positions = None if len(qubits) == self.n else linalg.subset_positions(qubits, self.n)
-            keys = pauli.string_keys(local[:, qubits])
-            out.append(_Block(qubits, rows, positions, keys, None, None))
-            start = rows.stop
+            qubits, stop = linalg.check_subset(qubits, self.n), start + int(count)
+            if stop > len(self.codes) or np.delete(self.codes[start:stop], qubits, axis=1).any():
+                raise ValueError(f"Pauli rows {start}..{stop} do not act on {qubits} only")
+            out.append((qubits, np.arange(start, stop)))
+            start = stop
         if start != len(self.codes):
             raise ValueError(f"blocks hold {start} of the {len(self.codes)} Pauli rows")
-        return tuple(out)
+        return out
+
+    def _runs(self, parts) -> tuple:
+        """The blocks of (qubits, rows) parts, in order: consecutive parts
+        on proper subsets of one size share a block, as a transform on few
+        qubits costs its call overhead; a part on the register is alone."""
+        runs = []
+        for qubits, rows in parts:
+            part = (qubits, rows, pauli.string_keys(self.codes[rows][:, qubits]))
+            if runs and len(qubits) == len(runs[-1][-1][0]) < self.n:
+                runs[-1].append(part)
+            else:
+                runs.append([part])
+        blocks = []
+        for run in runs:
+            (subsets, rows, keys), k = zip(*run), len(run[0][0])
+            at = None if k == self.n else np.stack([linalg.subset_positions(q, self.n) for q in subsets])
+            bins = np.concatenate([j * 4**k + key for j, key in enumerate(keys)])
+            blocks.append(_Block(subsets, np.concatenate(rows), at, bins))
+        return tuple(blocks)
 
     @property
     def observables(self) -> tuple:
@@ -196,14 +208,14 @@ class ObservableSet:
 
     @property
     def subsets(self) -> tuple:
-        """The qubit subset of each block, in block order."""
-        return tuple(b.qubits for b in self._blocks)
+        """The subsets in order: a reduction's constraints, else the maximal supports."""
+        return tuple(q for b in self._blocks for q in b.subsets)
 
     def local_sums(self, theta: np.ndarray) -> list:
-        """Each block's sum of theta_j P_j over its rows, as the 2^k x 2^k
+        """Each subset's sum of theta_j P_j over its rows, as the 2^k x 2^k
         matrix on its qubits."""
         coeffs = self._pauli_coeffs(theta)
-        return [b.local_sum(coeffs[b.rows]) for b in self._blocks]
+        return [local for b in self._blocks for local in b.local_sums(coeffs[b.rows])]
 
     def _pauli_coeffs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -214,22 +226,19 @@ class ObservableSet:
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """H(theta) = sum_i theta_i T_i: the blocks' local sums, each
         widened by the identity on the other qubits, added into zeros in
-        block order, then the dense observables.  It is assembled as H^T,
-        the layout `pauli.pauli_sum` writes, and returned as its transpose
-        (a view): the default block, always its set's only one, adds its
-        terms straight into the zeros, and a transform block adds M^T at
-        its positions, which are symmetric under transposition, making
-        (M (x) I)^T."""
+        block order, then the dense observables.  A block on the whole
+        register adds its local sum into H through a view, so that a
+        build holds H, one 4^k buffer and the coefficients."""
         theta = np.asarray(theta, dtype=np.float64)
         coeffs = self._pauli_coeffs(theta)
         flat = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        h = flat.reshape(self.dim, self.dim)
         for b in self._blocks:
-            if b.keys is None:
-                pauli.pauli_sum(coeffs[b.rows], b.phases, b.gather, out=flat)
+            if b.positions is None:
+                b.local_sums(coeffs[b.rows], out=h[None])
             else:
-                at = slice(None) if b.positions is None else b.positions
-                flat[at] += b.local_sum(coeffs[b.rows]).T.ravel()
-        h = flat.reshape(self.dim, self.dim).T
+                for at, local in zip(b.positions, b.local_sums(coeffs[b.rows])):
+                    flat[at] += local.ravel()
         for j, i in enumerate(self.matrix_index):
             h += theta[i] * self.matrices[j]
         return h
@@ -237,26 +246,34 @@ class ObservableSet:
     def expectations(self, rho: np.ndarray) -> np.ndarray:
         """<T_i> under rho; rho must have unit trace."""
         out = np.empty(self.size)
-        if len(self.pauli_index):
-            out[self.pauli_index] = self.pauli_expectations(rho)
+        out[self.pauli_index] = self.pauli_expectations(rho)
         for j, i in enumerate(self.matrix_index):
             out[i] = np.vdot(self.matrices[j], rho).real
         return out
 
     def marginals(self, m: np.ndarray) -> list:
-        """m's marginal on each block's qubits (the other qubits traced
-        out), as a 2^k x 2^k matrix."""
+        """m's marginal on each subset (the other qubits traced out), as a
+        2^k x 2^k matrix."""
+        return [marginal for stack in self._marginal_stacks(m) for marginal in stack]
+
+    def _marginal_stacks(self, m: np.ndarray):
+        """Each block's (g, 2^k, 2^k) marginals of m: the register's is a
+        view of m, and a proper subset's the `partial_trace` gather."""
         flat = m.ravel()
-        sums = (flat if b.positions is None else flat[b.positions].sum(0) for b in self._blocks)
-        return [s.reshape(1 << len(b.qubits), -1) for b, s in zip(self._blocks, sums)]
+        for b in self._blocks:
+            if b.positions is None:
+                yield m[None]
+            else:
+                d = 1 << len(b.subsets[0])
+                yield np.stack([flat[at].sum(0).reshape(d, d) for at in b.positions])
 
     def pauli_expectations(self, m: np.ndarray) -> np.ndarray:
         """Re Tr(P_k m) for the Pauli rows, in their order, each read from
-        m's marginal m_S on its block's qubits, for any d x d matrix m:
+        m's marginal m_S on its subset, for any d x d matrix m:
         Tr((P (x) I) m) = Tr(P m_S), which the block reads."""
         out = np.empty(len(self.codes))
-        for b, marginal in zip(self._blocks, self.marginals(m)):
-            out[b.rows] = b.traces(marginal).real
+        for b, stack in zip(self._blocks, self._marginal_stacks(m)):
+            out[b.rows] = pauli.trace_transform(stack).ravel()[b.bins].real
         return out
 
     def _decompose(self, theta: np.ndarray) -> tuple:

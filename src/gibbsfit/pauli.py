@@ -12,11 +12,14 @@ strings out or compares them.  A string's support and a subset pass
 `linalg.check_subset`, the one subset rule.  A string is materialized
 only on demand.
 
-Dense sums and traces of strings take one of two kernels.  All 4^k
-strings on k qubits, in key order, go through the Pauli transforms
-(`trace_transform`, `sum_transform`): O(k 4^k), no table.  A sparse
-family on the whole register goes through its strings' signed-
-permutation tables (`string_tables`, `traces`, `pauli_sum`): O(r 2^n).
+Dense sums and traces of strings have one kernel, the Pauli transforms
+on k qubits (`trace_transform`, `sum_transform`): all 4^k strings on
+those qubits, in key order, O(k 4^k) in place on one 4^k buffer, and
+no table.  A family on the register is read in blocks of one kind, the
+strings on one qubit subset each (a reduction's constraints, or else
+the family's maximal supports; see `partition.ObservableSet`), and a
+string repeated in a block adds up there.  `materialize` is one
+string's `sum_transform`, widened by the identity.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of the
 basis index).  Indices are 0-based everywhere.  Text form: "X0 Z2",
@@ -112,27 +115,6 @@ def strings_from_codes(codes) -> tuple[PauliString, ...]:
     )
 
 
-def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-permutation form of the strings with letter codes (m, k),
-    built in one batched pass: (perms, phases), each (m, 2^k), where
-    column a of string j has its one nonzero, phases[j, a], at row
-    perms[j, a].  X and Y flip their qubit's bit; Y multiplies by
-    i(-1)^bit and Z by (-1)^bit, qubit by qubit from qubit 0."""
-    codes = np.asarray(codes, dtype=np.intp)
-    m, k = codes.shape
-    if k > linalg.MAX_QUBITS:
-        raise ValueError(f"n={k} exceeds the {linalg.MAX_QUBITS}-qubit cap")
-    idx = np.arange(1 << k, dtype=np.int64)
-    flips = ((codes == 1) | (codes == 2)) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
-    perms = idx ^ flips[:, None]
-    phases = np.ones((m, 1 << k), dtype=np.complex128)
-    for q in range(k):
-        sign = 1 - 2 * ((idx >> (k - 1 - q)) & 1)
-        np.multiply(phases, 1j * sign, out=phases, where=codes[:, q, None] == 2)
-        np.multiply(phases, 1.0 * sign, out=phases, where=codes[:, q, None] == 3)
-    return perms, phases
-
-
 def key_codes(keys, k: int) -> np.ndarray:
     """(m, k) letter codes of the strings on k qubits with these
     `string_keys`: each key's base-4 digits, qubit 0 most significant."""
@@ -159,95 +141,93 @@ def string_keys(codes: np.ndarray) -> np.ndarray:
     return codes @ 4 ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
+def _interleaved(m: np.ndarray, k: int) -> np.ndarray:
+    """The view of a stack (..., 2^k, 2^k) of matrices with axes (...,
+    a_0, b_0, ..., a_{k-1}, b_{k-1}): each qubit's row and column bit
+    side by side, the layout the transforms' passes read and write."""
+    lead = m.ndim - 2
+    axes = lead + np.arange(2 * k).reshape(2, k).T.ravel()
+    return m.reshape(m.shape[:lead] + (2,) * 2 * k).transpose((*range(lead), *axes))
+
+
 def trace_transform(a) -> np.ndarray:
     """Tr(P A) for all 4^k strings P on k qubits, A a 2^k x 2^k matrix,
-    entry j for the string with `string_keys` j (entry 0 is Tr A).
+    entry j for the string with `string_keys` j (entry 0 is Tr A); for a
+    stack (..., 2^k, 2^k) of matrices, the (..., 4^k) traces of each.
 
     Qubit by qubit, the 2 x 2 block (a00, a01; a10, a11) of A on that
     qubit's row and column bits becomes the traces against
     (I, X, Y, Z): (a00 + a11, a01 + a10, i(a01 - a10), a00 - a11).
-    k passes over 4^k entries, O(k 4^k), and no table.
+    k passes, in place on one copy of A's 4^k entries: O(k 4^k), and
+    no table.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    d = a.shape[0]
-    k = d.bit_length() - 1
-    if a.shape != (1 << k, 1 << k):
-        raise ValueError(f"expected a 2^k x 2^k matrix, got shape {a.shape}")
-    # entry (a_0 b_0, ..., a_{k-1} b_{k-1}): each qubit's row and column
-    # bit side by side, read only
-    t = a.reshape((2,) * 2 * k).transpose(np.arange(2 * k).reshape(2, k).T.ravel())
+    a = np.asarray(a)
+    k = (a.shape[-1] if a.ndim else 0).bit_length() - 1
+    if a.ndim < 2 or a.shape[-2:] != (1 << k, 1 << k):
+        raise ValueError(f"expected a 2^k x 2^k matrix or a stack of them, got shape {a.shape}")
+    t = np.array(_interleaved(a, k), dtype=np.complex128).reshape(-1)
+    tmp = np.empty(t.size // 4, dtype=np.complex128)
     for q in range(k):
-        src = t.reshape(4**q, 4, -1)
-        t = np.empty(4**k, dtype=np.complex128)
-        dst = t.reshape(4**q, 4, -1)
-        np.add(src[:, 0], src[:, 3], out=dst[:, 0])
-        np.add(src[:, 1], src[:, 2], out=dst[:, 1])
-        np.subtract(src[:, 1], src[:, 2], out=dst[:, 2])
-        dst[:, 2] *= 1j
-        np.subtract(src[:, 0], src[:, 3], out=dst[:, 3])
-    return t.reshape(-1)
+        s, w = t.reshape(-1, 4, 4 ** (k - q - 1)), tmp.reshape(-1, 4 ** (k - q - 1))
+        np.subtract(s[:, 1], s[:, 2], out=w)
+        np.add(s[:, 1], s[:, 2], out=s[:, 1])
+        np.multiply(w, 1j, out=s[:, 2])
+        np.subtract(s[:, 0], s[:, 3], out=w)
+        np.add(s[:, 0], s[:, 3], out=s[:, 0])
+        s[:, 3] = w
+    return t.reshape(a.shape[:-2] + (4**k,))
 
 
-def sum_transform(coeffs) -> np.ndarray:
+def sum_transform(coeffs, out=None) -> np.ndarray:
     """The 2^k x 2^k matrix sum_P c_P P over all 4^k strings P on k
     qubits, coeffs[j] the coefficient of the string with `string_keys` j:
-    `trace_transform`'s inverse up to the factor 2^k.
+    `trace_transform`'s inverse up to the factor 2^k.  Coefficients
+    (..., 4^k) give the stack (..., 2^k, 2^k) of their sums.  With `out`,
+    a C-contiguous complex array of that shape, the sums are added into
+    it through a view and `out` is returned.
 
     Qubit by qubit, (c_I, c_X, c_Y, c_Z) becomes the 2 x 2 block
     (c_I + c_Z, c_X - i c_Y; c_X + i c_Y, c_I - c_Z) on that qubit's row
-    and column bits.  k passes over 4^k entries, O(k 4^k), and no table.
+    and column bits.  k passes, in place on one complex copy of the
+    coefficients: O(k 4^k), and no table.
     """
-    t = np.asarray(coeffs, dtype=np.complex128)
-    k = (t.size.bit_length() - 1) // 2
-    if t.shape != (4**k,):
+    t = np.array(coeffs, dtype=np.complex128)
+    k = ((t.shape[-1] if t.ndim else 0).bit_length() - 1) // 2
+    if t.ndim < 1 or t.shape[-1] != 4**k:
         raise ValueError(f"expected 4^k coefficients, got shape {t.shape}")
+    lead = t.shape[:-1]
+    tmp = np.empty(t.size // 4, dtype=np.complex128)
     for q in range(k):
-        src = t.reshape(4**q, 4, -1)
-        t = np.empty(4**k, dtype=np.complex128)
-        dst = t.reshape(4**q, 4, -1)
-        iy = 1j * src[:, 2]
-        np.add(src[:, 0], src[:, 3], out=dst[:, 0])
-        np.subtract(src[:, 1], iy, out=dst[:, 1])
-        np.add(src[:, 1], iy, out=dst[:, 2])
-        np.subtract(src[:, 0], src[:, 3], out=dst[:, 3])
-    # back from (a_0 b_0, ..., a_{k-1} b_{k-1}) to rows (a) and columns (b)
-    t = t.reshape((2,) * 2 * k).transpose(np.arange(2 * k).reshape(k, 2).T.ravel())
-    return t.reshape(1 << k, 1 << k)
-
-
-def gather_index(perms: np.ndarray) -> np.ndarray:
-    """Flat positions a * d + perms[j, a] of every table entry: A[a, perm_a]
-    in a d x d matrix A, which Tr(P_j A) sums, and P_j's column a in H^T."""
-    d = perms.shape[-1]
-    return np.arange(d) * d + perms
-
-
-def pauli_sum(coeffs: np.ndarray, phases: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
-    """Dense sum_j coeffs[j] P_j of the strings with these `phases` and
-    `gather_index`, added into H^T in row order and returned as its
-    transpose (a view): each entry sums the same terms in string order.
-    The terms go into `out`, a flat d * d buffer of H^T, when it is given,
-    else into zeros."""
-    d = phases.shape[1]
+        s, w = t.reshape(-1, 4, 4 ** (k - q - 1)), tmp.reshape(-1, 4 ** (k - q - 1))
+        np.multiply(1j, s[:, 2], out=w)
+        np.add(s[:, 1], w, out=s[:, 2])
+        np.subtract(s[:, 1], w, out=s[:, 1])
+        np.subtract(s[:, 0], s[:, 3], out=w)
+        np.add(s[:, 0], s[:, 3], out=s[:, 0])
+        s[:, 3] = w
+    del tmp
+    t = t.reshape(lead + (2,) * 2 * k)
     if out is None:
-        out = np.zeros(d * d, dtype=np.complex128)
-    np.add.at(out, index.ravel(), (coeffs[:, None] * phases).ravel())  # 1-D: add.at's fast path
-    return out.reshape(d, d).T
-
-
-def traces(phases: np.ndarray, index: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Tr(P_j A) for the strings with these `phases` and `gather_index`,
-    A a matrix of their dimension: a batched gather and the dot products
-    sum_a phase_a A[a, perm_a]."""
-    gathered = np.asarray(a).ravel()[index]
-    return np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
+        out = np.empty(lead + (1 << k, 1 << k), dtype=np.complex128)
+        _interleaved(out, k)[...] = t
+    else:
+        view = _interleaved(out, k)
+        view += t
+    return out
 
 
 def materialize(p: PauliString) -> np.ndarray:
     """Dense 2^n matrix of the string (Hermitian, unitary, involutory):
-    the `pauli_sum` of the string alone."""
-    perms, phases = string_tables(letter_codes([p], p.n))
-    return pauli_sum(np.ones(1), phases, gather_index(perms))
+    the `sum_transform` of the string alone on its support, widened by
+    the identity on the other qubits; every entry is exact."""
+    if p.n > linalg.MAX_QUBITS:
+        raise ValueError(f"n={p.n} exceeds the {linalg.MAX_QUBITS}-qubit cap")
+    qubits = p.support
+    local = np.zeros(4 ** len(qubits))
+    local[string_keys(letter_codes([p], p.n)[:, qubits])] = 1.0
+    out = np.zeros(1 << 2 * p.n, dtype=np.complex128)
+    out[linalg.subset_positions(qubits, p.n)] = sum_transform(local).ravel()
+    return out.reshape(1 << p.n, 1 << p.n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -320,6 +320,8 @@ def marginal_start(ep: ReducedProblem) -> MarginalStart | None:
     per constraint); None when a region marginal is singular (log
     undefined) or theta0 is non-finite or beyond THETA_CAP, so that the
     solve starts at 0 with H_0 = gamma I as an expectation problem does.
+    A least eigenvalue within 2^k (k + 2^k) eps of the largest, the round-off
+    of rho_R's 2^k-term sums, is singular (a singlet pair's 0 comes back as 5.6e-17).
     Region strings are found among the reduction's distinct strings by key."""
     keys = pauli.string_keys(ep.observable_set.codes)
     order = np.argsort(keys)
@@ -331,7 +333,7 @@ def marginal_start(ep: ReducedProblem) -> MarginalStart | None:
         d = 1 << len(qubits)
         rho = pauli.sum_transform(np.concatenate(([1.0], ep.targets[index]))) / d
         w, v = np.linalg.eigh(rho)
-        if not w[0] > 0:
+        if not w[0] > d * (len(qubits) + d) * np.finfo(np.float64).eps * w[-1]:
             return None
         log_rho = (v * np.log(w)) @ v.conj().T
         theta0[index] += count * pauli.trace_transform(log_rho)[1:].real / d

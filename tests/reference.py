@@ -2,8 +2,9 @@
 
 Each is a dense or per-string form of something the package computes in
 bulk, kept here as the oracle the tests hold the package to: matrix
-functions through one eigendecomposition, per-string Pauli traces and
-relabelling, the Pauli expansion's inverse, the Hessian of the
+functions through one eigendecomposition, the strings' signed-
+permutation tables and the per-string Pauli sums and traces read from
+them, relabelling, the Pauli expansion's inverse, the Hessian of the
 log-partition function and a marginal solve's warm start read from the
 raw marginals.  None of them runs in a command.
 """
@@ -109,8 +110,8 @@ def hessian(obset, theta: np.ndarray) -> np.ndarray:
     H's spectrum.  Built one column at a time from one eigh, so memory
     is O(d^2 + r d), never r x d x d.  T_j V is V's rows permuted and
     phased for a Pauli string, one matmul for a matrix; the strings'
-    full-register `pauli.string_tables` are built here, O(r d) beside
-    the O(r d^3) columns."""
+    full-register `string_tables` are built here, O(r d) beside the
+    O(r d^3) columns."""
     w, v = np.linalg.eigh(obset.hamiltonian(theta))
     weights = np.exp(w - w[-1])
     z = weights.sum()
@@ -121,7 +122,7 @@ def hessian(obset, theta: np.ndarray) -> np.ndarray:
     hess = np.empty((r, r))
     means = np.empty(r)
     # T_j V: a string's P[perm[a], a] = phase[a], perm an involution
-    perms, phases = pauli.string_tables(obset.codes)
+    perms, phases = string_tables(obset.codes)
     strings = (ph[pm, None] * v[pm] for pm, ph in zip(perms, phases))
     columns = itertools.chain(
         zip(obset.pauli_index, strings), zip(obset.matrix_index, (m @ v for m in obset.matrices))
@@ -134,9 +135,48 @@ def hessian(obset, theta: np.ndarray) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def string_tables(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of the strings with letter codes (m, k),
+    built in one batched pass: (perms, phases), each (m, 2^k), where
+    column a of string j has its one nonzero, phases[j, a], at row
+    perms[j, a].  X and Y flip their qubit's bit; Y multiplies by
+    i(-1)^bit and Z by (-1)^bit, qubit by qubit from qubit 0."""
+    codes = np.asarray(codes, dtype=np.intp)
+    m, k = codes.shape
+    idx = np.arange(1 << k, dtype=np.int64)
+    flips = ((codes == 1) | (codes == 2)) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    perms = idx ^ flips[:, None]
+    phases = np.ones((m, 1 << k), dtype=np.complex128)
+    for q in range(k):
+        sign = 1 - 2 * ((idx >> (k - 1 - q)) & 1)
+        np.multiply(phases, 1j * sign, out=phases, where=codes[:, q, None] == 2)
+        np.multiply(phases, 1.0 * sign, out=phases, where=codes[:, q, None] == 3)
+    return perms, phases
+
+
+def table_sum(codes, coeffs) -> np.ndarray:
+    """Dense sum_j coeffs[j] P_j of the strings with letter codes (m, n),
+    entry by entry from their `string_tables`: each entry adds its terms
+    in row order into zeros, so a repeated string adds up."""
+    perms, phases = string_tables(codes)
+    d = perms.shape[1]
+    out = np.zeros((d, d), dtype=np.complex128)
+    cols = np.broadcast_to(np.arange(d), perms.shape)
+    np.add.at(out, (perms.ravel(), cols.ravel()), (np.asarray(coeffs)[:, None] * phases).ravel())
+    return out
+
+
+def table_traces(codes, a) -> np.ndarray:
+    """Tr(P_j A) of the strings with letter codes (m, n), A a d x d
+    matrix: sum_a phase_a A[a, perm_a], one dot product a string."""
+    perms, phases = string_tables(codes)
+    gathered = np.asarray(a)[np.arange(perms.shape[1]), perms]
+    return np.einsum("kd,kd->k", phases, gathered)
+
+
 def perm_phase(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of one string: its row of `pauli.string_tables`."""
-    perms, phases = pauli.string_tables(pauli.letter_codes([p], p.n))
+    """(perm, phase) of one string: its row of `string_tables`."""
+    perms, phases = string_tables(pauli.letter_codes([p], p.n))
     return perms[0], phases[0]
 
 
@@ -181,9 +221,8 @@ def strings_on(qubits, n: int, include_identity: bool = False) -> Iterator[Pauli
 
 def reconstruct(e: PauliExpansion) -> np.ndarray:
     """Dense sum_P alpha_P P; the inverse of `pauli.expand`."""
-    perms, phases = pauli.string_tables(pauli.letter_codes(e.coefficients, e.n))
     alphas = np.array(list(e.coefficients.values()))
-    return pauli.pauli_sum(alphas, phases, pauli.gather_index(perms))
+    return table_sum(pauli.letter_codes(e.coefficients, e.n), alphas)
 
 
 def marginal_from_expectations(targets: Mapping[PauliString, float], qubits) -> tuple[np.ndarray, bool]:

@@ -16,14 +16,17 @@ from gibbsfit.solver import SolveOptions
 # to linalg.  A reduction's string_index was an instance attribute, so a
 # reduction is the owner that shows it gone.  The cached all-strings
 # tables (region_tables) and their trace kernel (region_traces) gave way
-# to the Pauli transforms.
+# to the Pauli transforms, and so did the register-wide signed-permutation
+# tables of code-built families and their kernels (string_tables,
+# gather_index, pauli_sum, traces): every family is read block by block.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
              "frobenius_norm", "hilbert_schmidt_inner"),
     pauli: ("pauli_trace", "relabel", "restrict", "strings_on", "reconstruct",
             "marginal_from_expectations", "identity", "subset_positions", "perm_phase",
-            "region_tables", "region_traces"),
+            "region_tables", "region_traces", "string_tables", "gather_index", "pauli_sum",
+            "traces"),
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian",),
     SolveOptions: ("theta0",),

@@ -249,22 +249,42 @@ def widen(local, qubits, n):
 
 
 def test_hamiltonian_is_its_definition_bitwise():
-    # H(theta) = sum_j theta_j T_j summed from zeros, the strings in order
-    # and then the dense observables: each entry of the built H adds the
-    # same terms in the same order, so it is bitwise the reference.  A
-    # reduction's H adds its constraints' local sums in constraint order
+    # H(theta) adds the blocks' local sums, each widened by the identity,
+    # into zeros in block order, then the dense observables: each entry
+    # of the built H adds the same terms in the same order, so it is
+    # bitwise that sum.  A code-built set's blocks are its maximal
+    # supports; an entry of a local sum sums 2^k of the strings' terms
+    # through a k-level transform, so H is within (n + d) eps sum|theta|
+    # of the per-string definition, repeated strings included.  A
+    # reduction's blocks are its constraints
     rng = np.random.default_rng(43)
+    eps = np.finfo(np.float64).eps
     codes = rng.integers(0, 4, size=(60, 5))
     codes = codes[codes.any(axis=1)]
-    for oset in (mixed_observable_set(rng, 4, 30), ObservableSet(codes, dim=1 << 5, n=5)):
+    repeated = np.vstack([codes, codes[:7], codes[3:4]])
+    pairs = np.concatenate([pauli.subset_codes((i, i + 1), 5) for i in range(4)])  # as gen makes them
+    full = pauli.letter_codes([pauli.parse_label("X0 X1 X2 X3 X4", 5)], 5)
+    for oset in (
+        mixed_observable_set(rng, 4, 30),
+        ObservableSet(codes, dim=1 << 5, n=5),
+        ObservableSet(repeated, dim=1 << 5, n=5),
+        ObservableSet(pairs, dim=1 << 5, n=5),
+        ObservableSet(np.vstack([pairs, full]), dim=1 << 5, n=5),
+    ):
+        n = oset.n
         theta = rng.normal(size=oset.size)
         obs = oset.observables
         want = np.zeros((oset.dim, oset.dim), dtype=np.complex128)
-        for i in oset.pauli_index:
-            want += theta[i] * pauli.materialize(obs[i])
+        for qubits, local in zip(oset.subsets, oset.local_sums(theta)):
+            want += widen(local, qubits, n)
         for i in oset.matrix_index:
             want += theta[i] * obs[i]
-        assert oset.hamiltonian(theta).tobytes() == want.tobytes(), oset.size
+        got = oset.hamiltonian(theta)
+        assert got.tobytes() == want.tobytes(), oset.subsets
+        dense = reference.table_sum(oset.codes, theta[oset.pauli_index])
+        for i in oset.matrix_index:
+            dense += theta[i] * obs[i]
+        assert np.abs(got - dense).max() <= (n + oset.dim) * eps * np.abs(theta).sum(), oset.subsets
     n = 7
     a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
@@ -278,17 +298,16 @@ def test_hamiltonian_is_its_definition_bitwise():
         for qubits, local in decompose_local_terms(theta, ep).items():
             want += widen(local, qubits, n)
         assert got.tobytes() == want.tobytes(), subsets
-        obs = oset.observables
-        dense = sum(theta[i] * pauli.materialize(obs[i]) for i in range(oset.size))
+        dense = reference.table_sum(oset.codes, theta)
         assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max(), subsets
 
 
 def test_code_built_hamiltonian_holds_one_d2_buffer():
-    # the default whole-register block, always its set's only Pauli
-    # block, adds its terms straight into the zeroed H: one d x d buffer
-    # and the (r, d) terms, where filling a fresh local sum and copying it
-    # into a second zeroed buffer peaked at 2.23 d x d buffers (n = 9
-    # pair chain, r = 99)
+    # a code-built pair chain (n = 9, r = 99) is split into its pairs,
+    # and each adds its 4 x 4 local sum into the zeroed H at its
+    # positions: one d x d buffer and a (d/4, 16) gather, where filling a
+    # fresh local sum and copying it into a second zeroed buffer peaked at
+    # 2.23 d x d buffers
     n = 9
     codes = np.concatenate([pauli.subset_codes((i, i + 1), n) for i in range(n - 1)])
     _, first = np.unique(pauli.string_keys(codes), return_index=True)
@@ -301,8 +320,57 @@ def test_code_built_hamiltonian_holds_one_d2_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert oset.size == 99
+    assert oset.size == 99 and oset.subsets == tuple((i, i + 1) for i in range(n - 1))
     assert peak <= 1.5 * 16 * (1 << n) ** 2, peak / (16 * (1 << n) ** 2)
+
+
+def test_whole_register_block_keeps_the_state_budget():
+    # one full-weight string merges a family into a single block on the
+    # whole register, whose local sum is d x d.  Its transform passes
+    # work in place on one 4^n buffer and add into H through a view, so
+    # gibbs peaks at rho's assembly, 3 d x d buffers, as the pair blocks
+    # do; a transform with a fresh buffer a pass and a copied local sum
+    # peaked at 4.75 (n = 9)
+    n = 9
+    labels = [f"Z{i} Z{i + 1}" for i in range(n - 1)] + [f"X{i}" for i in range(n)]
+    labels.append(" ".join(f"X{i}" for i in range(n)))
+    oset = ObservableSet([pauli.parse_label(lbl, n) for lbl in labels], dim=1 << n, n=n)
+    assert oset.subsets == (tuple(range(n)),)
+    theta = np.random.default_rng(45).normal(size=oset.size)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = oset.gibbs(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(state.psi)
+    assert peak <= 3.05 * 16 * (1 << n) ** 2, peak / (16 * (1 << n) ** 2)
+
+
+def test_code_built_blocks_are_the_maximal_supports():
+    # the supports in first-appearance order, those held by another
+    # dropped, each string in the first block that holds its support;
+    # theta and <T> keep the caller's order
+    def oset(*labels, n=4):
+        return ObservableSet([pauli.parse_label(lbl, n) for lbl in labels], dim=1 << n, n=n)
+
+    cases = [
+        (("Z1", "X0 X1", "Z2 Z3", "Y1 Y2", "Z1", "Z2"), ((0, 1), (2, 3), (1, 2)), [0, 0, 1, 2, 0, 1]),
+        (("X3", "X0 Z2", "Y0", "X0 Y1 Z2"), ((3,), (0, 1, 2)), [0, 1, 1, 1]),
+        (("X0", "Y0", "Z0"), ((0,),), [0, 0, 0]),
+        (("Z0 Z1", "X2", "X0 X1 X2 X3", "Z3"), ((0, 1, 2, 3),), [0, 0, 0, 0]),
+    ]
+    rng = np.random.default_rng(46)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    for labels, subsets, owners in cases:
+        s = oset(*labels)
+        assert s.subsets == subsets, labels
+        # the one block whose local sum a string's coefficient reaches
+        unit = np.eye(len(labels))
+        assert [[j for j, m in enumerate(s.local_sums(u)) if m.any()] for u in unit] == [[o] for o in owners]
+        want = reference.table_traces(s.codes, a).real
+        assert np.abs(s.pauli_expectations(a) - want).max() <= 1e-13, labels
 
 
 def test_blocks_are_checked_against_the_rows():
@@ -323,25 +391,6 @@ def test_blocks_are_checked_against_the_rows():
     ):
         with pytest.raises(ValueError):
             ObservableSet(codes, dim=8, n=3, blocks=blocks)
-
-
-def test_expectations_flat_gather_matches_2d_gather_bitwise():
-    # <T> reads rho.ravel() at a * d + perm_a; the 2-D gather
-    # rho[a, perm_a] it replaced must give bitwise the same values, also
-    # on the non-Hermitian matrices the Hessian path hands it
-    rng = np.random.default_rng(39)
-    for n, r in ((3, 12), (5, 40), (6, 60)):
-        d = 1 << n
-        oset = mixed_observable_set(rng, n, r)
-        perms, phases = pauli.string_tables(oset.codes)
-        for a in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rand_hermitian(rng, d)):
-            want = np.empty(oset.size)
-            gathered = a[np.arange(d)[None, :], perms]
-            traces = np.matmul(phases[:, None, :], gathered[:, :, None])[:, 0, 0]
-            want[oset.pauli_index] = traces.real
-            for j, i in enumerate(oset.matrix_index):
-                want[i] = np.vdot(oset.matrices[j], a).real
-            assert oset.expectations(a).tobytes() == want.tobytes()
 
 
 def test_midpoint_convexity():

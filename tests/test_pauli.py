@@ -70,6 +70,11 @@ def test_materialize_matches_kron_oracle_exactly():
         n = int(rng.integers(1, 5))
         p = rand_string(rng, n)
         assert np.array_equal(pauli.materialize(p), kron_oracle(p)), str(p)
+    for n in (1, 3):
+        assert np.array_equal(pauli.materialize(PauliString(n)), np.eye(1 << n))
+    # a register past the cap is refused before anything is allocated
+    with pytest.raises(ValueError, match="12-qubit cap"):
+        pauli.materialize(PauliString(13, ((0, "X"),)))
 
 
 def test_orthogonality_exact_up_to_three_qubits():
@@ -186,21 +191,18 @@ def assert_rows_match_reference(strings, perms, phases):
 
 
 def test_table_rows_match_per_letter_reference_bitwise():
+    # the reference's batched table builder, the oracle the per-string
+    # references read, against the per-letter kernel it replaced
     rng = np.random.default_rng(12)
     for n in range(1, 8):
         strings = [rand_string(rng, n) for _ in range(40)]
         codes = pauli.letter_codes(strings, n)
-        assert_rows_match_reference(strings, *pauli.string_tables(codes))
+        assert_rows_match_reference(strings, *reference.string_tables(codes))
         perm, phase = reference.perm_phase(strings[0])
         assert_rows_match_reference(strings[:1], perm[None], phase[None])
-        oset = ObservableSet(strings, dim=1 << n, n=n)
-        # the set keeps its perms as their gather index, in one block on
-        # the whole register
-        (block,) = oset._blocks
-        assert_rows_match_reference(strings, block.gather % (1 << n), block.phases)
     for k in (1, 2, 3):
         strings = list(reference.strings_on(tuple(range(k)), k))
-        assert_rows_match_reference(strings, *pauli.string_tables(pauli.subset_codes(range(k), k)))
+        assert_rows_match_reference(strings, *reference.string_tables(pauli.subset_codes(range(k), k)))
 
 
 EPS = np.finfo(np.float64).eps
@@ -254,18 +256,39 @@ def test_transforms_round_trip():
 
 
 def test_transforms_reject_sizes_that_are_not_powers_of_two():
-    for a in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+    for a in (np.eye(3), np.ones((2, 4)), np.ones(4), np.ones((3, 2, 4))):
         with pytest.raises(ValueError, match="2\\^k x 2\\^k"):
             pauli.trace_transform(a)
-    for c in (np.ones(8), np.ones(5), np.ones((4, 4))):
+    for c in (np.ones(8), np.ones(5), np.ones((4, 8)), np.ones(())):
         with pytest.raises(ValueError, match="4\\^k coefficients"):
             pauli.sum_transform(c)
+
+
+def test_transforms_of_a_stack_are_each_items_bitwise():
+    # a stack's leading axes are a batch: each item goes through the same
+    # passes as it would alone, and `out` takes the sums added in
+    rng = np.random.default_rng(11)
+    for k in (0, 1, 3):
+        d = 1 << k
+        a = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        got = pauli.trace_transform(a)
+        assert got.shape == (2, 3, 4**k)
+        for i, j in itertools.product(range(2), range(3)):
+            assert got[i, j].tobytes() == pauli.trace_transform(a[i, j]).tobytes()
+        c = rng.normal(size=(5, 4**k))
+        got = pauli.sum_transform(c)
+        assert got.shape == (5, d, d)
+        for i in range(5):
+            assert got[i].tobytes() == pauli.sum_transform(c[i]).tobytes()
+        base = rng.normal(size=(5, d, d)) + 0j
+        assert np.array_equal(pauli.sum_transform(c, out=base.copy()), base + got)
 
 
 def test_one_trace_kernel_serves_regions_and_blocks():
     # a block given to an ObservableSet reads its strings through the
     # trace transform, as the warm start's regions do, so their traces
-    # agree bitwise; the default block's tables agree to round-off
+    # agree bitwise; so does a code-built set, whose one maximal support
+    # here is the register.  The per-string tables agree to round-off
     rng = np.random.default_rng(8)
     for k in (1, 2, 3, 5):
         d = 1 << k
@@ -274,7 +297,8 @@ def test_one_trace_kernel_serves_regions_and_blocks():
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         got = oset.pauli_expectations(a)
         assert got.tobytes() == pauli.trace_transform(a)[1:].real.tobytes()
-        tables = ObservableSet(codes, dim=d, n=k).pauli_expectations(a)
+        assert ObservableSet(codes, dim=d, n=k).pauli_expectations(a).tobytes() == got.tobytes()
+        tables = reference.table_traces(codes, a).real
         assert np.abs(got - tables).max() <= (k + d) * EPS * np.abs(a).sum()
 
 

@@ -523,8 +523,10 @@ def test_reduction_matches_per_string_reference_on_random_families():
 
 def test_reduction_blocks_match_full_register_string_tables():
     # the reduction keeps one block per constraint: the strings that
-    # constraint emitted first, as their keys on its qubits.  H and <T>
-    # read through the blocks' Pauli transforms agree with the
+    # constraint emitted first, next in row order, as their keys on its
+    # qubits, so its local sum is the transform of just their
+    # coefficients.  H and <T>
+    # read through the blocks' Pauli transforms agree with the reference's
     # full-register string tables to round-off: an entry sums at most
     # 2^n terms either way, so (n + 2^n) eps of the 1-norm of the inputs
     # bounds the difference
@@ -550,26 +552,25 @@ def test_reduction_blocks_match_full_register_string_tables():
         obset = ep.observable_set
         assert obset.subsets == tuple(subsets)
         position = {key: i for i, key in enumerate(pauli.string_keys(obset.codes).tolist())}
+        theta = rng.normal(size=ep.size)
         emitted = 0
-        for block, qubits in zip(obset._blocks, subsets):
+        for local, qubits in zip(obset.local_sums(theta), subsets):
             keys = pauli.string_keys(pauli.subset_codes(qubits, n)).tolist()
             index = np.array([position[key] for key in keys])
             first = index >= emitted
+            assert np.array_equal(index[first], emitted + np.arange(np.count_nonzero(first))), subsets
             emitted += int(np.count_nonzero(first))
-            assert np.array_equal(obset.pauli_index[block.rows], index[first]), subsets
             # the key on the subset of its row j is j + 1
-            assert np.array_equal(block.keys, np.arange(1, 4 ** len(qubits))[first]), subsets
-            assert block.phases is None and block.gather is None
+            coeffs = np.zeros(4 ** len(qubits))
+            coeffs[1:][first] = theta[index[first]]
+            assert np.array_equal(local, pauli.sum_transform(coeffs)), subsets
         assert emitted == ep.size
-        perms, phases = pauli.string_tables(obset.codes)
-        index = pauli.gather_index(perms)
-        theta = rng.normal(size=ep.size)
-        want = pauli.pauli_sum(theta, phases, index)
+        want = reference.table_sum(obset.codes, theta)
         got = obset.hamiltonian(theta)
         assert np.abs(got - want).max() <= (n + d) * eps * np.abs(theta).sum(), subsets
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for m in (sigma, a):
-            want = np.einsum("kd,kd->k", phases, m.ravel()[index]).real
+            want = reference.table_traces(obset.codes, m).real
             got = obset.pauli_expectations(m)
             assert np.abs(got - want).max() <= (n + d) * eps * np.abs(m).sum(), subsets
 

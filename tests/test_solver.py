@@ -443,6 +443,7 @@ def ising_problem(n, k, beta=1.0):
 def test_line_search_decides_at_float_resolution(n, k):
     # near the optimum f stops resolving |g|^2 and Armijo rejected every
     # step: these stalled just above tol until the iteration budget ran out
+    assert ising_problem(5, k).observable_set.subsets == ((0, 1), (1, 2), (2, 3), (3, 4))
     res = solve_expectations(ising_problem(n, k), SolveOptions(max_iter=100))
     assert res.status == CONVERGED, (res.status, res.max_residual)
     assert res.max_residual <= 1e-8
@@ -653,6 +654,30 @@ def test_singular_marginals_keep_the_cold_start():
     assert np.abs(res.theta).max() == pytest.approx(2480.1904201629577, rel=1e-9)
 
 
+def test_singlet_marginals_take_the_cold_start(monkeypatch):
+    # a singlet pair marginal has eigenvalues of 5.6e-17 where the exact
+    # ones are 0; taken as positive they gave log1p(-1) in the start's
+    # kernel, a NaN H_0 and 60 NaN trial points after one iteration, with
+    # RuntimeWarnings (which pytest turns into errors)
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    singlet = np.outer(psi, psi).astype(complex)
+    triangle = MarginalProblem(3, (((0, 1), singlet), ((1, 2), singlet), ((0, 2), singlet)))
+    pair = MarginalProblem(2, (((0, 1), singlet),))
+    evaluations = []
+    for mp, kind in ((triangle, "exceeded cap"), (pair, "objective saturated at float resolution")):
+        ep = reduce_to_expectations(mp)
+        assert marginal_start(ep) is None
+        counts = count_evaluations(monkeypatch)
+        res = solve_marginals(mp)
+        evaluations.append((counts["evaluations"], res.iterations))
+        assert res.status == BOUNDARY and kind in res.message, res.message
+        assert np.array_equal(res.theta, solver._minimize(ep, None).theta)
+    # the triangle has no state and reaches the theta cap; the pure pair
+    # state is met only at infinity, so its steps run until f saturates,
+    # each taken at its first trial point, as from any cold start
+    assert evaluations == [(4, 4), (48, 47)]
+
+
 def test_warm_start_halves_ring_evaluations(monkeypatch):
     # a loopy region graph: c_R = +1 per pair, -1 per qubit.  Without the
     # warm start and preconditioner this solve took 27 evaluations
@@ -663,21 +688,6 @@ def test_warm_start_halves_ring_evaluations(monkeypatch):
     res = solve_marginals(mp)
     assert res.status == CONVERGED
     assert counts["evaluations"] <= 27 // 2
-
-
-def test_marginal_start_builds_no_string_table(monkeypatch):
-    # the reduction's blocks and the start's regions read their strings
-    # through the Pauli transforms: no signed-permutation table or gather
-    # index is built from the reduction to the first evaluation
-    mp = disjoint_pairs(np.random.default_rng(51))
-    calls = []
-    monkeypatch.setattr(pauli, "string_tables", lambda codes: calls.append(codes))
-    monkeypatch.setattr(pauli, "gather_index", lambda perms: calls.append(perms))
-    ep = reduce_to_expectations(mp)
-    start = marginal_start(ep)
-    start.apply(np.ones(ep.size))
-    ep.observable_set.gibbs(start.theta0)
-    assert calls == []
 
 
 def test_solve_and_verify_hold_one_state_at_a_time():
