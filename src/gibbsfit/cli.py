@@ -138,9 +138,15 @@ def cmd_check(args) -> int:
     problem, _ = fileio.load_problem(args.problem, max_qubits())
     if isinstance(problem, MarginalProblem):
         report = problem_mod.check_local_compatibility(problem)
+        verdict = report.verdict
+        try:  # the reduction `solve` runs: a target conflict is an incompatibility
+            reduce_to_expectations(problem)
+        except TargetConflictError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            verdict = problem_mod.LOCALLY_INCOMPATIBLE
         violations = entropy_diagnostic(problem)
         doc = {
-            "verdict": report.verdict,
+            "verdict": verdict,
             "pairs": [
                 {"i": i, "j": j, "trace_distance": d} for i, j, d in report.pair_distances
             ],
@@ -157,7 +163,7 @@ def cmd_check(args) -> int:
             ],
         }
         _emit(fileio.dump_json(doc), args.out)
-        if report.verdict != problem_mod.COMPATIBLE:
+        if verdict != problem_mod.COMPATIBLE:
             return EXIT_INCOMPATIBLE
         if violations:
             return EXIT_ENTROPY

@@ -5,10 +5,11 @@ Everything routes through one Hermitian eigendecomposition per theta,
 spectrum, psi and <T>), so entropy and the minimum eigenvalue need no
 further eigensolve.
 ObservableSet is the one check of an observable family: it gates every
-dense observable once and splits its Pauli strings over qubit subsets S
-(`linalg.check_subset`) holding their supports: a reduction's
-constraints, or else the maximal supports (those in no other), each
-string in the first that holds it.  H(theta) adds each subset's local
+observable once and places each Pauli string in the first of its qubit
+subsets S (`linalg.check_subset`) that holds the string's support, by
+one rule for every family: the subsets are listed (a reduction lists
+its constraints) or else the maximal supports, those in no other, in
+first-appearance order.  H(theta) adds each subset's local
 sum M_S (x) I at S's `linalg.subset_positions`, and <T> reads each
 subset's strings from the marginal on S, the `linalg.partial_trace`
 gather; both go through the Pauli transforms on S, O(k 4^k), and a
@@ -76,22 +77,33 @@ class _Block(NamedTuple):
         return pauli.sum_transform(full.reshape(-1, size), out)
 
 
-def _maximal_supports(codes: np.ndarray) -> list:
-    """(qubits, rows) of the strings with (r, n) letter codes: their
-    maximal supports, those no other support holds, in first-appearance
-    order, each string's row in the first that holds its support."""
-    if not len(codes):
-        return []
-    n = codes.shape[1]
-    masks = (codes != 0) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    distinct = distinct[order]  # in first-appearance order
+def _supports(codes: np.ndarray, n: int) -> np.ndarray:
+    """Each (r, n) letter-code row's support as a bit mask, qubit 0 highest."""
+    return (codes != 0) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _maximal_supports(codes: np.ndarray, n: int) -> list:
+    """The maximal supports of the rows, those no other support holds, in
+    first-appearance order."""
+    distinct, first = np.unique(_supports(codes, n), return_index=True)
+    distinct = distinct[np.argsort(first)]
     inside = (distinct[:, None] & ~distinct[None, :]) == 0  # [i, j]: support i within j
-    maximal = np.flatnonzero(inside.sum(1) == 1)  # within no other but itself
-    owner = np.argmax(inside[:, maximal], axis=1)[np.argsort(order)][inverse]
-    bits = (distinct[maximal, None] >> np.arange(n - 1, -1, -1)) & 1
-    return [(tuple(np.flatnonzero(b).tolist()), np.flatnonzero(owner == j)) for j, b in enumerate(bits)]
+    bits = (distinct[inside.sum(1) == 1, None] >> np.arange(n - 1, -1, -1)) & 1
+    return [tuple(np.flatnonzero(b).tolist()) for b in bits]
+
+
+def _place(codes: np.ndarray, subsets: list, n: int) -> list:
+    """Each subset's rows: a row goes to the first subset that holds its
+    support, and a row that none holds raises."""
+    distinct, inverse = np.unique(_supports(codes, n), return_inverse=True)
+    held = np.array([sum(1 << (n - 1 - q) for q in s) for s in subsets], dtype=np.int64)
+    inside = (distinct[:, None] & ~held[None, :]) == 0  # [i, j]: support i within subset j
+    # a last column that holds every support: the owner of a row no subset holds
+    owner = np.c_[inside, np.ones(len(distinct), dtype=bool)].argmax(1)[inverse]
+    orphan = np.flatnonzero(owner == len(subsets))
+    if orphan.size:
+        raise ValueError(f"Pauli row {orphan[0]} acts on no listed subset")
+    return [np.flatnonzero(owner == j) for j in range(len(subsets))]
 
 
 class ObservableSet:
@@ -104,22 +116,22 @@ class ObservableSet:
     sequence's PauliStrings go through `pauli.letter_codes` once, here.
 
     The constructor is the only check an observable gets: a Pauli
-    string's register must be n qubits, a matrix must pass the
-    Hermiticity gate and have dimension dim.  A failure raises
-    InvalidEntryError naming the observable's index.  `observables`
-    holds the gated family: strings as PauliStrings, matrices as gated;
-    a set made from codes builds its PauliStrings on first access.
+    string's register must be n qubits and the string not the identity,
+    a matrix must pass the Hermiticity gate and have dimension dim.  A
+    failure raises InvalidEntryError naming the observable's index.
+    `observables` holds the gated family: strings as PauliStrings,
+    matrices as gated; a set made from codes builds its PauliStrings on
+    first access.
 
-    `blocks` splits the Pauli rows, in order, into runs of (qubits,
-    count): `count` consecutive rows whose strings act on `qubits`, a
-    `linalg.check_subset`, only (a marginal reduction passes one per
-    constraint, empty ones included).  By default the rows are split by
-    support: one block per maximal support, those no other support
-    holds, in first-appearance order, each row in the first that holds
-    its support.  `subsets` lists the blocks' qubits.
+    Each Pauli row goes to the first of `subsets` (each a
+    `linalg.check_subset`) that holds its support, and a row that none
+    holds is a ValueError.  A marginal reduction lists its constraints,
+    so a repeated or nested one keeps an empty block; by default the
+    subsets are the maximal supports, those no other support holds, in
+    first-appearance order.
     """
 
-    def __init__(self, observables, dim: int, n: int | None = None, blocks=None):
+    def __init__(self, observables, dim: int, n: int | None = None, subsets=None):
         from_codes = isinstance(observables, np.ndarray)
         if not from_codes:
             observables = tuple(observables)
@@ -160,34 +172,27 @@ class ObservableSet:
                 gated.append(op)
             self._observables = tuple(gated)
             codes = pauli.letter_codes(strings, n or 0)
+        identity = np.flatnonzero(~codes.any(1))
+        if identity.size:
+            i = pauli_idx[identity[0]]
+            raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
         self.codes = codes  # (k, n) letter codes of the Pauli rows
         self.pauli_index = np.asarray(pauli_idx, dtype=np.intp)
         self.matrix_index = np.asarray(mat_idx, dtype=np.intp)
         self.matrices = mats
-        parts = _maximal_supports(codes) if blocks is None else self._parts(blocks)
-        self._blocks = self._runs(parts)
+        if subsets is None:
+            subsets = _maximal_supports(codes, n or 0)
+        else:
+            subsets = [linalg.check_subset(q, n) for q in subsets]
+        self._blocks = self._runs(subsets, _place(codes, subsets, n or 0))
 
-    def _parts(self, blocks) -> list:
-        """(qubits, rows) of the (qubits, count) runs of consecutive rows,
-        checked to act on their qubits only and to cover the rows."""
-        out, start = [], 0
-        for qubits, count in blocks:
-            qubits, stop = linalg.check_subset(qubits, self.n), start + int(count)
-            if stop > len(self.codes) or np.delete(self.codes[start:stop], qubits, axis=1).any():
-                raise ValueError(f"Pauli rows {start}..{stop} do not act on {qubits} only")
-            out.append((qubits, np.arange(start, stop)))
-            start = stop
-        if start != len(self.codes):
-            raise ValueError(f"blocks hold {start} of the {len(self.codes)} Pauli rows")
-        return out
-
-    def _runs(self, parts) -> tuple:
-        """The blocks of (qubits, rows) parts, in order: consecutive parts
-        on proper subsets of one size share a block, as a transform on few
-        qubits costs its call overhead; a part on the register is alone."""
+    def _runs(self, subsets, rows) -> tuple:
+        """The blocks of the subsets and their rows, in order: consecutive
+        proper subsets of one size share a block, as a transform on few
+        qubits costs its call overhead; the register is alone."""
         runs = []
-        for qubits, rows in parts:
-            part = (qubits, rows, pauli.string_keys(self.codes[rows][:, qubits]))
+        for qubits, part in zip(subsets, rows):
+            part = (qubits, part, pauli.string_keys(self.codes[part][:, qubits]))
             if runs and len(qubits) == len(runs[-1][-1][0]) < self.n:
                 runs[-1].append(part)
             else:
@@ -208,7 +213,7 @@ class ObservableSet:
 
     @property
     def subsets(self) -> tuple:
-        """The subsets in order: a reduction's constraints, else the maximal supports."""
+        """The subsets in order, one block each: those listed, else the maximal supports."""
         return tuple(q for b in self._blocks for q in b.subsets)
 
     def local_sums(self, theta: np.ndarray) -> list:

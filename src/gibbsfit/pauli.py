@@ -47,8 +47,8 @@ class PauliString:
     `letters` holds (qubit, letter) pairs in ascending qubit order;
     qubits not listed carry the identity.  Equality and hashing look at
     the letters only, so the same physical operator embedded in wider
-    registers compares equal — that is what makes symbolic dedup across
-    overlapping subsets work.
+    registers compares equal.  Inside the package strings are compared
+    by the `string_keys` of their letter codes, not as PauliStrings.
     """
 
     n: int

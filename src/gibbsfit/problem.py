@@ -4,8 +4,9 @@ necessary-condition diagnostics for overlapping marginals.
 Two problem shapes exist.  A MarginalProblem carries local density
 matrices on qubit subsets; it reduces to an ExpectationProblem whose
 observables are all non-identity Pauli strings supported on those
-subsets.  An ExpectationProblem can also be built directly from raw
-Hermitian observables with targets — the more general use case.
+subsets, listed as the problem's subsets.  An ExpectationProblem can
+also be built directly from Pauli strings and Hermitian matrices with
+targets, the more general use case; it has one constructor either way.
 """
 
 from __future__ import annotations
@@ -99,34 +100,28 @@ class MarginalProblem:
 class ExpectationProblem:
     """Observables T_i with targets t_i on a dim-dimensional space.
 
-    An observable is a PauliString or a dense Hermitian matrix.  The
-    constructor builds the family's one ObservableSet, `observable_set`
-    (every observable is gated there), and reads spec(T_i) = [lo_i, hi_i]
-    once: (-1, 1) for a string, one eigvalsh for a matrix.  From it come
-    the target bound check, `extreme` (t_i at or beyond an endpoint, up
-    to SPECTRAL_SLACK) and `half_widths` ((hi_i - lo_i)/2), which the
+    `observables` is a sequence of PauliStrings and dense Hermitian
+    matrices, or an (r, n) array of letter codes, as ObservableSet takes
+    them.  The constructor builds the family's one ObservableSet,
+    `observable_set` (every observable is gated there, and `subsets`
+    places its Pauli rows), and reads spec(T_i) = [lo_i, hi_i] once:
+    (-1, 1) for a string, one eigvalsh for a matrix.  Every |t_i| must be
+    within the spectral radius of T_i up to SPECTRAL_SLACK relative to
+    it, so the verdict does not depend on how the observables are scaled.
+    From spec(T_i) also come `extreme` (t_i at or beyond an endpoint, up
+    to SPECTRAL_SLACK; only singular states reach an endpoint, so no
+    Gibbs state ever will) and `half_widths` ((hi_i - lo_i)/2), which the
     solver reads.  `observables` is the set's gated tuple.
     """
 
-    def __init__(self, observables, targets, dim: int, n: int | None = None):
-        obs = tuple(observables)
+    def __init__(self, observables, targets, dim: int, n: int | None = None, subsets=None):
+        obset = ObservableSet(observables, dim=dim, n=n, subsets=subsets)
         targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-        if targets.shape != (len(obs),):
-            raise ValueError(f"lengths disagree: {len(obs)} observables, {targets.shape} targets")
+        if targets.shape != (obset.size,):
+            raise ValueError(f"lengths disagree: {obset.size} observables, {targets.shape} targets")
         bad = np.flatnonzero(~np.isfinite(targets))
         if bad.size:
             raise InvalidEntryError(bad[0], "target", f"target {float(targets[bad[0]])} is not finite")
-        for i, op in enumerate(obs):
-            if isinstance(op, PauliString) and op.is_identity:
-                raise InvalidEntryError(i, "pauli", "identity string is not a valid observable")
-        self._accept(ObservableSet(obs, dim=dim, n=n), targets)
-
-    def _accept(self, obset: ObservableSet, targets: np.ndarray):
-        """Keep the family, after checking that every |t_i| is within the
-        spectral radius of T_i up to SPECTRAL_SLACK relative to it, so
-        the verdict does not depend on how the observables are scaled.
-        Endpoint targets admit no strictly positive witness: only
-        singular states reach them, so no Gibbs state ever will."""
         intervals = np.tile((-1.0, 1.0), (obset.size, 1))
         for i, m in zip(obset.matrix_index, obset.matrices):
             intervals[i] = spectral_interval(m)
@@ -200,53 +195,36 @@ class CompatibilityReport:
     verdict: str
 
 
-class ReducedProblem(ExpectationProblem):
-    """The ExpectationProblem of a marginal reduction, built from the
-    (r, n) letter codes of its strings, which are distinct and
-    non-identity, with targets in [-1, 1].  Its ObservableSet holds one
-    block per constraint, in constraint order: the strings that
-    constraint emitted first (see ObservableSet); `observables` builds
-    their PauliStrings only when it is read.
-    """
-
-    def __init__(self, codes: np.ndarray, targets: np.ndarray, n: int, blocks):
-        self._accept(ObservableSet(codes, dim=1 << n, n=n, blocks=blocks), targets)
-
-
-def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
+def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
     """Replace each marginal by Pauli expectation targets.
 
     Emits one constraint per distinct non-identity string supported on
     some subset (dedup on the strings' letter codes, first-appearance
     order).  Targets are read from the first constraint containing the
     string and cross-checked against every other; disagreement beyond
-    1e-9 is a pairwise-compatibility violation reported as a conflict.
-    All 4^k - 1 targets of a constraint come from one
-    `pauli.trace_transform` of its marginal, and the dedup and both checks are
-    array operations over every emitted string at once; the first
-    offender, in constraint then string order, raises.  The emitted
-    strings come constraint by constraint, so each constraint's first
-    emissions are one block of the ObservableSet, kept on its qubits.
+    TARGET_CONFLICT_ATOL is a pairwise-compatibility violation reported
+    as a conflict.  All 4^k - 1 targets of a constraint come from one
+    `pauli.trace_transform` of its marginal (real: the marginal passed
+    the density gate), and the dedup and the check are array operations
+    over every emitted string at once; the first offender, in constraint
+    then string order, raises.  The problem's subsets are the
+    constraints', so each string sits in the block of the first
+    constraint holding it, the one that emitted it first.
     """
     n = mp.n
     codes = [pauli.subset_codes(qubits, n) for qubits, _ in mp.constraints]
-    vals = np.concatenate([pauli.trace_transform(rho)[1:] for _, rho in mp.constraints])
+    t = np.concatenate([pauli.trace_transform(rho)[1:].real for _, rho in mp.constraints])
     starts = np.cumsum([0] + [len(c) for c in codes])
     codes = np.concatenate(codes)
     _, first, inverse = np.unique(pauli.string_keys(codes), return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct strings in first-appearance order
     where = np.argsort(order)[inverse]  # each emitted string's position in observables
     first = first[order]  # where each distinct string appears first
-    t = vals.real
-    nonreal = np.abs(vals.imag) > 1e-10
-    bad = np.flatnonzero(nonreal | (np.abs(t[first][where] - t) > TARGET_CONFLICT_ATOL))
+    bad = np.flatnonzero(np.abs(t[first][where] - t) > TARGET_CONFLICT_ATOL)
     if bad.size:
         e = bad[0]
-        ci = int(np.searchsorted(starts, e, side="right")) - 1
-        if nonreal[e]:
-            raise ValueError(f"non-real expectation {complex(vals[e])!r} for constraint {ci}")
         a = first[where[e]]
-        owner = int(np.searchsorted(starts, a, side="right")) - 1
+        owner, ci = np.searchsorted(starts, [a, e], side="right") - 1
         raise TargetConflictError(
             str(pauli.strings_from_codes(codes[a : a + 1])[0]),
             mp.constraints[owner][0],
@@ -257,9 +235,7 @@ def reduce_to_expectations(mp: MarginalProblem) -> ReducedProblem:
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
     targets = np.clip(t[first], -1.0, 1.0)
-    counts = np.diff(np.searchsorted(first, starts))  # strings each constraint emits first
-    blocks = [(qubits, count) for (qubits, _), count in zip(mp.constraints, counts)]
-    return ReducedProblem(codes[first], targets, n, blocks)
+    return ExpectationProblem(codes[first], targets, 1 << n, n, subsets=mp.subsets)
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:

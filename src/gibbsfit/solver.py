@@ -35,7 +35,6 @@ from .problem import (
     ExpectationProblem,
     IncompatibleMarginalsError,
     MarginalProblem,
-    ReducedProblem,
     check_independence,
     check_local_compatibility,
     reduce_to_expectations,
@@ -315,7 +314,7 @@ class MarginalStart:
         return out
 
 
-def marginal_start(ep: ReducedProblem) -> MarginalStart | None:
+def marginal_start(ep: ExpectationProblem) -> MarginalStart | None:
     """One 2^k x 2^k eigh per region of the reduction's block subsets (one
     per constraint); None when a region marginal is singular (log
     undefined) or theta0 is non-finite or beyond THETA_CAP, so that the
@@ -366,7 +365,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     return dataclasses.replace(result, local_terms=local, marginal_distances=dists)
 
 
-def _marginal_distances(rho: np.ndarray, mp: MarginalProblem, ep: ReducedProblem) -> tuple:
+def _marginal_distances(rho: np.ndarray, mp: MarginalProblem, ep: ExpectationProblem) -> tuple:
     """(qubits, trace distance of rho's marginal on them to the target)
     per constraint, in constraint order; `ep` is mp's reduction, whose
     blocks (one per constraint) read the marginals."""
@@ -376,17 +375,17 @@ def _marginal_distances(rho: np.ndarray, mp: MarginalProblem, ep: ReducedProblem
     )
 
 
-def decompose_local_terms(theta, ep: ReducedProblem) -> dict:
+def decompose_local_terms(theta, ep: ExpectationProblem) -> dict:
     """Split H = sum theta_P P into per-subset local Hamiltonians, keyed
     by subset in constraint order.
 
-    `ep` is the reduction of a marginal problem, and a subset's local
-    Hamiltonian is its constraint's block's local sum
-    (`ObservableSet.local_sums`): the strings its constraint emitted
-    first, those whose lowest-indexed subset containing their support is
-    this one.  So the blocks, each widened by identities to the whole
-    register, sum to H exactly, a subset nested in an earlier one gets
-    a zero block and a repeated subset keeps its first copy's block.
+    `ep` is the reduction of a marginal problem, whose subsets are its
+    constraints', and a subset's local Hamiltonian is its block's local
+    sum (`ObservableSet.local_sums`): the strings whose first listed
+    subset holding their support is this one.  So the blocks, each
+    widened by identities to the whole register, sum to H exactly, a
+    subset nested in an earlier one gets a zero block and a repeated
+    subset keeps its first copy's block.
     """
     obset = ep.observable_set
     locals_: dict[tuple, np.ndarray] = {}

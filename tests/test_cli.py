@@ -561,6 +561,30 @@ def test_incompatible_marginals_exit_2_from_solve_and_verify(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
 
 
+def test_check_rejects_the_target_conflict_that_solve_rejects(tmp_path, capsys):
+    # Z1 is 0.2 in the first marginal and 0.2 + 1.5e-9 in the second:
+    # the trace distance, 7.5e-10, is within the compatibility gate, the
+    # target difference beyond the conflict gate; check runs the
+    # reduction that solve runs, so both exit 2 naming Z1
+    def bloch(x, y, z):
+        return (np.eye(2) + x * np.array([[0, 1], [1, 0]]) + y * np.array([[0, -1j], [1j, 0]])
+                + z * np.diag([1.0, -1.0])) / 2
+
+    prob = write(tmp_path / "p.json", {"n": 3, "marginals": [
+        {"qubits": [0, 1], "rho": matrix_json(np.kron(bloch(0.1, 0.2, 0.3), bloch(0, 0.1, 0.2)))},
+        {"qubits": [1, 2], "rho": matrix_json(np.kron(bloch(0, 0.1, 0.2 + 1.5e-9), bloch(0.3, 0.1, 0)))},
+    ]})
+    out = tmp_path / "c.json"
+    assert main(["check", prob, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
+    rep = read(out)
+    assert rep["verdict"] == "LocallyIncompatible" and rep["entropy_violations"] == []
+    assert [(p["i"], p["j"]) for p in rep["pairs"]] == [(0, 1)]
+    assert rep["pairs"][0]["trace_distance"] == pytest.approx(7.5e-10, rel=1e-3)
+    assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
+
+
 def test_check_rejects_dependent_expectation_observables(tmp_path, capsys):
     # diag(2, -2) is 2 Z0: the report is written, then the exit is 65
     prob = write(tmp_path / "dep.json", {"n": 1,

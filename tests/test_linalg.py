@@ -144,8 +144,8 @@ def test_partial_trace_is_the_block_marginal_bitwise():
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
         codes = np.zeros((1, n), dtype=np.intp)
-        codes[0, 0] = 3  # Z0, in a last block on the register; the subsets' blocks hold no rows
-        oset = ObservableSet(codes, dim=d, n=n, blocks=[(s, 0) for s in subsets] + [(range(n), 1)])
+        codes[0, 0] = 3  # Z0, in the block of (0,); the other subsets' blocks hold no rows
+        oset = ObservableSet(codes, dim=d, n=n, subsets=subsets)
         for s, want in zip(subsets, oset.marginals(m)):
             assert linalg.partial_trace(m, n, s).tobytes() == want.tobytes(), (n, s)
 
@@ -187,7 +187,7 @@ def test_every_entry_point_rejects_a_bad_subset(tmp_path, capsys):
         codes = np.zeros((1, n), dtype=np.intp)
         codes[0, 0] = 3
         with pytest.raises(ValueError, match=msg):
-            ObservableSet(codes, dim=1 << n, n=n, blocks=[(bad, 0), (range(n), 1)])
+            ObservableSet(codes, dim=1 << n, n=n, subsets=[bad, range(n)])
         with pytest.raises(ValueError, match=msg):
             linalg.partial_trace(np.eye(1 << n) / (1 << n), n, bad)
         chunk = ",".join(map(str, bad))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli
-from gibbsfit.partition import ObservableSet
+from gibbsfit.partition import InvalidEntryError, ObservableSet
 from gibbsfit.problem import ExpectationProblem, MarginalProblem, reduce_to_expectations
 from gibbsfit.solver import decompose_local_terms, verify
 
@@ -373,24 +373,48 @@ def test_code_built_blocks_are_the_maximal_supports():
         assert np.abs(s.pauli_expectations(a) - want).max() <= 1e-13, labels
 
 
-def test_blocks_are_checked_against_the_rows():
-    # a block's qubits must hold its rows' support, and the blocks must
-    # cover the Pauli rows exactly: a wrong split would give a wrong H
+def test_subsets_are_checked_against_the_rows():
+    # each row goes to the first listed subset that holds its support,
+    # and one that none holds is an error: a wrong split would give a
+    # wrong H
     codes = np.array([[1, 0, 0], [0, 2, 3], [3, 3, 0]])
-    good = [((0,), 1), ((1, 2), 1), ((0, 1), 1)]
-    oset = ObservableSet(codes, dim=8, n=3, blocks=good)
-    assert oset.subsets == ((0,), (1, 2), (0, 1))
     theta = np.array([0.3, -0.7, 1.1])
     whole = ObservableSet(codes, dim=8, n=3)
-    assert np.abs(oset.hamiltonian(theta) - whole.hamiltonian(theta)).max() < 1e-15
-    for blocks in (
-        [((0,), 2), ((0, 1, 2), 1)],  # row 1 acts off qubit 0
-        [((0,), 1), ((1, 2), 1)],  # row 2 in no block
-        [((0,), 1), ((2, 1), 1), ((0, 1), 1)],  # qubits not ascending
-        [((0,), 1), ((1, 2), 1), ((0, 1, 5), 1)],  # qubit beyond n
+    for subsets, owners in (
+        ([(0,), (1, 2), (0, 1)], [0, 1, 2]),
+        ([(0, 1, 2), (0,), (0, 1, 2)], [0, 0, 0]),  # nested and repeated: empty blocks
+        ([(0, 1), (1, 2), (0, 1)], [0, 1, 0]),
     ):
-        with pytest.raises(ValueError):
-            ObservableSet(codes, dim=8, n=3, blocks=blocks)
+        oset = ObservableSet(codes, dim=8, n=3, subsets=subsets)
+        assert oset.subsets == tuple(subsets)
+        unit = np.eye(len(codes))
+        assert [[j for j, m in enumerate(oset.local_sums(u)) if m.any()] for u in unit] == [
+            [o] for o in owners
+        ]
+        assert np.abs(oset.hamiltonian(theta) - whole.hamiltonian(theta)).max() < 1e-15
+    for subsets, message in (
+        ([(0,), (1, 2)], "Pauli row 2 acts on no listed subset"),  # row 2 is on qubits 0 and 1
+        ([], "Pauli row 0 acts on no listed subset"),
+        ([(0,), (2, 1), (0, 1)], r"qubits \(2, 1\) must be strictly ascending"),
+        ([(0,), (1, 2), (0, 1, 5)], r"qubits \(0, 1, 5\) must be strictly ascending"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ObservableSet(codes, dim=8, n=3, subsets=subsets)
+
+
+def test_the_identity_is_no_observable():
+    # the set's one gate turns the identity away in either form, naming
+    # its position among all the observables
+    z0, identity = pauli.parse_label("Z0", 2), pauli.parse_label("", 2)
+    for observables, index in (
+        ([z0, np.eye(4), identity], 2),
+        (np.array([[3, 0], [0, 0], [1, 1]]), 1),
+    ):
+        with pytest.raises(InvalidEntryError, match="identity") as exc:
+            ObservableSet(observables, dim=4, n=2)
+        assert (exc.value.index, exc.value.field) == (index, "pauli")
+        with pytest.raises(InvalidEntryError, match="identity"):
+            ExpectationProblem(observables, np.zeros(3), dim=4, n=2)
 
 
 def test_midpoint_convexity():

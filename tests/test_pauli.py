@@ -285,7 +285,7 @@ def test_transforms_of_a_stack_are_each_items_bitwise():
 
 
 def test_one_trace_kernel_serves_regions_and_blocks():
-    # a block given to an ObservableSet reads its strings through the
+    # a subset listed for an ObservableSet reads its strings through the
     # trace transform, as the warm start's regions do, so their traces
     # agree bitwise; so does a code-built set, whose one maximal support
     # here is the register.  The per-string tables agree to round-off
@@ -293,7 +293,7 @@ def test_one_trace_kernel_serves_regions_and_blocks():
     for k in (1, 2, 3, 5):
         d = 1 << k
         codes = pauli.subset_codes(range(k), k)
-        oset = ObservableSet(codes, dim=d, n=k, blocks=[(range(k), len(codes))])
+        oset = ObservableSet(codes, dim=d, n=k, subsets=[range(k)])
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         got = oset.pauli_expectations(a)
         assert got.tobytes() == pauli.trace_transform(a)[1:].real.tobytes()
