@@ -1,6 +1,8 @@
 """Solver behaviour: closed-form fits, boundary handling, certificates."""
 
+import collections
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -274,6 +276,27 @@ def test_solve_options_validation():
         SolveOptions(max_iter=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grad_tol": math.inf},  # every residual passed: Converged at iteration 0
+    {"grad_tol": math.nan},
+    {"grad_tol": -1e-8},
+    {"grad_tol": True},
+    {"max_iter": 2.5},  # a TypeError inside the loop
+    {"max_iter": True},  # one iteration
+])
+def test_solve_options_reject_values_that_give_wrong_results(kwargs):
+    with pytest.raises(ValueError):
+        SolveOptions(**kwargs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan, True])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # tol = inf passed every theta, the cold theta = 0 here included
+    ep = pauli_problem(1, [("Z0", -0.6)])
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        verify(np.array([0.0]), ep, tol)
+
+
 def test_line_search_backtracks_from_overflowing_trial_points():
     # H(theta) overflows at the first trial points: psi is NaN there, with
     # no eigh and no warning, and the search halves the step to its floor
@@ -416,11 +439,14 @@ def test_result_invariants_on_boundary():
 
 
 def count_evaluations(monkeypatch):
-    counts = {"evaluations": 0}
+    """Counts `gibbs` calls: all of them under "evaluations", and those of
+    each dimension under that dimension (a missing key reads 0)."""
+    counts = collections.Counter()
     gibbs = ObservableSet.gibbs
 
     def counted(self, theta):
         counts["evaluations"] += 1
+        counts[self.dim] += 1
         return gibbs(self, theta)
 
     monkeypatch.setattr(ObservableSet, "gibbs", counted)
@@ -712,3 +738,77 @@ def test_solve_and_verify_hold_one_state_at_a_time():
     report, verify_peak = traced_peak(lambda: verify(result, mp))
     assert result.status == CONVERGED and report.ok
     assert solve_peak <= 3.5 and verify_peak <= 3.5, (solve_peak, verify_peak)
+
+
+def pair_chain(n, seed, beta):
+    pairs = tuple((i, i + 1) for i in range(n - 1))
+    return random_marginal_instance(np.random.default_rng([seed, 77]), n, pairs, beta)[0]
+
+
+def max_residual(ep, theta):
+    return float(np.abs(ep.observable_set.gibbs(theta).expectations - ep.targets).max())
+
+
+def test_neighbourhood_start_fits_pair_chains(monkeypatch):
+    # n = 8: every neighbourhood {i-1..i+2} leaves 4 qubits outside, so
+    # theta0 sums region fits on the 4- and 3-qubit windows; from the
+    # constraint-level theta0 this solve took 4 d x d evaluations
+    mp = pair_chain(8, 0, 1.0)
+    ep = reduce_to_expectations(mp)
+    closed = solver._constraint_start(ep)
+    start = marginal_start(ep)
+    assert max_residual(ep, start.theta0) * 100 <= max_residual(ep, closed.theta0)
+    for g in np.random.default_rng(63).normal(size=(2, ep.size)):
+        assert np.array_equal(start.apply(g), closed.apply(g))  # H_0 is unchanged
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED
+    assert counts[1 << 8] <= 2
+    assert counts["evaluations"] > counts[1 << 8]  # the region fits
+
+
+def test_neighbourhood_start_is_exact_on_commuting_markov_chain(monkeypatch):
+    mp = commuting_chain(8, np.random.default_rng(52))
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED
+    assert res.iterations == 0 and counts[1 << 8] == 1
+
+
+@pytest.mark.parametrize("n,subsets", [
+    (7, tuple((i, i + 1) for i in range(6))),  # neighbourhoods of 4 leave 3 outside
+    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))),  # 5-qubit windows sharing 3
+    (6, tuple((0, i) for i in range(1, 6))),  # a star: every neighbourhood is the register
+])
+def test_constraint_start_where_neighbourhoods_leave_too_few_qubits(n, subsets, monkeypatch):
+    mp, _ = random_marginal_instance(np.random.default_rng(64), n, subsets)
+    ep = reduce_to_expectations(mp)
+    counts = count_evaluations(monkeypatch)
+    start = marginal_start(ep)
+    assert counts["evaluations"] == 0  # no region fit
+    assert np.array_equal(start.theta0, solver._constraint_start(ep).theta0)
+
+
+def test_unconverged_region_fit_keeps_the_constraint_start(monkeypatch):
+    ep = reduce_to_expectations(pair_chain(8, 1, 1.0))
+    minimize = solver._minimize
+    fits = []
+
+    def limited(*args):
+        fits.append(args[0].n)
+        return dataclasses.replace(minimize(*args), status=ITERATION_LIMIT)
+
+    monkeypatch.setattr(solver, "_minimize", limited)
+    start = marginal_start(ep)
+    assert fits == [4]  # the first region fit ends the neighbourhood level
+    assert np.array_equal(start.theta0, solver._constraint_start(ep).theta0)
+
+
+def test_singular_marginal_is_cold_before_any_region_fit(monkeypatch):
+    # the ZZ mixture's pair marginals are singular: no start, no gibbs call
+    zz = np.zeros((4, 4), dtype=complex)
+    zz[0, 0] = zz[3, 3] = 0.5
+    ep = reduce_to_expectations(MarginalProblem(8, tuple(((i, i + 1), zz) for i in range(7))))
+    counts = count_evaluations(monkeypatch)
+    assert marginal_start(ep) is None
+    assert counts["evaluations"] == 0
