@@ -282,7 +282,7 @@ def check_independence(ep: ExpectationProblem) -> RankReport:
 
 
 def kikuchi_regions(subsets) -> list[tuple[tuple[int, ...], int]]:
-    """The region graph of a marginal problem: its subsets closed under
+    """The region graph of a family's subsets: the subsets closed under
     (non-empty) intersection, each region R with its Kikuchi counting
     number c_R = 1 - sum of c_A over the regions A strictly containing
     R.  Regions with c_R = 0 are dropped.  On a chain of pairs that

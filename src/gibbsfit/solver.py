@@ -16,23 +16,8 @@ accepts leaves f where it was (f has saturated at float resolution).
 Interior-infeasible problems drift to the cap on their own because the
 residual stays bounded away from zero.
 
-A marginal problem starts from its own marginals when they allow it
-(see MarginalStart and marginal_start).  The initial inverse Hessian
-H_0 comes from the curvature of the constraint-level region marginals
-(the constraints closed under intersection).  theta0 is the Kikuchi
-combination sum_R c_R theta_R one level higher, over the neighbourhoods
-N(S) (a constraint S with every constraint that overlaps it) closed
-under intersection: theta_R is log rho_R in Pauli coefficients on a
-region inside one constraint, and the max-entropy fit of the strings
-supported in R (a region fit, a solve on |R| qubits) on any other
-region.  The neighbourhood level is used only where every N(S) leaves
-at least 4 qubits outside it; below that the region fits cost more
-than the d x d evaluations they save (measured break-even: with
-neighbourhood starts, n = 7 pair chains solve 14-60% slower and n = 8
-chains 2-48% faster), and theta0 is the constraint-level Kikuchi
-combination.  A singular marginal gives the cold start; a region fit
-that does not converge, or a theta0 that is non-finite or beyond
-THETA_CAP, keeps the constraint-level theta0.
+A marginal problem starts from its own marginals when they allow it:
+see marginal_start for the rule and its fallbacks.
 """
 
 from __future__ import annotations
@@ -74,10 +59,7 @@ _WOLFE_SIGMA = 0.9
 # the spread theta_i T_i puts into H(theta), so the cap does not depend
 # on how an observable is scaled.  A Pauli string's half-width is 1.
 THETA_CAP = 50.0
-# A marginal start fits its neighbourhood regions only where every
-# neighbourhood leaves this many qubits outside it: the measured
-# break-even of the region fits against the d x d evaluations they save.
-_OUTSIDE = 4
+_OUTSIDE = 4  # qubits each neighbourhood leaves outside (see marginal_start)
 
 
 class DependentObservablesError(ValueError):
@@ -311,21 +293,13 @@ class _Region(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MarginalStart:
-    """A marginal solve's start, read from the region marginals
-    rho_R = (I + sum_{P in R} t_P P) / 2^k at the targets.
-
-    `theta0` is sum_R c_R theta_R over a region graph with the counting
-    numbers c_R of `problem.kikuchi_regions`, the Bethe/Kikuchi
-    approximation of the fitted Hamiltonian (`marginal_start` picks the
-    graph).  On a region inside one constraint theta_R is the Pauli
-    coefficients of log rho_R, which makes the constraint-level theta0
-    exact for commuting Markov chains (Poulin & Hastings, PRL 106,
-    080403, 2011).  `apply` is the initial inverse Hessian, always
-    read from the constraint-level regions: -S(rho_R) is the exact
-    max-entropy dual on one region, and its Hessian is the inverse of
-    the region's Kubo-Mori covariance, the Frechet derivative of log at
-    rho_R.  On disjoint (or product) marginals theta0 is the optimum and
-    H_0 the exact inverse Hessian there.
+    """A marginal solve's start (see `marginal_start`): theta0 and the
+    regions of H_0, each a region whose 4^k - 1 strings are all in the
+    family, with the eigenvectors of its marginal rho_R and the divided
+    differences of log over rho_R's spectrum.  -S(rho_R) is the exact
+    max-entropy dual on one such region, and its Hessian is the inverse
+    of the region's Kubo-Mori covariance, the Frechet derivative of log
+    at rho_R.
     """
 
     theta0: np.ndarray
@@ -346,8 +320,8 @@ class MarginalStart:
 
 def _region_rows(ep: ExpectationProblem, qubits) -> np.ndarray:
     """The rows of ep's strings supported in the region `qubits`, ordered
-    by their `pauli.string_keys` on it: on a region inside one
-    constraint, row j holds the string of key j + 1."""
+    by their `pauli.string_keys` on it: where the family holds all
+    4^k - 1 strings on the region, row j holds the string of key j + 1."""
     codes = ep.observable_set.codes
     outside = np.ones(ep.n, dtype=bool)
     outside[list(qubits)] = False
@@ -372,35 +346,40 @@ def _log_coefficients(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return pauli.trace_transform((v * np.log(w)) @ v.conj().T)[1:].real / len(w)
 
 
-def _capped(theta0: np.ndarray) -> bool:
-    return not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP
-
-
-def _constraint_start(ep: ExpectationProblem) -> MarginalStart | None:
-    """theta0 and H_0 over the constraint-level regions (the reduction's
-    block subsets closed under intersection), one 2^k x 2^k eigh per
-    region; None when a region marginal is singular or theta0 is
-    non-finite or beyond THETA_CAP."""
+def _kikuchi(ep: ExpectationProblem, sets, options: SolveOptions | None = None) -> MarginalStart | None:
+    """The start over the region graph `problem.kikuchi_regions(sets)`
+    by the rule of `marginal_start`: theta0 with the H_0 pieces of its
+    closed-form regions, or None when a region marginal is singular, a
+    region fit does not end Converged, or theta0 is non-finite or
+    beyond THETA_CAP."""
     theta0 = np.zeros(ep.size)
     regions = []
-    for qubits, count in problem_mod.kikuchi_regions(ep.observable_set.subsets):
-        index = _region_rows(ep, qubits)
-        spectrum = _region_spectrum(ep.targets[index], len(qubits))
-        if spectrum is None:
-            return None
-        w, v = spectrum
-        theta0[index] += count * _log_coefficients(w, v)
-        regions.append(_Region(index, count / 4 ** len(qubits), v, linalg.log_divided_difference(w)))
-    if _capped(theta0):
+    for qubits, count in problem_mod.kikuchi_regions(sets):
+        k = len(qubits)
+        rows = _region_rows(ep, qubits)
+        if len(rows) == 4 ** k - 1:
+            spectrum = _region_spectrum(ep.targets[rows], k)
+            if spectrum is None:
+                return None
+            w, v = spectrum
+            theta = _log_coefficients(w, v)
+            regions.append(_Region(rows, count / 4 ** k, v, linalg.log_divided_difference(w)))
+        else:
+            theta = _region_fit(ep, qubits, rows, options)
+            if theta is None:
+                return None
+        theta0[rows] += count * theta
+    if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP:
         return None
     return MarginalStart(theta0, tuple(regions))
 
 
 def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | None:
-    """theta_R on a region R that no constraint holds: the fit of the
-    family strings supported in R (`rows` of ep) to their targets, as a
-    problem on |R| qubits with subsets C & R, from that problem's
-    constraint-level start; None unless the fit ends Converged."""
+    """theta_R on a region R where the family lacks some of the 4^k - 1
+    strings: the fit of the family strings supported in R (`rows` of
+    ep) to their targets, as a problem on |R| qubits with subsets C & R,
+    from that problem's `_kikuchi` start over its own subsets; None
+    unless the fit ends Converged."""
     inside = {q: i for i, q in enumerate(qubits)}
     subsets = [tuple(inside[q] for q in s if q in inside) for s in ep.observable_set.subsets]
     sub = ExpectationProblem(
@@ -410,7 +389,7 @@ def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | N
         len(qubits),
         subsets=[s for s in subsets if s],
     )
-    start = _constraint_start(sub)
+    start = _kikuchi(sub, sub.observable_set.subsets, options)
     if start is None:
         return None
     fit = _minimize(sub, options, start.theta0, start.apply)
@@ -418,45 +397,46 @@ def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | N
 
 
 def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) -> MarginalStart | None:
-    """The start of a marginal solve from its reduction `ep`, or None
-    when a constraint-level region marginal is singular (log undefined)
-    or that level's theta0 is non-finite or beyond THETA_CAP; the solve
-    then starts at 0 with H_0 = gamma I, as an expectation problem does.
-    Singularity is checked first, before any region fit.
+    """The start of a marginal solve from its reduction `ep`: theta0 and
+    H_0 from the region marginals rho_R = (I + sum_{P in R} t_P P) / 2^k
+    at the targets, or None, and the solve then starts at 0 with
+    H_0 = gamma I, as an expectation problem does.
 
-    H_0 always comes from the constraint-level regions.  theta0 comes
-    from one region level higher when every neighbourhood N(S) (the
-    constraint S with every constraint overlapping it) leaves at least
-    _OUTSIDE qubits outside it: the regions are then the neighbourhoods
-    closed under intersection (`problem.kikuchi_regions`), a region
-    inside one constraint takes its closed-form log rho_R and any other
-    region R is fitted (`_region_fit`, with the caller's options).  The
-    region fits of an n = 9 pair chain take 18-32 ms in all, against
-    about 120 ms per d x d evaluation they save (14 ms at n = 8, 3.5 ms
-    at n = 7, where they cost more than they save).  A region fit that
-    does not converge, or a theta0 that is non-finite or beyond
-    THETA_CAP, keeps the constraint-level theta0."""
-    start = _constraint_start(ep)
+    theta0 is the Bethe/Kikuchi approximation sum_R c_R theta_R of the
+    fitted Hamiltonian over a region graph with the counting numbers of
+    `problem.kikuchi_regions`.  A region on which the family holds all
+    4^k - 1 strings takes theta_R = the Pauli coefficients of log rho_R
+    (one 2^k x 2^k eigh) and adds its piece to H_0; any other region R
+    takes a region fit (`_region_fit`), the max-entropy fit of the
+    family strings supported in R, solved on |R| qubits with the
+    caller's options.  Two levels are read:
+
+    - Level 0, the constraints closed under intersection.  Every region
+      there lies inside a constraint, so it never fits.  It gives H_0
+      = sum_R c_R D log at rho_R, the exact inverse Hessian on disjoint
+      (or product) marginals, and the fallback theta0, which is exact
+      for commuting Markov chains (Poulin & Hastings, PRL 106, 080403,
+      2011).  A singular region marginal, or a theta0 that is
+      non-finite or beyond THETA_CAP, gives None; it is checked before
+      any region fit.
+    - The neighbourhoods N(S) (a constraint S with every constraint
+      overlapping it) closed under intersection, read only where every
+      N(S) leaves at least _OUTSIDE qubits outside it.  theta0 comes
+      from this level unless a region marginal there is singular, a
+      region fit does not end Converged, or its theta0 is non-finite or
+      beyond THETA_CAP; then level 0's stays.  The region fits of an n = 9 pair chain take 18-32 ms in
+      all, against about 120 ms per d x d evaluation they save (14 ms
+      at n = 8, 3.5 ms at n = 7, where they cost more than they save).
+    """
+    start = _kikuchi(ep, ep.observable_set.subsets)
     if start is None:
         return None
     subsets = [set(s) for s in ep.observable_set.subsets]
     hoods = [set().union(*(b for b in subsets if a & b)) for a in subsets]  # the N(S)
     if max(map(len, hoods)) > ep.n - _OUTSIDE:
         return start
-    theta0 = np.zeros(ep.size)
-    for qubits, count in problem_mod.kikuchi_regions(hoods):
-        rows = _region_rows(ep, qubits)
-        if any(s.issuperset(qubits) for s in subsets):
-            spectrum = _region_spectrum(ep.targets[rows], len(qubits))
-            theta = None if spectrum is None else _log_coefficients(*spectrum)
-        else:
-            theta = _region_fit(ep, qubits, rows, options)
-        if theta is None:
-            return start
-        theta0[rows] += count * theta
-    if _capped(theta0):
-        return start
-    return dataclasses.replace(start, theta0=theta0)
+    hood = _kikuchi(ep, hoods, options)
+    return start if hood is None else dataclasses.replace(start, theta0=hood.theta0)
 
 
 def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) -> SolveResult:

@@ -25,6 +25,8 @@ from gibbsfit.solver import SolveOptions
 # A reduction is an ExpectationProblem built from letter codes with its
 # constraints as the subsets: the ReducedProblem subclass, its _accept
 # path and the (qubits, count) runs behind ObservableSet._parts are gone.
+# The warm start's levels share one routine (solver._kikuchi), so the
+# constraint-level copy and its theta-cap test are gone.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
@@ -38,6 +40,7 @@ GONE = {
     ExpectationProblem: ("_accept",),
     problem: ("ReducedProblem",),
     SolveOptions: ("theta0",),
+    solver: ("_constraint_start", "_capped"),
     reduce_to_expectations(MarginalProblem(1, (((0,), np.eye(2) / 2),))): ("string_index",),
 }
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gibbsfit import linalg, pauli, solver
+from gibbsfit import linalg, pauli, problem, solver
 from gibbsfit.cli import generate_thermal_marginals
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import (
@@ -734,10 +734,25 @@ def test_solve_and_verify_hold_one_state_at_a_time():
         finally:
             tracemalloc.stop()
 
+    # one untraced run first: a numpy module imported lazily on its first
+    # use allocates once, and that is not a state the call holds
+    verify(solve_marginals(mp), mp)
     result, solve_peak = traced_peak(lambda: solve_marginals(mp))
     report, verify_peak = traced_peak(lambda: verify(result, mp))
     assert result.status == CONVERGED and report.ok
     assert solve_peak <= 3.5 and verify_peak <= 3.5, (solve_peak, verify_peak)
+
+
+def level0(ep):
+    """The constraint-level start: the Kikuchi sum over the constraints."""
+    return solver._kikuchi(ep, ep.observable_set.subsets)
+
+
+def neighbourhoods(subsets):
+    """Each constraint with every constraint overlapping it, as in
+    `marginal_start`."""
+    sets = [set(s) for s in subsets]
+    return [set().union(*(b for b in sets if a & b)) for a in sets]
 
 
 def pair_chain(n, seed, beta):
@@ -755,7 +770,7 @@ def test_neighbourhood_start_fits_pair_chains(monkeypatch):
     # constraint-level theta0 this solve took 4 d x d evaluations
     mp = pair_chain(8, 0, 1.0)
     ep = reduce_to_expectations(mp)
-    closed = solver._constraint_start(ep)
+    closed = level0(ep)
     start = marginal_start(ep)
     assert max_residual(ep, start.theta0) * 100 <= max_residual(ep, closed.theta0)
     for g in np.random.default_rng(63).normal(size=(2, ep.size)):
@@ -786,7 +801,7 @@ def test_constraint_start_where_neighbourhoods_leave_too_few_qubits(n, subsets, 
     counts = count_evaluations(monkeypatch)
     start = marginal_start(ep)
     assert counts["evaluations"] == 0  # no region fit
-    assert np.array_equal(start.theta0, solver._constraint_start(ep).theta0)
+    assert np.array_equal(start.theta0, level0(ep).theta0)
 
 
 def test_unconverged_region_fit_keeps_the_constraint_start(monkeypatch):
@@ -801,7 +816,48 @@ def test_unconverged_region_fit_keeps_the_constraint_start(monkeypatch):
     monkeypatch.setattr(solver, "_minimize", limited)
     start = marginal_start(ep)
     assert fits == [4]  # the first region fit ends the neighbourhood level
-    assert np.array_equal(start.theta0, solver._constraint_start(ep).theta0)
+    assert np.array_equal(start.theta0, level0(ep).theta0)
+
+
+CHAIN_AND_PAIR = tuple((i, i + 1) for i in range(5)) + ((7, 8),)  # qubit 6 is free
+
+
+@pytest.mark.parametrize("n,subsets", [
+    (4, ((0, 1, 2), (1, 2), (1, 2), (0, 1, 2), (3,))),  # nested and repeated
+    (6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))),  # a ring
+    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))),  # 5-qubit windows sharing 3
+    (6, tuple((0, i) for i in range(1, 6))),  # a star
+    (7, tuple((i, i + 1) for i in range(6))),
+    (8, tuple((i, i + 1) for i in range(7))),
+    (9, tuple((i, i + 1) for i in range(8))),
+    (9, CHAIN_AND_PAIR),
+])
+def test_a_region_is_closed_form_exactly_when_a_constraint_holds_it(n, subsets):
+    # the start tests string completeness, never which constraint holds
+    # R; on a reduction the two agree at both levels
+    mp, _ = random_marginal_instance(np.random.default_rng(65), n, subsets)
+    ep = reduce_to_expectations(mp)
+    for sets in (subsets, neighbourhoods(subsets)):
+        for qubits, _ in problem.kikuchi_regions(sets):
+            complete = len(solver._region_rows(ep, qubits)) == 4 ** len(qubits) - 1
+            assert complete == any(set(s) >= set(qubits) for s in subsets), (sets, qubits)
+
+
+def test_neighbourhood_level_takes_the_closed_form_on_a_lone_constraint(monkeypatch):
+    # the pair (7, 8) overlaps no other constraint, so it is its own
+    # neighbourhood (c = 1) and takes log rho_R at both levels
+    n = 9
+    _, eta = generate_thermal_marginals(n, CHAIN_AND_PAIR, 1.0, 3)
+    mp = MarginalProblem(n, tuple((s, linalg.partial_trace(eta, n, s)) for s in CHAIN_AND_PAIR))
+    ep = reduce_to_expectations(mp)
+    assert ((7, 8), 1) in problem.kikuchi_regions(neighbourhoods(CHAIN_AND_PAIR))
+    rows = solver._region_rows(ep, (7, 8))
+    assert len(rows) == 15
+    assert np.array_equal(marginal_start(ep).theta0[rows], level0(ep).theta0[rows])
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED and res.iterations == 0
+    assert counts[1 << n] == 1
 
 
 def test_singular_marginal_is_cold_before_any_region_fit(monkeypatch):
