@@ -239,24 +239,24 @@ def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
 
 
 def check_independence(ep: ExpectationProblem) -> RankReport:
-    """Gram-matrix rank check on {I, T_1..T_r}.
-
-    Independent iff the smallest Gram eigenvalue exceeds 1e-8 times the
-    largest.  Row and column 0 (the identity) hold d and Tr T_a.  Pauli
-    strings are traceless and distinct ones are orthogonal, so the
-    string block is d where `pauli.string_keys` agree and 0 elsewhere,
-    and no string is materialized.  A dense observable enters rescaled
-    to a string's Frobenius norm sqrt(d), divided by its largest |entry|
-    first so that no square overflows or underflows, so the verdict does
-    not depend on its scale; its products with the strings go through
-    the problem's ObservableSet kernel.  A marginal reduction emits
-    distinct strings only, so its family is independent by construction.
+    """Rank check on {I, T_1..T_r}: independent iff the smallest
+    eigenvalue of their Gram matrix G (G_ab = Tr(A B)) exceeds 1e-8
+    times the largest.  A dense observable enters rescaled to a string's
+    Frobenius norm sqrt(d), divided by its largest |entry| first so that
+    no square overflows or underflows, so the verdict does not depend on
+    its scale.  G is never built: I (key 0) and the distinct strings are
+    orthogonal with squared norm d, so a string listed c times gives G
+    the eigenvalue d c and c - 1 zeros, and the m dense observables
+    couple in only through B, their traces against I and each distinct
+    string (the ObservableSet kernel) times sqrt(c).  G is d c off the
+    span of B's rows of multiplicity c (one QR each); the rest of its
+    spectrum is one eigvalsh of at most (distinct multiplicities + 1) m
+    rows.  A marginal reduction emits distinct strings: it is independent.
     """
     d = ep.dim
-    m = ep.size + 1
     obset = ep.observable_set
-    gram = np.zeros((m, m))
-    gram[0, 0] = d
+    keys = np.append(pauli.string_keys(obset.codes), 0)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     scaled = []
     for op in obset.matrices:
         peak = np.abs(op).max()
@@ -264,21 +264,21 @@ def check_independence(ep: ExpectationProblem) -> RankReport:
             op = op / peak
             op *= np.sqrt(d) / np.linalg.norm(op)
         scaled.append(op)
-    rows = obset.pauli_index + 1
-    dense = obset.matrix_index + 1
-    for a, op in zip(dense, scaled):
-        gram[a, 0] = gram[0, a] = np.trace(op).real
-        gram[a, rows] = gram[rows, a] = obset.pauli_expectations(op)
-        gram[a, dense] = gram[dense, a] = [np.vdot(b, op).real for b in scaled]
-    keys = pauli.string_keys(obset.codes)
-    gram[np.ix_(rows, rows)] = d * (keys[:, None] == keys[None, :])
-    w = np.linalg.eigvalsh(gram)
-    return RankReport(
-        independent=bool(w[0] > 1e-8 * w[-1]),
-        min_eigenvalue=float(w[0]),
-        max_eigenvalue=float(w[-1]),
-        size=m,
-    )
+    m = len(scaled)
+    b = [np.append(obset.pauli_expectations(op), np.trace(op).real)[first] for op in scaled]
+    b = np.reshape(b, (m, len(first))).T * np.sqrt(counts)[:, None]
+    w, diagonal, coupling = [np.zeros(len(keys) - len(first))], [], []
+    for c in np.unique(counts):
+        q, r = np.linalg.qr(b[counts == c])
+        w.append(np.full(len(q) - len(r), float(d * c)))
+        diagonal.append(np.full(len(r), float(d * c)))
+        coupling.append(r)
+    coupling = np.concatenate(coupling)
+    gmm = np.reshape([np.vdot(x, y).real for x in scaled for y in scaled], (m, m))
+    small = np.block([[np.diag(np.concatenate(diagonal)), coupling], [coupling.T, gmm]])
+    w = np.concatenate(w + [np.linalg.eigvalsh(small)])
+    lo, hi = float(w.min()), float(w.max())
+    return RankReport(bool(lo > 1e-8 * hi), lo, hi, ep.size + 1)
 
 
 def kikuchi_regions(subsets) -> list[tuple[tuple[int, ...], int]]:

@@ -379,7 +379,10 @@ def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | N
     strings: the fit of the family strings supported in R (`rows` of
     ep) to their targets, as a problem on |R| qubits with subsets C & R,
     from that problem's `_kikuchi` start over its own subsets; None
-    unless the fit ends Converged."""
+    unless the fit ends Converged.  Where R is itself one of those
+    subsets (R lies inside some C), that start would fit R again, so
+    the fit starts at 0; a start with no closed-form region, whose
+    `apply` maps every g to 0, leaves H_0 = gamma I."""
     inside = {q: i for i, q in enumerate(qubits)}
     subsets = [tuple(inside[q] for q in s if q in inside) for s in ep.observable_set.subsets]
     sub = ExpectationProblem(
@@ -389,10 +392,13 @@ def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | N
         len(qubits),
         subsets=[s for s in subsets if s],
     )
-    start = _kikuchi(sub, sub.observable_set.subsets, options)
-    if start is None:
-        return None
-    fit = _minimize(sub, options, start.theta0, start.apply)
+    theta0 = h0 = None
+    if len(qubits) not in map(len, sub.observable_set.subsets):
+        start = _kikuchi(sub, sub.observable_set.subsets, options)
+        if start is None:
+            return None
+        theta0, h0 = start.theta0, start.apply if start.regions else None
+    fit = _minimize(sub, options, theta0, h0)
     return fit.theta if fit.status == CONVERGED else None
 
 

@@ -5,8 +5,9 @@ bulk, kept here as the oracle the tests hold the package to: matrix
 functions through one eigendecomposition, the strings' signed-
 permutation tables and the per-string Pauli sums and traces read from
 them, relabelling, the Pauli expansion's inverse, the Hessian of the
-log-partition function and a marginal solve's warm start read from the
-raw marginals.  None of them runs in a command.
+log-partition function, a marginal solve's warm start read from the
+raw marginals and the (r+1) x (r+1) Gram matrix of an independence
+check.  None of them runs in a command.
 """
 
 from __future__ import annotations
@@ -287,3 +288,46 @@ def marginal_start(mp, ep):
         return out
 
     return theta0, apply
+
+
+def gram_rank(ep) -> problem.RankReport:
+    """`problem.check_independence` through the dense (r+1) x (r+1) Gram
+    matrix of {I, T_1..T_r} and one eigvalsh of it.
+
+    Independent iff the smallest Gram eigenvalue exceeds 1e-8 times the
+    largest.  Row and column 0 (the identity) hold d and Tr T_a.  Pauli
+    strings are traceless and distinct ones are orthogonal, so the
+    string block is d where `pauli.string_keys` agree and 0 elsewhere,
+    and no string is materialized.  A dense observable enters rescaled
+    to a string's Frobenius norm sqrt(d), divided by its largest |entry|
+    first so that no square overflows or underflows, so the verdict does
+    not depend on its scale; its products with the strings go through
+    the problem's ObservableSet kernel.
+    """
+    d = ep.dim
+    m = ep.size + 1
+    obset = ep.observable_set
+    gram = np.zeros((m, m))
+    gram[0, 0] = d
+    scaled = []
+    for op in obset.matrices:
+        peak = np.abs(op).max()
+        if peak > 0:
+            op = op / peak
+            op *= np.sqrt(d) / np.linalg.norm(op)
+        scaled.append(op)
+    rows = obset.pauli_index + 1
+    dense = obset.matrix_index + 1
+    for a, op in zip(dense, scaled):
+        gram[a, 0] = gram[0, a] = np.trace(op).real
+        gram[a, rows] = gram[rows, a] = obset.pauli_expectations(op)
+        gram[a, dense] = gram[dense, a] = [np.vdot(b, op).real for b in scaled]
+    keys = pauli.string_keys(obset.codes)
+    gram[np.ix_(rows, rows)] = d * (keys[:, None] == keys[None, :])
+    w = np.linalg.eigvalsh(gram)
+    return problem.RankReport(
+        independent=bool(w[0] > 1e-8 * w[-1]),
+        min_eigenvalue=float(w[0]),
+        max_eigenvalue=float(w[-1]),
+        size=m,
+    )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gibbsfit import linalg, pauli, problem
+from gibbsfit import linalg, pauli, problem, solver
 from gibbsfit.problem import (
     ExpectationProblem,
     MarginalProblem,
@@ -238,6 +238,109 @@ def test_independence_mixed_pauli_matrix():
         n=1,
     )
     assert not check_independence(ep).independent
+
+
+def near_dependent_family(rng):
+    """Observables on n <= 3 qubits: 0-6 random strings, some listed
+    again, and 1-2 dense matrices, each a combination of I and the
+    strings plus a Hermitian perturbation of size 1e-12..1, at a scale
+    of 1e-6..1e6, in random order."""
+    n = int(rng.integers(1, 4))
+    d = 1 << n
+    codes = pauli.key_codes(rng.integers(1, 4**n, size=int(rng.integers(0, 7))), n)
+    if len(codes) and rng.random() < 0.3:
+        codes = np.concatenate([codes, codes[rng.integers(0, len(codes), size=1)]])
+    obs = list(pauli.strings_from_codes(codes))
+    for _ in range(int(rng.integers(1, 3))):
+        mix = sum((c * pauli.materialize(p) for c, p in zip(rng.normal(size=len(codes)), obs)),
+                  rng.normal() * np.eye(d))
+        noise = 10 ** rng.uniform(-12, 0) * random_hermitian(rng, d)
+        obs.append(10 ** rng.uniform(-6, 6) * (mix + noise))
+    obs = [obs[i] for i in rng.permutation(len(obs))]
+    return ExpectationProblem(tuple(obs), np.zeros(len(obs)), dim=d, n=n)
+
+
+def test_independence_matches_the_gram_reference_on_near_dependent_families():
+    # the spectrum comes from the strings' multiplicities and one small
+    # eigvalsh; reference.gram_rank builds the (r+1)^2 Gram and takes all
+    # of its spectrum.  Perturbations from 1e-12 to 1 put families on both
+    # sides of the 1e-8 threshold.
+    rng = np.random.default_rng(66)
+    independent = near = 0
+    for _ in range(300):
+        ep = near_dependent_family(rng)
+        got, want = check_independence(ep), reference.gram_rank(ep)
+        assert (got.independent, got.size) == (want.independent, want.size)
+        tol = 1e-12 * want.max_eigenvalue
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= tol
+        assert abs(got.max_eigenvalue - want.max_eigenvalue) <= tol
+        independent += got.independent
+        near += 1e-10 < want.min_eigenvalue / want.max_eigenvalue < 1e-6
+    assert independent >= 20 and near >= 10, (independent, near)
+
+
+def test_dependent_pauli_family_reports_an_exact_zero():
+    # Z0 listed three times gives G the eigenvalue 3d and two zeros, exact
+    # without a Gram (its eigvalsh gave -1.2e-15 and 6 - 8.9e-16)
+    z0, x0 = pauli.parse_label("Z0", 1), pauli.parse_label("X0", 1)
+    rep = check_independence(ExpectationProblem.from_paulis(1, [(z0, 0.0)] * 3 + [(x0, 0.0)]))
+    assert rep == problem.RankReport(False, 0.0, 6.0, 5)
+
+
+def test_independence_eigensolves_only_the_dense_coupling(monkeypatch):
+    # all 63 strings on 3 qubits with two listed three times and three
+    # twice: with I the multiplicities are 1, 2 and 3, so no eigensolve
+    # may take more than (3 + 1) m rows, against r + 1 = 71 + m for the Gram
+    rng = np.random.default_rng(67)
+    n, d = 3, 8
+    strings = list(reference.strings_on(tuple(range(n)), n))
+    strings += strings[:5] + strings[:2]
+    mats = [random_hermitian(rng, d), pauli.materialize(strings[7]) + 0.5 * np.eye(d),
+            random_hermitian(rng, d)]
+    eps = [ExpectationProblem(tuple(strings + mats[:m]), np.zeros(70 + m), dim=d, n=n)
+           for m in range(4)]
+    wants = [reference.gram_rank(ep) for ep in eps]
+    rows = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            rows.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for m, (ep, want) in enumerate(zip(eps, wants)):
+        rows.clear()
+        rep = check_independence(ep)
+        assert max(rows, default=0) <= 4 * m, (m, rows)
+        assert not rep.independent and not want.independent
+        tol = 1e-12 * want.max_eigenvalue
+        assert abs(rep.min_eigenvalue - want.min_eigenvalue) <= tol
+        assert abs(rep.max_eigenvalue - want.max_eigenvalue) <= tol
+
+
+def traced_peak(call):
+    """(call(), its traced peak in bytes), run once untraced first: a
+    numpy module imported lazily on first use is not what the call holds."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("windows,r", [
+    ((range(6),), 4095),  # its Gram traced 272 MB and took 7.7 s
+    ((range(7), range(1, 8)), 28671),  # its Gram would be 6.6 GB
+])
+def test_independence_holds_no_gram(windows, r):
+    n = 8
+    codes = np.concatenate([pauli.subset_codes(w, n) for w in windows])
+    _, first = np.unique(pauli.string_keys(codes), return_index=True)
+    ep = ExpectationProblem(codes[np.sort(first)], np.zeros(r), 1 << n, n)
+    rep, peak = traced_peak(lambda: check_independence(ep))
+    assert rep == problem.RankReport(True, 256.0, 256.0, r + 1)
+    assert peak < 10 * 2**20, peak
 
 
 def test_kikuchi_counting_numbers():
@@ -642,3 +745,30 @@ def test_wide_reduction_and_state_stay_small():
         tracemalloc.stop()
     assert ep.size == 1983 and np.isfinite(state.psi)
     assert peak < 1.5 * 2**20, peak
+
+
+def test_n12_hamiltonian_and_marginals_run_no_eigh(monkeypatch):
+    # the north star's top size, d = 4096: an 11-pair reduction builds
+    # H(theta) and reads its marginals with no eigensolve, holding about
+    # one d x d complex array
+    n = 12
+    d = 1 << n
+    rng = np.random.default_rng(68)
+    vectors = {q: rng.uniform(-0.5, 0.5, size=3) for q in range(n)}
+    pairs = tuple((q, q + 1) for q in range(n - 1))
+    mp = MarginalProblem(n, tuple((p, product_marginal(vectors, p)) for p in pairs))
+    ep = reduce_to_expectations(mp)
+    theta = rng.normal(size=ep.size)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve at n = 12")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    obset = ep.observable_set
+    marginals, peak = traced_peak(lambda: obset.marginals(obset.hamiltonian(theta)))
+    assert peak < 1.5 * d * d * 16, peak / (d * d * 16)
+    # Tr((P (x) I) H) = d theta_P for each of a pair's 15 strings
+    for p, marginal in zip(pairs, marginals):
+        rows = solver._region_rows(ep, p)
+        np.testing.assert_allclose(pauli.trace_transform(marginal)[1:].real, d * theta[rows], atol=1e-9)

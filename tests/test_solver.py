@@ -465,6 +465,19 @@ def ising_problem(n, k, beta=1.0):
     return ExpectationProblem(tuple(strings), targets, dim=1 << n, n=n)
 
 
+@pytest.mark.parametrize("n,k", [(4, 0), (6, 13), (8, 0)])
+def test_kikuchi_start_terminates_on_incomplete_supports(n, k):
+    # no Ising pair holds all 15 strings, so every region is a region fit;
+    # the fit of a pair is a sub-problem whose own subsets include that
+    # pair, so it starts at 0 (it recursed into RecursionError), and the
+    # start has no closed-form region
+    ep = ising_problem(n, k)
+    start = solver._kikuchi(ep, ep.observable_set.subsets)
+    assert start.regions == ()
+    assert np.isfinite(start.theta0).all()
+    assert max_residual(ep, start.theta0) * 100 < max_residual(ep, np.zeros(ep.size))
+
+
 @pytest.mark.parametrize("n,k", [(4, 13), (4, 97), (4, 165), (6, 13), (6, 44)])
 def test_line_search_decides_at_float_resolution(n, k):
     # near the optimum f stops resolving |g|^2 and Armijo rejected every
@@ -868,3 +881,51 @@ def test_singular_marginal_is_cold_before_any_region_fit(monkeypatch):
     counts = count_evaluations(monkeypatch)
     assert marginal_start(ep) is None
     assert counts["evaluations"] == 0
+
+
+def test_region_fits_without_closed_form_regions_use_gamma_i(monkeypatch):
+    # an Ising chain's neighbourhoods are windows whose sub-problems hold
+    # incomplete pairs only, so their starts have no closed-form region
+    # and an `apply` that maps every gradient to 0: each fit runs with
+    # H_0 = gamma I instead
+    ep = ising_problem(8, 0)
+    minimize = solver._minimize
+    h0s = []
+
+    def spy(sub, options, theta0=None, h0=None):
+        h0s.append(h0)
+        return minimize(sub, options, theta0, h0)
+
+    monkeypatch.setattr(solver, "_minimize", spy)
+    start = solver._kikuchi(ep, neighbourhoods(ep.observable_set.subsets))
+    assert h0s and all(h0 is None for h0 in h0s)
+    assert max_residual(ep, start.theta0) < 1e-6
+
+
+@pytest.mark.parametrize("value", [np.nan, 2 * solver.THETA_CAP])
+def test_neighbourhood_theta0_off_the_cap_keeps_the_constraint_start(value, monkeypatch):
+    # every string sits in regions whose counting numbers sum to 1, so
+    # region fits that all return `value` give theta0 = value
+    ep = reduce_to_expectations(pair_chain(8, 0, 1.0))
+    closed = level0(ep)
+    assert not np.array_equal(marginal_start(ep).theta0, closed.theta0)
+    monkeypatch.setattr(solver, "_region_fit", lambda ep, qubits, rows, options: np.full(len(rows), value))
+    assert np.array_equal(marginal_start(ep).theta0, closed.theta0)
+
+
+def test_region_fit_without_a_start_keeps_the_constraint_start(monkeypatch):
+    ep = reduce_to_expectations(pair_chain(8, 0, 1.0))
+    closed = level0(ep)
+    kikuchi = solver._kikuchi
+    subs = []
+
+    def no_sub_start(sub, sets, options=None):
+        if sub.n < ep.n:
+            subs.append(sub.n)
+            return None
+        return kikuchi(sub, sets, options)
+
+    monkeypatch.setattr(solver, "_kikuchi", no_sub_start)
+    counts = count_evaluations(monkeypatch)
+    assert np.array_equal(marginal_start(ep).theta0, closed.theta0)
+    assert subs == [4] and counts["evaluations"] == 0  # the first region fit ends the level
