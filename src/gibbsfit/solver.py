@@ -17,12 +17,14 @@ Interior-infeasible problems drift to the cap on their own because the
 residual stays bounded away from zero.
 
 A marginal problem starts from its own marginals when they allow it:
-see marginal_start for the rule and its fallbacks.
+see marginal_start for its ladder of cluster levels, the cost rule that
+picks the level and the fallbacks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -59,11 +61,24 @@ _WOLFE_SIGMA = 0.9
 # the spread theta_i T_i puts into H(theta), so the cap does not depend
 # on how an observable is scaled.  A Pauli string's half-width is 1.
 THETA_CAP = 50.0
-_OUTSIDE = 4  # qubits each neighbourhood leaves outside (see marginal_start)
+# The levels of `marginal_start`.  A region fit stops at _FIT_SHARE times
+# the caller's grad_tol, but never below _FIT_FLOOR (a 3- to 8-qubit fit
+# ends at 2e-16 to 7e-15, and one asked for 1e-16 ran its whole
+# budget), within _FIT_ITER iterations (converging fits take 3 to 14).
+# A level is read while the estimated cost of its fits, the sum over
+# its fitted regions R of _FIT_SETUP + _FIT_EVALS 8^|R|, stays under the
+# _SAVED d x d evaluations of 8^n each that a level saves (units of one
+# eigh flop, about 0.6 ns on the calibration host; see the README).
+_FIT_SHARE = 1e-3
+_FIT_FLOOR = 1e-14
+_FIT_ITER = 100
+_FIT_SETUP = 3e6
+_FIT_EVALS = 10
+_SAVED = 2
 
 
 class DependentObservablesError(ValueError):
-    """{I, T_1..T_r} fails the Gram rank check; the fit is ill-posed."""
+    """{I, T_1..T_r} fails the independence check; the fit is ill-posed."""
 
     def __init__(self, report):
         self.report = report
@@ -284,11 +299,14 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
     )
 
 
-class _Region(NamedTuple):
-    index: np.ndarray  # theta positions of the region's strings, by key 1..4^k - 1 on R
-    weight: float  # c_R / 4^k
-    vectors: np.ndarray  # eigenvectors of rho_R
-    kernel: np.ndarray  # divided differences of log over rho_R's spectrum
+class _Pieces(NamedTuple):
+    """The H_0 pieces of a start's closed-form regions of one size k,
+    stacked in region order."""
+
+    index: np.ndarray  # (g, 4^k - 1) theta positions of each region's strings, by key 1..4^k - 1 on R
+    weights: np.ndarray  # (g,) c_R / 4^k
+    vectors: np.ndarray  # (g, 2^k, 2^k) eigenvectors of each rho_R
+    kernel: np.ndarray  # (g, 2^k, 2^k) divided differences of log over each rho_R's spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,10 +314,10 @@ class MarginalStart:
     """A marginal solve's start (see `marginal_start`): theta0 and the
     regions of H_0, each a region whose 4^k - 1 strings are all in the
     family, with the eigenvectors of its marginal rho_R and the divided
-    differences of log over rho_R's spectrum.  -S(rho_R) is the exact
-    max-entropy dual on one such region, and its Hessian is the inverse
-    of the region's Kubo-Mori covariance, the Frechet derivative of log
-    at rho_R.
+    differences of log over rho_R's spectrum, stacked by size
+    (`_Pieces`).  -S(rho_R) is the exact max-entropy dual on one such
+    region, and its Hessian is the inverse of the region's Kubo-Mori
+    covariance, the Frechet derivative of log at rho_R.
     """
 
     theta0: np.ndarray
@@ -308,13 +326,17 @@ class MarginalStart:
     def apply(self, g: np.ndarray) -> np.ndarray:
         """H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k,
         with coeffs_R(Y)_P = Tr(P Y); matrix-free, through the Pauli
-        transforms on each region's 2^k x 2^k space."""
+        transforms on each region's 2^k x 2^k space, one stacked pass per
+        region size."""
         out = np.zeros_like(g)
-        for reg in self.regions:
-            x = pauli.sum_transform(np.concatenate(([0.0], g[reg.index])))
-            v, vh = reg.vectors, reg.vectors.conj().T
-            y = v @ (reg.kernel * (vh @ x @ v)) @ vh
-            out[reg.index] += reg.weight * pauli.trace_transform(y)[1:].real
+        for group in self.regions:
+            coeffs = np.zeros((len(group.index), group.index.shape[1] + 1))
+            coeffs[:, 1:] = g[group.index]
+            x = pauli.sum_transform(coeffs)
+            v, vh = group.vectors, group.vectors.conj().swapaxes(1, 2)
+            y = v @ (group.kernel * (vh @ x @ v)) @ vh
+            for index, weight, traces in zip(group.index, group.weights, pauli.trace_transform(y)):
+                out[index] += weight * traces[1:].real
         return out
 
 
@@ -329,52 +351,56 @@ def _region_rows(ep: ExpectationProblem, qubits) -> np.ndarray:
     return rows[np.argsort(pauli.string_keys(codes[np.ix_(rows, qubits)]))]
 
 
-def _region_spectrum(targets: np.ndarray, k: int):
-    """(w, v) = eigh of rho_R = (I + sum_P t_P P) / 2^k from its 4^k - 1
-    targets, or None when rho_R is singular: a least eigenvalue within
-    2^k (k + 2^k) eps of the largest, the round-off of rho_R's 2^k-term
-    sums (a singlet pair's 0 comes back as 5.6e-17)."""
+def _closed_form(targets: np.ndarray, k: int):
+    """(theta_R, v, kernel) of rho_R = (I + sum_P t_P P) / 2^k from its
+    4^k - 1 targets: theta_R the Pauli coefficients Tr(P log rho_R) / 2^k,
+    v the eigenvectors of rho_R and kernel the divided differences of
+    log over its spectrum w; or None when rho_R is singular: a least
+    eigenvalue within 2^k (k + 2^k) eps of the largest, the round-off of
+    rho_R's 2^k-term sums (a singlet pair's 0 comes back as 5.6e-17)."""
     d = 1 << k
     w, v = np.linalg.eigh(pauli.sum_transform(np.concatenate(([1.0], targets))) / d)
     if not w[0] > d * (k + d) * np.finfo(np.float64).eps * w[-1]:
         return None
-    return w, v
+    theta = pauli.trace_transform((v * np.log(w)) @ v.conj().T)[1:].real / d
+    return theta, v, linalg.log_divided_difference(w)
 
 
-def _log_coefficients(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The 4^k - 1 Pauli coefficients Tr(P log rho) / 2^k of rho = v w v^+."""
-    return pauli.trace_transform((v * np.log(w)) @ v.conj().T)[1:].real / len(w)
-
-
-def _kikuchi(ep: ExpectationProblem, sets, options: SolveOptions | None = None) -> MarginalStart | None:
-    """The start over the region graph `problem.kikuchi_regions(sets)`
+def _kikuchi(ep: ExpectationProblem, regions, closed: dict, options=None, names=None) -> MarginalStart | None:
+    """The start over a region graph `regions` (`problem.kikuchi_regions`)
     by the rule of `marginal_start`: theta0 with the H_0 pieces of its
     closed-form regions, or None when a region marginal is singular, a
     region fit does not end Converged, or theta0 is non-finite or
-    beyond THETA_CAP."""
+    beyond THETA_CAP.  `closed` holds the closed forms (`_closed_form`)
+    of one solve, by region, on the solve's register: ep's qubit q is
+    its qubit names[q] (ep's own numbering by default), so every level
+    and every region fit's start reads each rho_R once."""
+    names = range(ep.n) if names is None else names
     theta0 = np.zeros(ep.size)
-    regions = []
-    for qubits, count in problem_mod.kikuchi_regions(sets):
+    pieces = []
+    for qubits, count in regions:
         k = len(qubits)
         rows = _region_rows(ep, qubits)
         if len(rows) == 4 ** k - 1:
-            spectrum = _region_spectrum(ep.targets[rows], k)
-            if spectrum is None:
+            key = tuple(names[q] for q in qubits)
+            if key not in closed:
+                closed[key] = _closed_form(ep.targets[rows], k)
+            if closed[key] is None:
                 return None
-            w, v = spectrum
-            theta = _log_coefficients(w, v)
-            regions.append(_Region(rows, count / 4 ** k, v, linalg.log_divided_difference(w)))
+            theta, v, kernel = closed[key]
+            pieces.append((rows, count / 4 ** k, v, kernel))
         else:
-            theta = _region_fit(ep, qubits, rows, options)
+            theta = _region_fit(ep, qubits, rows, closed, options, names)
             if theta is None:
                 return None
         theta0[rows] += count * theta
     if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP:
         return None
-    return MarginalStart(theta0, tuple(regions))
+    sizes = itertools.groupby(pieces, key=lambda piece: len(piece[0]))
+    return MarginalStart(theta0, tuple(_Pieces(*map(np.stack, zip(*run))) for _, run in sizes))
 
 
-def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | None:
+def _region_fit(ep: ExpectationProblem, qubits, rows, closed, options, names) -> np.ndarray | None:
     """theta_R on a region R where the family lacks some of the 4^k - 1
     strings: the fit of the family strings supported in R (`rows` of
     ep) to their targets, as a problem on |R| qubits with subsets C & R,
@@ -393,13 +419,30 @@ def _region_fit(ep: ExpectationProblem, qubits, rows, options) -> np.ndarray | N
         subsets=[s for s in subsets if s],
     )
     theta0 = h0 = None
-    if len(qubits) not in map(len, sub.observable_set.subsets):
-        start = _kikuchi(sub, sub.observable_set.subsets, options)
+    sets = sub.observable_set.subsets
+    if len(qubits) not in map(len, sets):
+        start = _kikuchi(sub, problem_mod.kikuchi_regions(sets), closed, options, [names[q] for q in qubits])
         if start is None:
             return None
         theta0, h0 = start.theta0, start.apply if start.regions else None
     fit = _minimize(sub, options, theta0, h0)
     return fit.theta if fit.status == CONVERGED else None
+
+
+def _ladder(ep: ExpectationProblem) -> list:
+    """The region graphs of the levels above the constraints that the
+    cost rule of `marginal_start` admits, lowest first."""
+    constraints = [set(s) for s in ep.observable_set.subsets]
+    sets, below, ladder = constraints, problem_mod.kikuchi_regions(constraints), []
+    while True:
+        sets = [set().union(*(c for c in constraints if s & c)) for s in sets]
+        regions = problem_mod.kikuchi_regions(sets)
+        if regions == below:
+            return ladder
+        fitted = [len(q) for q, _ in regions if not any(c >= set(q) for c in constraints)]
+        if sum(_FIT_SETUP + _FIT_EVALS * 8 ** k for k in fitted) < _SAVED * 8 ** ep.n:
+            ladder.append(regions)
+        below = regions
 
 
 def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) -> MarginalStart | None:
@@ -412,10 +455,13 @@ def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) 
     fitted Hamiltonian over a region graph with the counting numbers of
     `problem.kikuchi_regions`.  A region on which the family holds all
     4^k - 1 strings takes theta_R = the Pauli coefficients of log rho_R
-    (one 2^k x 2^k eigh) and adds its piece to H_0; any other region R
+    (one 2^k x 2^k eigh per solve, shared by every level and every
+    region fit's start) and adds its piece to H_0; any other region R
     takes a region fit (`_region_fit`), the max-entropy fit of the
-    family strings supported in R, solved on |R| qubits with the
-    caller's options.  Two levels are read:
+    family strings supported in R, solved on |R| qubits to _FIT_SHARE
+    times the caller's grad_tol (at least _FIT_FLOOR, within _FIT_ITER
+    iterations), so that theta0 is limited by the regions' size and not
+    by where their fits stopped.  The levels (`_ladder`):
 
     - Level 0, the constraints closed under intersection.  Every region
       there lies inside a constraint, so it never fits.  It gives H_0
@@ -425,24 +471,31 @@ def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) 
       2011).  A singular region marginal, or a theta0 that is
       non-finite or beyond THETA_CAP, gives None; it is checked before
       any region fit.
-    - The neighbourhoods N(S) (a constraint S with every constraint
-      overlapping it) closed under intersection, read only where every
-      N(S) leaves at least _OUTSIDE qubits outside it.  theta0 comes
-      from this level unless a region marginal there is singular, a
-      region fit does not end Converged, or its theta0 is non-finite or
-      beyond THETA_CAP; then level 0's stays.  The region fits of an n = 9 pair chain take 18-32 ms in
-      all, against about 120 ms per d x d evaluation they save (14 ms
-      at n = 8, 3.5 ms at n = 7, where they cost more than they save).
+    - Level l + 1 grows each set of level l by every constraint that
+      overlaps it, closed under intersection: 4-qubit windows at level
+      1 of a pair chain, 6-qubit ones at level 2.  The ladder ends where
+      a level's region graph repeats the one below.  A level is read
+      only when its fits' estimated cost, the sum over its fitted
+      regions R of _FIT_SETUP + _FIT_EVALS 8^|R|, is under _SAVED d x d
+      evaluations of 8^n each: levels 1 and 2 of n = 8 and 9 pair
+      chains, up to level 3 at n = 10, and no level of an n = 7 chain.
+    - theta0 comes from the highest level read, tried first.  A level
+      whose region marginal is singular, whose region fit does not end
+      Converged, or whose theta0 is non-finite or beyond THETA_CAP
+      gives way to the next level read below it, and at last to level
+      0's theta0.  The README gives the rule's calibration.
     """
-    start = _kikuchi(ep, ep.observable_set.subsets)
+    options = options or SolveOptions()
+    closed = {}
+    start = _kikuchi(ep, problem_mod.kikuchi_regions(ep.observable_set.subsets), closed)
     if start is None:
         return None
-    subsets = [set(s) for s in ep.observable_set.subsets]
-    hoods = [set().union(*(b for b in subsets if a & b)) for a in subsets]  # the N(S)
-    if max(map(len, hoods)) > ep.n - _OUTSIDE:
-        return start
-    hood = _kikuchi(ep, hoods, options)
-    return start if hood is None else dataclasses.replace(start, theta0=hood.theta0)
+    fits = SolveOptions(max(_FIT_SHARE * options.grad_tol, _FIT_FLOOR), min(options.max_iter, _FIT_ITER))
+    for regions in reversed(_ladder(ep)):
+        level = _kikuchi(ep, regions, closed, fits)
+        if level is not None:
+            return dataclasses.replace(start, theta0=level.theta0)
+    return start
 
 
 def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) -> SolveResult:

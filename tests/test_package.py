@@ -26,7 +26,9 @@ from gibbsfit.solver import SolveOptions
 # constraints as the subsets: the ReducedProblem subclass, its _accept
 # path and the (qubits, count) runs behind ObservableSet._parts are gone.
 # The warm start's levels share one routine (solver._kikuchi), so the
-# constraint-level copy and its theta-cap test are gone.
+# constraint-level copy and its theta-cap test are gone; its levels form a
+# ladder read by a cost rule, so the fixed neighbourhood rule (_OUTSIDE)
+# is gone, and each region's closed form is one helper (_closed_form).
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
@@ -40,7 +42,8 @@ GONE = {
     ExpectationProblem: ("_accept",),
     problem: ("ReducedProblem",),
     SolveOptions: ("theta0",),
-    solver: ("_constraint_start", "_capped"),
+    solver: ("_constraint_start", "_capped", "_OUTSIDE", "_region_spectrum", "_log_coefficients",
+             "_Region"),
     reduce_to_expectations(MarginalProblem(1, (((0,), np.eye(2) / 2),))): ("string_index",),
 }
 

@@ -472,7 +472,7 @@ def test_kikuchi_start_terminates_on_incomplete_supports(n, k):
     # pair, so it starts at 0 (it recursed into RecursionError), and the
     # start has no closed-form region
     ep = ising_problem(n, k)
-    start = solver._kikuchi(ep, ep.observable_set.subsets)
+    start = solver._kikuchi(ep, problem.kikuchi_regions(ep.observable_set.subsets), {})
     assert start.regions == ()
     assert np.isfinite(start.theta0).all()
     assert max_residual(ep, start.theta0) * 100 < max_residual(ep, np.zeros(ep.size))
@@ -758,14 +758,19 @@ def test_solve_and_verify_hold_one_state_at_a_time():
 
 def level0(ep):
     """The constraint-level start: the Kikuchi sum over the constraints."""
-    return solver._kikuchi(ep, ep.observable_set.subsets)
+    return solver._kikuchi(ep, problem.kikuchi_regions(ep.observable_set.subsets), {})
+
+
+def grow(sets, subsets):
+    """One level up `marginal_start`'s ladder: each set with every
+    constraint overlapping it."""
+    constraints = [set(c) for c in subsets]
+    return [set().union(*(c for c in constraints if set(s) & c)) for s in sets]
 
 
 def neighbourhoods(subsets):
-    """Each constraint with every constraint overlapping it, as in
-    `marginal_start`."""
-    sets = [set(s) for s in subsets]
-    return [set().union(*(b for b in sets if a & b)) for a in sets]
+    """Level 1: each constraint with every constraint overlapping it."""
+    return grow(subsets, subsets)
 
 
 def pair_chain(n, seed, beta):
@@ -778,9 +783,9 @@ def max_residual(ep, theta):
 
 
 def test_neighbourhood_start_fits_pair_chains(monkeypatch):
-    # n = 8: every neighbourhood {i-1..i+2} leaves 4 qubits outside, so
-    # theta0 sums region fits on the 4- and 3-qubit windows; from the
-    # constraint-level theta0 this solve took 4 d x d evaluations
+    # n = 8: the cost rule admits levels 1 and 2, so theta0 sums region
+    # fits on the 6- and 5-qubit windows; from the constraint-level
+    # theta0 this solve took 4 d x d evaluations
     mp = pair_chain(8, 0, 1.0)
     ep = reduce_to_expectations(mp)
     closed = level0(ep)
@@ -804,13 +809,14 @@ def test_neighbourhood_start_is_exact_on_commuting_markov_chain(monkeypatch):
 
 
 @pytest.mark.parametrize("n,subsets", [
-    (7, tuple((i, i + 1) for i in range(6))),  # neighbourhoods of 4 leave 3 outside
-    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))),  # 5-qubit windows sharing 3
+    (7, tuple((i, i + 1) for i in range(6))),  # 7 fits cost more than two d = 128 evaluations
+    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6))),  # 5-qubit windows sharing 3: level 1 is the register
     (6, tuple((0, i) for i in range(1, 6))),  # a star: every neighbourhood is the register
 ])
 def test_constraint_start_where_neighbourhoods_leave_too_few_qubits(n, subsets, monkeypatch):
     mp, _ = random_marginal_instance(np.random.default_rng(64), n, subsets)
     ep = reduce_to_expectations(mp)
+    assert solver._ladder(ep) == []  # the cost rule admits no level
     counts = count_evaluations(monkeypatch)
     start = marginal_start(ep)
     assert counts["evaluations"] == 0  # no region fit
@@ -828,7 +834,9 @@ def test_unconverged_region_fit_keeps_the_constraint_start(monkeypatch):
 
     monkeypatch.setattr(solver, "_minimize", limited)
     start = marginal_start(ep)
-    assert fits == [4]  # the first region fit ends the neighbourhood level
+    # the first region fit ends each level, top down: level 2's 6-qubit
+    # window, then level 1's 4-qubit window
+    assert fits == [6, 4]
     assert np.array_equal(start.theta0, level0(ep).theta0)
 
 
@@ -850,20 +858,23 @@ def test_a_region_is_closed_form_exactly_when_a_constraint_holds_it(n, subsets):
     # R; on a reduction the two agree at both levels
     mp, _ = random_marginal_instance(np.random.default_rng(65), n, subsets)
     ep = reduce_to_expectations(mp)
-    for sets in (subsets, neighbourhoods(subsets)):
+    sets = subsets
+    for _ in range(3):  # levels 0, 1 and 2
         for qubits, _ in problem.kikuchi_regions(sets):
             complete = len(solver._region_rows(ep, qubits)) == 4 ** len(qubits) - 1
             assert complete == any(set(s) >= set(qubits) for s in subsets), (sets, qubits)
+        sets = grow(sets, subsets)
 
 
 def test_neighbourhood_level_takes_the_closed_form_on_a_lone_constraint(monkeypatch):
     # the pair (7, 8) overlaps no other constraint, so it is its own
-    # neighbourhood (c = 1) and takes log rho_R at both levels
+    # neighbourhood (c = 1) and takes log rho_R at every level
     n = 9
     _, eta = generate_thermal_marginals(n, CHAIN_AND_PAIR, 1.0, 3)
     mp = MarginalProblem(n, tuple((s, linalg.partial_trace(eta, n, s)) for s in CHAIN_AND_PAIR))
     ep = reduce_to_expectations(mp)
-    assert ((7, 8), 1) in problem.kikuchi_regions(neighbourhoods(CHAIN_AND_PAIR))
+    assert len(solver._ladder(ep)) == 2
+    assert all(((7, 8), 1) in regions for regions in solver._ladder(ep))
     rows = solver._region_rows(ep, (7, 8))
     assert len(rows) == 15
     assert np.array_equal(marginal_start(ep).theta0[rows], level0(ep).theta0[rows])
@@ -897,7 +908,7 @@ def test_region_fits_without_closed_form_regions_use_gamma_i(monkeypatch):
         return minimize(sub, options, theta0, h0)
 
     monkeypatch.setattr(solver, "_minimize", spy)
-    start = solver._kikuchi(ep, neighbourhoods(ep.observable_set.subsets))
+    start = solver._kikuchi(ep, problem.kikuchi_regions(neighbourhoods(ep.observable_set.subsets)), {})
     assert h0s and all(h0 is None for h0 in h0s)
     assert max_residual(ep, start.theta0) < 1e-6
 
@@ -909,7 +920,7 @@ def test_neighbourhood_theta0_off_the_cap_keeps_the_constraint_start(value, monk
     ep = reduce_to_expectations(pair_chain(8, 0, 1.0))
     closed = level0(ep)
     assert not np.array_equal(marginal_start(ep).theta0, closed.theta0)
-    monkeypatch.setattr(solver, "_region_fit", lambda ep, qubits, rows, options: np.full(len(rows), value))
+    monkeypatch.setattr(solver, "_region_fit", lambda ep, qubits, rows, *rest: np.full(len(rows), value))
     assert np.array_equal(marginal_start(ep).theta0, closed.theta0)
 
 
@@ -919,13 +930,90 @@ def test_region_fit_without_a_start_keeps_the_constraint_start(monkeypatch):
     kikuchi = solver._kikuchi
     subs = []
 
-    def no_sub_start(sub, sets, options=None):
+    def no_sub_start(sub, regions, *rest):
         if sub.n < ep.n:
             subs.append(sub.n)
             return None
-        return kikuchi(sub, sets, options)
+        return kikuchi(sub, regions, *rest)
 
     monkeypatch.setattr(solver, "_kikuchi", no_sub_start)
     counts = count_evaluations(monkeypatch)
     assert np.array_equal(marginal_start(ep).theta0, closed.theta0)
-    assert subs == [4] and counts["evaluations"] == 0  # the first region fit ends the level
+    assert subs == [6, 4] and counts["evaluations"] == 0  # the first region fit ends each level
+
+
+@pytest.mark.parametrize("seed", [6, 9])
+def test_six_qubit_windows_clear_the_knife_edge(seed, monkeypatch):
+    # n = 9, beta = 1: the 4-qubit windows fitted to the caller's tol left
+    # theta0 residuals of 1.27e-8 and 1.20e-8 on these seeds, over the
+    # 1e-8 exit, so the solve took a second d = 512 evaluation
+    mp = pair_chain(9, seed, 1.0)
+    ep = reduce_to_expectations(mp)
+    assert max_residual(ep, marginal_start(ep).theta0) <= 1e-10
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED and res.iterations == 0
+    assert counts[1 << 9] == 1
+
+
+def test_ladder_ends_when_every_component_is_covered(monkeypatch):
+    # two 4-qubit pair chains with qubit 4 between them: level 1 is the
+    # two chains, and growth stops there; level 2's sets differ from
+    # level 1's ({0, 1, 2} grows to {0, 1, 2, 3}) but not its regions
+    subsets = ((0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8))
+    mp, _ = random_marginal_instance(np.random.default_rng(66), 9, subsets)
+    ep = reduce_to_expectations(mp)
+    assert solver._ladder(ep) == [[((0, 1, 2, 3), 1), ((5, 6, 7, 8), 1)]]
+    kikuchi = solver._kikuchi
+    levels = []
+
+    def spy(sub, regions, *rest):
+        start = kikuchi(sub, regions, *rest)
+        if sub is ep:
+            levels.append((regions, start))
+        return start
+
+    monkeypatch.setattr(solver, "_kikuchi", spy)
+    start = marginal_start(ep)
+    assert [regions for regions, _ in levels][1:] == solver._ladder(ep)
+    assert np.array_equal(start.theta0, levels[-1][1].theta0)
+    # each chain's fit is its part of the max-entropy state
+    counts = count_evaluations(monkeypatch)
+    res = solve_marginals(mp)
+    assert res.status == CONVERGED and res.iterations == 0 and counts[1 << 9] == 1
+
+
+@pytest.mark.parametrize("n,subsets,sizes", [
+    (7, tuple((i, i + 1) for i in range(6)), []),
+    (7, ((0, 1), (1, 2), (3, 4), (5, 6)), [[3, 2]]),  # one fit, {0, 1, 2}
+    (7, ((0, 1, 2, 3, 4), (2, 3, 4, 5, 6)), []),
+    (8, tuple((i, i + 1) for i in range(7)), [[4, 3], [6, 5]]),
+    (9, tuple((i, i + 1) for i in range(8)), [[4, 3], [6, 5]]),
+    (10, tuple((i, i + 1) for i in range(9)), [[4, 3], [6, 5], [8, 7]]),
+])
+def test_cost_rule_admits_the_levels_whose_fits_save_evaluations(n, subsets, sizes):
+    # the rule's calibration points (README): the region sizes of each
+    # admitted level, lowest level first
+    mp = MarginalProblem(n, tuple((s, np.eye(1 << len(s)) / (1 << len(s))) for s in subsets))
+    ladder = solver._ladder(reduce_to_expectations(mp))
+    assert [sorted({len(q) for q, _ in regions}, reverse=True) for regions in ladder] == sizes
+
+
+@pytest.mark.parametrize("grad_tol,fit_tol", [(1e-8, 1e-11), (1e-13, 1e-14), (5e-324, 1e-14)])
+def test_region_fits_stop_past_the_outer_tolerance(grad_tol, fit_tol, monkeypatch):
+    # theta0 is limited by the windows' size, not by where their fits
+    # stopped; a fit is never asked for less than 1e-14, which it may not
+    # reach, nor run more than 100 iterations
+    ep = reduce_to_expectations(pair_chain(8, 0, 1.0))
+    minimize = solver._minimize
+    options = []
+
+    def spy(sub, opts, *rest):
+        options.append(opts)
+        return minimize(sub, opts, *rest)
+
+    monkeypatch.setattr(solver, "_minimize", spy)
+    start = marginal_start(ep, SolveOptions(grad_tol=grad_tol))
+    assert options and all(o.max_iter == 100 for o in options)
+    assert all(o.grad_tol == pytest.approx(fit_tol, rel=1e-12) for o in options)
+    assert max_residual(ep, start.theta0) <= 1e-10
