@@ -117,8 +117,10 @@ class ObservableSet:
 
     The constructor is the only check an observable gets: a Pauli
     string's register must be n qubits and the string not the identity,
-    a matrix must pass the Hermiticity gate and have dimension dim.  A
-    failure raises InvalidEntryError naming the observable's index.
+    a letter-code array must hold integers in 0..3, and a matrix must
+    pass the Hermiticity gate and have dimension dim.  A failure raises
+    InvalidEntryError naming the observable's index (row 0 for an array
+    that is not of integers).
     `observables` holds the gated family: strings as PauliStrings,
     matrices as gated; a set made from codes builds its PauliStrings on
     first access.
@@ -146,9 +148,16 @@ class ObservableSet:
         self.size = len(observables)
 
         if from_codes:
+            if not np.issubdtype(observables.dtype, np.integer):
+                detail = f"letter codes must be integers, got {observables.dtype}"
+                raise InvalidEntryError(0, "pauli", detail)
+            if observables.shape != (self.size, n):
+                raise ValueError(f"letter codes must have shape (r, n={n}), got {observables.shape}")
+            bad = np.flatnonzero(((observables < 0) | (observables > 3)).any(1))
+            if bad.size:
+                row = observables[bad[0]].tolist()
+                raise InvalidEntryError(bad[0], "pauli", f"letter codes must be in 0..3, got {row}")
             codes = np.asarray(observables, dtype=np.intp)
-            if codes.shape != (self.size, n):
-                raise ValueError(f"letter codes must have shape (r, n={n}), got {codes.shape}")
             self._observables = None
             pauli_idx, mat_idx, mats = np.arange(self.size), [], []
         else:

@@ -27,6 +27,7 @@ import dataclasses
 import itertools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,10 +96,11 @@ class SolveOptions:
 
     def __post_init__(self):
         _check_tol("grad_tol", self.grad_tol)
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 def _check_tol(name: str, tol) -> None:
@@ -299,45 +301,42 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
     )
 
 
-class _Pieces(NamedTuple):
-    """The H_0 pieces of a start's closed-form regions of one size k,
-    stacked in region order."""
-
-    index: np.ndarray  # (g, 4^k - 1) theta positions of each region's strings, by key 1..4^k - 1 on R
-    weights: np.ndarray  # (g,) c_R / 4^k
-    vectors: np.ndarray  # (g, 2^k, 2^k) eigenvectors of each rho_R
-    kernel: np.ndarray  # (g, 2^k, 2^k) divided differences of log over each rho_R's spectrum
-
-
-@dataclass(frozen=True, eq=False)
-class MarginalStart:
-    """A marginal solve's start (see `marginal_start`): theta0 and the
-    regions of H_0, each a region whose 4^k - 1 strings are all in the
-    family, with the eigenvectors of its marginal rho_R and the divided
-    differences of log over rho_R's spectrum, stacked by size
-    (`_Pieces`).  -S(rho_R) is the exact max-entropy dual on one such
-    region, and its Hessian is the inverse of the region's Kubo-Mori
-    covariance, the Frechet derivative of log at rho_R.
-    """
+class MarginalStart(NamedTuple):
+    """A marginal solve's start (see `marginal_start`): theta0, and
+    `apply`, the map g -> H_0 g over its closed-form regions (`_h0`), or
+    None where it has none and H_0 = gamma I."""
 
     theta0: np.ndarray
-    regions: tuple
+    apply: Callable[[np.ndarray], np.ndarray] | None
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k,
-        with coeffs_R(Y)_P = Tr(P Y); matrix-free, through the Pauli
-        transforms on each region's 2^k x 2^k space, one stacked pass per
-        region size."""
+
+def _h0(pieces: list):
+    """g -> H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k
+    over the closed-form regions `pieces` of `_kikuchi`, with
+    coeffs_R(Y)_P = Tr(P Y), or None where there are none.  -S(rho_R) is
+    the exact max-entropy dual on such a region, and its Hessian is the
+    inverse of the region's Kubo-Mori covariance, the Frechet derivative
+    of log at rho_R.  Matrix-free, through the Pauli transforms on each
+    region's 2^k x 2^k space, one pass per region size over its pieces
+    stacked in region order."""
+    if not pieces:
+        return None
+    runs = itertools.groupby(pieces, key=lambda piece: len(piece[0]))
+    groups = [tuple(map(np.stack, zip(*run))) for _, run in runs]
+
+    def apply(g: np.ndarray) -> np.ndarray:
         out = np.zeros_like(g)
-        for group in self.regions:
-            coeffs = np.zeros((len(group.index), group.index.shape[1] + 1))
-            coeffs[:, 1:] = g[group.index]
+        for index, weights, v, kernel in groups:
+            coeffs = np.zeros((len(index), index.shape[1] + 1))
+            coeffs[:, 1:] = g[index]
             x = pauli.sum_transform(coeffs)
-            v, vh = group.vectors, group.vectors.conj().swapaxes(1, 2)
-            y = v @ (group.kernel * (vh @ x @ v)) @ vh
-            for index, weight, traces in zip(group.index, group.weights, pauli.trace_transform(y)):
-                out[index] += weight * traces[1:].real
+            vh = v.conj().swapaxes(1, 2)
+            y = v @ (kernel * (vh @ x @ v)) @ vh
+            for rows, weight, traces in zip(index, weights, pauli.trace_transform(y)):
+                out[rows] += weight * traces[1:].real
         return out
+
+    return apply
 
 
 def _region_rows(ep: ExpectationProblem, qubits) -> np.ndarray:
@@ -366,67 +365,48 @@ def _closed_form(targets: np.ndarray, k: int):
     return theta, v, linalg.log_divided_difference(w)
 
 
-def _kikuchi(ep: ExpectationProblem, regions, closed: dict, options=None, names=None) -> MarginalStart | None:
-    """The start over a region graph `regions` (`problem.kikuchi_regions`)
-    by the rule of `marginal_start`: theta0 with the H_0 pieces of its
-    closed-form regions, or None when a region marginal is singular, a
-    region fit does not end Converged, or theta0 is non-finite or
-    beyond THETA_CAP.  `closed` holds the closed forms (`_closed_form`)
-    of one solve, by region, on the solve's register: ep's qubit q is
-    its qubit names[q] (ep's own numbering by default), so every level
-    and every region fit's start reads each rho_R once."""
-    names = range(ep.n) if names is None else names
+def _kikuchi(ep: ExpectationProblem, regions, closed: dict, options: SolveOptions):
+    """(theta0, pieces) over a region graph `regions`
+    (`problem.kikuchi_regions`) by the rule of `marginal_start`, where
+    `pieces` holds each closed-form region's (rows, c_R / 4^k,
+    eigenvectors, log kernel) for `_h0`; or None when a region marginal
+    is singular, a region fit fails, or theta0 is non-finite or beyond
+    THETA_CAP.  `closed` holds one solve's closed forms (`_closed_form`)
+    by region size and targets, so every level and every region fit's
+    start reads each rho_R once; `options` are the solve's own."""
     theta0 = np.zeros(ep.size)
     pieces = []
     for qubits, count in regions:
         k = len(qubits)
         rows = _region_rows(ep, qubits)
+        targets = ep.targets[rows]
         if len(rows) == 4 ** k - 1:
-            key = tuple(names[q] for q in qubits)
+            key = (k, targets.tobytes())
             if key not in closed:
-                closed[key] = _closed_form(ep.targets[rows], k)
+                closed[key] = _closed_form(targets, k)
             if closed[key] is None:
                 return None
             theta, v, kernel = closed[key]
             pieces.append((rows, count / 4 ** k, v, kernel))
         else:
-            theta = _region_fit(ep, qubits, rows, closed, options, names)
-            if theta is None:
+            obset = ep.observable_set
+            subsets = [tuple(qubits.index(q) for q in s if q in qubits) for s in obset.subsets]
+            codes = obset.codes[np.ix_(rows, qubits)]
+            sub = ExpectationProblem(codes, targets, 1 << k, k, subsets=[s for s in subsets if s])
+            # where R is one of sub's subsets, sub's start would fit R again
+            recurs = k in map(len, sub.observable_set.subsets)
+            start = (None, None) if recurs else marginal_start(sub, options, closed)
+            if start is None:
                 return None
+            fits = max(_FIT_SHARE * options.grad_tol, _FIT_FLOOR), min(options.max_iter, _FIT_ITER)
+            fit = _minimize(sub, SolveOptions(*fits), *start)
+            if fit.status != CONVERGED:
+                return None
+            theta = fit.theta
         theta0[rows] += count * theta
     if not np.isfinite(theta0).all() or float(np.max(np.abs(theta0))) > THETA_CAP:
         return None
-    sizes = itertools.groupby(pieces, key=lambda piece: len(piece[0]))
-    return MarginalStart(theta0, tuple(_Pieces(*map(np.stack, zip(*run))) for _, run in sizes))
-
-
-def _region_fit(ep: ExpectationProblem, qubits, rows, closed, options, names) -> np.ndarray | None:
-    """theta_R on a region R where the family lacks some of the 4^k - 1
-    strings: the fit of the family strings supported in R (`rows` of
-    ep) to their targets, as a problem on |R| qubits with subsets C & R,
-    from that problem's `_kikuchi` start over its own subsets; None
-    unless the fit ends Converged.  Where R is itself one of those
-    subsets (R lies inside some C), that start would fit R again, so
-    the fit starts at 0; a start with no closed-form region, whose
-    `apply` maps every g to 0, leaves H_0 = gamma I."""
-    inside = {q: i for i, q in enumerate(qubits)}
-    subsets = [tuple(inside[q] for q in s if q in inside) for s in ep.observable_set.subsets]
-    sub = ExpectationProblem(
-        ep.observable_set.codes[np.ix_(rows, qubits)],
-        ep.targets[rows],
-        1 << len(qubits),
-        len(qubits),
-        subsets=[s for s in subsets if s],
-    )
-    theta0 = h0 = None
-    sets = sub.observable_set.subsets
-    if len(qubits) not in map(len, sets):
-        start = _kikuchi(sub, problem_mod.kikuchi_regions(sets), closed, options, [names[q] for q in qubits])
-        if start is None:
-            return None
-        theta0, h0 = start.theta0, start.apply if start.regions else None
-    fit = _minimize(sub, options, theta0, h0)
-    return fit.theta if fit.status == CONVERGED else None
+    return theta0, pieces
 
 
 def _ladder(ep: ExpectationProblem) -> list:
@@ -445,7 +425,9 @@ def _ladder(ep: ExpectationProblem) -> list:
         below = regions
 
 
-def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) -> MarginalStart | None:
+def marginal_start(
+    ep: ExpectationProblem, options: SolveOptions | None = None, closed: dict | None = None
+) -> MarginalStart | None:
     """The start of a marginal solve from its reduction `ep`: theta0 and
     H_0 from the region marginals rho_R = (I + sum_{P in R} t_P P) / 2^k
     at the targets, or None, and the solve then starts at 0 with
@@ -455,13 +437,17 @@ def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) 
     fitted Hamiltonian over a region graph with the counting numbers of
     `problem.kikuchi_regions`.  A region on which the family holds all
     4^k - 1 strings takes theta_R = the Pauli coefficients of log rho_R
-    (one 2^k x 2^k eigh per solve, shared by every level and every
-    region fit's start) and adds its piece to H_0; any other region R
-    takes a region fit (`_region_fit`), the max-entropy fit of the
-    family strings supported in R, solved on |R| qubits to _FIT_SHARE
-    times the caller's grad_tol (at least _FIT_FLOOR, within _FIT_ITER
-    iterations), so that theta0 is limited by the regions' size and not
-    by where their fits stopped.  The levels (`_ladder`):
+    (one 2^k x 2^k eigh per solve: `closed`, left out by a solve, is the
+    cache of every level and region fit) and adds its piece to H_0
+    (`_h0`); any other region R takes a region fit, the max-entropy fit
+    of the family strings supported in R: a problem on |R| qubits with
+    subsets C & R, solved as a marginal solve is, from its own
+    marginal_start, to _FIT_SHARE times the caller's grad_tol (at least
+    _FIT_FLOOR, within _FIT_ITER iterations), so that theta0 is limited
+    by the regions' size and not by where their fits stopped.  A fit
+    whose sub-problem has no start fails its level; where R is one of
+    the sub-problem's subsets, whose start would fit R again, it starts
+    at 0 with H_0 = gamma I.  The levels (`_ladder`):
 
     - Level 0, the constraints closed under intersection.  Every region
       there lies inside a constraint, so it never fits.  It gives H_0
@@ -480,22 +466,23 @@ def marginal_start(ep: ExpectationProblem, options: SolveOptions | None = None) 
       evaluations of 8^n each: levels 1 and 2 of n = 8 and 9 pair
       chains, up to level 3 at n = 10, and no level of an n = 7 chain.
     - theta0 comes from the highest level read, tried first.  A level
-      whose region marginal is singular, whose region fit does not end
-      Converged, or whose theta0 is non-finite or beyond THETA_CAP
-      gives way to the next level read below it, and at last to level
-      0's theta0.  The README gives the rule's calibration.
+      whose region marginal is singular, whose region fit fails, or
+      whose theta0 is non-finite or beyond THETA_CAP gives way to the
+      next level read below it, and at last to level 0's theta0.  The
+      README gives the rule's calibration.
     """
     options = options or SolveOptions()
-    closed = {}
-    start = _kikuchi(ep, problem_mod.kikuchi_regions(ep.observable_set.subsets), closed)
-    if start is None:
+    closed = {} if closed is None else closed
+    level0 = _kikuchi(ep, problem_mod.kikuchi_regions(ep.observable_set.subsets), closed, options)
+    if level0 is None:
         return None
-    fits = SolveOptions(max(_FIT_SHARE * options.grad_tol, _FIT_FLOOR), min(options.max_iter, _FIT_ITER))
+    theta0, pieces = level0
     for regions in reversed(_ladder(ep)):
-        level = _kikuchi(ep, regions, closed, fits)
+        level = _kikuchi(ep, regions, closed, options)
         if level is not None:
-            return dataclasses.replace(start, theta0=level.theta0)
-    return start
+            theta0 = level[0]
+            break
+    return MarginalStart(theta0, _h0(pieces))
 
 
 def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) -> SolveResult:
@@ -511,8 +498,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
         raise IncompatibleMarginalsError(report)
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
-    start = marginal_start(ep, options)
-    theta0, h0 = (None, None) if start is None else (start.theta0, start.apply)
+    theta0, h0 = marginal_start(ep, options) or (None, None)
     result = _minimize(ep, options, theta0, h0)
     if result.status != CONVERGED:
         return result

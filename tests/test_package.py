@@ -29,6 +29,9 @@ from gibbsfit.solver import SolveOptions
 # constraint-level copy and its theta-cap test are gone; its levels form a
 # ladder read by a cost rule, so the fixed neighbourhood rule (_OUTSIDE)
 # is gone, and each region's closed form is one helper (_closed_form).
+# A region fit starts as a marginal solve does, through marginal_start, so
+# its own start path (_region_fit) and the stacked H_0 pieces of a start
+# (_Pieces; MarginalStart is (theta0, apply)) are gone.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
@@ -43,7 +46,7 @@ GONE = {
     problem: ("ReducedProblem",),
     SolveOptions: ("theta0",),
     solver: ("_constraint_start", "_capped", "_OUTSIDE", "_region_spectrum", "_log_coefficients",
-             "_Region"),
+             "_Region", "_region_fit", "_Pieces"),
     reduce_to_expectations(MarginalProblem(1, (((0,), np.eye(2) / 2),))): ("string_index",),
 }
 

@@ -417,6 +417,22 @@ def test_the_identity_is_no_observable():
             ExpectationProblem(observables, np.zeros(3), dim=4, n=2)
 
 
+@pytest.mark.parametrize("codes,index,message", [
+    ([[4]], 0, r"in 0\.\.3, got \[4\]"),  # failed in a reshape inside gibbs
+    ([[3, 5]], 0, r"in 0\.\.3, got \[3, 5\]"),
+    ([[1, 1], [3, 5]], 1, r"in 0\.\.3, got \[3, 5\]"),
+    ([[-1]], 0, r"in 0\.\.3, got \[-1\]"),  # failed inside bincount
+    ([[1.5]], 0, "must be integers, got float64"),  # truncated to X and solved
+], ids=["4", "5", "5-in-row-1", "negative", "float"])
+def test_letter_codes_are_integers_in_0_to_3(codes, index, message):
+    # the set took these arrays, and every later use misread them
+    codes = np.array(codes)
+    n = codes.shape[1]
+    with pytest.raises(InvalidEntryError, match=message) as exc:
+        ExpectationProblem(codes, np.zeros(len(codes)), dim=1 << n, n=n)
+    assert (exc.value.index, exc.value.field) == (index, "pauli")
+
+
 def test_midpoint_convexity():
     rng = np.random.default_rng(32)
     for _ in range(200):

@@ -274,6 +274,9 @@ def test_solve_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
+    # numpy numbers: grad_tol took np.float64 while max_iter refused np.int64
+    options = SolveOptions(grad_tol=np.float64(1e-9), max_iter=np.int64(50))
+    assert options.max_iter == 50 and type(options.max_iter) is int
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -472,10 +475,11 @@ def test_kikuchi_start_terminates_on_incomplete_supports(n, k):
     # pair, so it starts at 0 (it recursed into RecursionError), and the
     # start has no closed-form region
     ep = ising_problem(n, k)
-    start = solver._kikuchi(ep, problem.kikuchi_regions(ep.observable_set.subsets), {})
-    assert start.regions == ()
-    assert np.isfinite(start.theta0).all()
-    assert max_residual(ep, start.theta0) * 100 < max_residual(ep, np.zeros(ep.size))
+    regions = problem.kikuchi_regions(ep.observable_set.subsets)
+    theta0, pieces = solver._kikuchi(ep, regions, {}, SolveOptions())
+    assert pieces == [] and solver._h0(pieces) is None
+    assert np.isfinite(theta0).all()
+    assert max_residual(ep, theta0) * 100 < max_residual(ep, np.zeros(ep.size))
 
 
 @pytest.mark.parametrize("n,k", [(4, 13), (4, 97), (4, 165), (6, 13), (6, 44)])
@@ -758,7 +762,9 @@ def test_solve_and_verify_hold_one_state_at_a_time():
 
 def level0(ep):
     """The constraint-level start: the Kikuchi sum over the constraints."""
-    return solver._kikuchi(ep, problem.kikuchi_regions(ep.observable_set.subsets), {})
+    regions = problem.kikuchi_regions(ep.observable_set.subsets)
+    theta0, pieces = solver._kikuchi(ep, regions, {}, SolveOptions())
+    return solver.MarginalStart(theta0, solver._h0(pieces))
 
 
 def grow(sets, subsets):
@@ -908,9 +914,10 @@ def test_region_fits_without_closed_form_regions_use_gamma_i(monkeypatch):
         return minimize(sub, options, theta0, h0)
 
     monkeypatch.setattr(solver, "_minimize", spy)
-    start = solver._kikuchi(ep, problem.kikuchi_regions(neighbourhoods(ep.observable_set.subsets)), {})
+    regions = problem.kikuchi_regions(neighbourhoods(ep.observable_set.subsets))
+    theta0, _ = solver._kikuchi(ep, regions, {}, SolveOptions())
     assert h0s and all(h0 is None for h0 in h0s)
-    assert max_residual(ep, start.theta0) < 1e-6
+    assert max_residual(ep, theta0) < 1e-6
 
 
 @pytest.mark.parametrize("value", [np.nan, 2 * solver.THETA_CAP])
@@ -920,7 +927,12 @@ def test_neighbourhood_theta0_off_the_cap_keeps_the_constraint_start(value, monk
     ep = reduce_to_expectations(pair_chain(8, 0, 1.0))
     closed = level0(ep)
     assert not np.array_equal(marginal_start(ep).theta0, closed.theta0)
-    monkeypatch.setattr(solver, "_region_fit", lambda ep, qubits, rows, *rest: np.full(len(rows), value))
+    minimize = solver._minimize
+
+    def fit_to_value(sub, *rest):
+        return dataclasses.replace(minimize(sub, *rest), theta=np.full(sub.size, value))
+
+    monkeypatch.setattr(solver, "_minimize", fit_to_value)
     assert np.array_equal(marginal_start(ep).theta0, closed.theta0)
 
 
@@ -976,7 +988,7 @@ def test_ladder_ends_when_every_component_is_covered(monkeypatch):
     monkeypatch.setattr(solver, "_kikuchi", spy)
     start = marginal_start(ep)
     assert [regions for regions, _ in levels][1:] == solver._ladder(ep)
-    assert np.array_equal(start.theta0, levels[-1][1].theta0)
+    assert np.array_equal(start.theta0, levels[-1][1][0])
     # each chain's fit is its part of the max-entropy state
     counts = count_evaluations(monkeypatch)
     res = solve_marginals(mp)
@@ -1017,3 +1029,43 @@ def test_region_fits_stop_past_the_outer_tolerance(grad_tol, fit_tol, monkeypatc
     assert options and all(o.max_iter == 100 for o in options)
     assert all(o.grad_tol == pytest.approx(fit_tol, rel=1e-12) for o in options)
     assert max_residual(ep, start.theta0) <= 1e-10
+
+
+def test_a_region_fit_is_a_solve(monkeypatch):
+    # an n = 10 pair chain's 8-qubit window is fitted as a marginal solve
+    # of its own: its start reads its sub-problem's ladder (4- and then
+    # 6-qubit windows), top down, and every fit at every depth uses the
+    # fit options (its sub-problem's start was the constraint level alone).
+    # The chain is an 8-qubit thermal chain and two maximally mixed qubits
+    pairs = tuple((i, i + 1) for i in range(7))
+    chain8, eta = random_marginal_instance(np.random.default_rng([0, 77]), 8, pairs)
+    rho7 = linalg.partial_trace(eta, 8, (7,))
+    tail = (((7, 8), np.kron(rho7, np.eye(2) / 2)), ((8, 9), np.eye(4) / 4))
+    ep = reduce_to_expectations(MarginalProblem(10, chain8.constraints + tail))
+    kikuchi, ladder, minimize = solver._kikuchi, solver._ladder, solver._minimize
+    levels, ladders, fits = [], {}, []
+
+    def sizes(regions):
+        return sorted({len(q) for q, _ in regions}, reverse=True)
+
+    def kikuchi_spy(sub, regions, *rest):
+        levels.append((sub.n, sizes(regions)))
+        return kikuchi(sub, regions, *rest)
+
+    def ladder_spy(sub):
+        ladders[sub.n] = [sizes(regions) for regions in ladder(sub)]
+        return ladder(sub)
+
+    def minimize_spy(sub, options, *rest):
+        fits.append((sub.n, options.grad_tol, options.max_iter))
+        return minimize(sub, options, *rest)
+
+    monkeypatch.setattr(solver, "_kikuchi", kikuchi_spy)
+    monkeypatch.setattr(solver, "_ladder", ladder_spy)
+    monkeypatch.setattr(solver, "_minimize", minimize_spy)
+    theta0, pieces = solver._kikuchi(ep, [(tuple(range(8)), 1)], {}, SolveOptions())
+    assert ladders[8] == [[4, 3], [6, 5]]
+    assert [s for n, s in levels if n == 8] == [[2, 1], [6, 5]]  # level 0, then 2
+    assert {n for n, _, _ in fits} == {5, 6, 8}
+    assert all(tol == pytest.approx(1e-11) and cap == 100 for _, tol, cap in fits)
+    assert pieces == [] and np.isfinite(theta0).all()
