@@ -20,7 +20,6 @@ from .pauli import (
     parse_label,
 )
 from .problem import (
-    CompatibilityReport,
     EntropyViolation,
     ExpectationProblem,
     IncompatibleMarginalsError,
@@ -50,7 +49,6 @@ __all__ = [
     "BOUNDARY",
     "CONVERGED",
     "ITERATION_LIMIT",
-    "CompatibilityReport",
     "DependentObservablesError",
     "EntropyViolation",
     "ExpectationProblem",

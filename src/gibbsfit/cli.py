@@ -137,19 +137,17 @@ def _build_parser() -> _Parser:
 def cmd_check(args) -> int:
     problem, _ = fileio.load_problem(args.problem, max_qubits())
     if isinstance(problem, MarginalProblem):
-        report = problem_mod.check_local_compatibility(problem)
-        verdict = report.verdict
-        try:  # the reduction `solve` runs: a target conflict is an incompatibility
+        pairs = problem_mod.check_local_compatibility(problem)
+        verdict = problem_mod.COMPATIBLE
+        try:  # the reduction every command runs decides whether the marginals agree
             reduce_to_expectations(problem)
-        except TargetConflictError as exc:
+        except (TargetConflictError, IncompatibleMarginalsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             verdict = problem_mod.LOCALLY_INCOMPATIBLE
         violations = entropy_diagnostic(problem)
         doc = {
             "verdict": verdict,
-            "pairs": [
-                {"i": i, "j": j, "trace_distance": d} for i, j, d in report.pair_distances
-            ],
+            "pairs": [{"i": i, "j": j, "trace_distance": d} for i, j, d in pairs],
             "entropy_violations": [
                 {
                     "i": v.i,

@@ -53,11 +53,13 @@ class TargetConflictError(ValueError):
 
 
 class IncompatibleMarginalsError(ValueError):
-    """Raised by the solve pipeline when pairwise overlap checks fail."""
+    """Two overlapping marginals disagree on their shared qubits beyond
+    COMPAT_ATOL in trace distance.  `pairs` is every overlapping pair's
+    (i, j, trace distance), as check_local_compatibility measures them."""
 
-    def __init__(self, report):
-        self.report = report
-        worst = max((d for _, _, d in report.pair_distances), default=0.0)
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+        worst = max(d for _, _, d in self.pairs)
         super().__init__(f"marginals are locally incompatible (worst overlap distance {worst:.3e})")
 
 
@@ -105,13 +107,13 @@ class ExpectationProblem:
     them.  The constructor builds the family's one ObservableSet,
     `observable_set` (every observable is gated there, and `subsets`
     places its Pauli rows), and reads spec(T_i) = [lo_i, hi_i] once:
-    (-1, 1) for a string, one eigvalsh for a matrix.  Every |t_i| must be
-    within the spectral radius of T_i up to SPECTRAL_SLACK relative to
-    it, so the verdict does not depend on how the observables are scaled.
-    From spec(T_i) also come `extreme` (t_i at or beyond an endpoint, up
-    to SPECTRAL_SLACK; only singular states reach an endpoint, so no
-    Gibbs state ever will) and `half_widths` ((hi_i - lo_i)/2), which the
-    solver reads.  `observables` is the set's gated tuple.
+    (-1, 1) for a string, one eigvalsh for a matrix.  No state reaches a
+    t_i outside [lo_i, hi_i]: one beyond it by more than SPECTRAL_SLACK
+    max(R_i, 1), R_i the spectral radius of T_i, is rejected.  The
+    interval also gives `extreme` (t_i at an endpoint, up to that slack;
+    only singular states reach one, so no Gibbs state ever will) and
+    `half_widths` ((hi_i - lo_i)/2), which the solver reads.  `observables`
+    is the set's gated tuple.
     """
 
     def __init__(self, observables, targets, dim: int, n: int | None = None, subsets=None):
@@ -126,12 +128,11 @@ class ExpectationProblem:
         for i, m in zip(obset.matrix_index, obset.matrices):
             intervals[i] = spectral_interval(m)
         lo, hi = intervals.T
-        bound = np.abs(intervals).max(axis=1)
-        tol = SPECTRAL_SLACK * np.maximum(bound, 1.0)
-        bad = np.flatnonzero(np.abs(targets) > bound + tol)
+        tol = SPECTRAL_SLACK * np.maximum(np.abs(intervals).max(axis=1), 1.0)
+        bad = np.flatnonzero((targets < lo - tol) | (targets > hi + tol))
         if bad.size:
             i = bad[0]
-            raise InvalidEntryError(i, "target", f"|{targets[i]}| exceeds spectral radius {bound[i]}")
+            raise InvalidEntryError(i, "target", f"{targets[i]} is outside spectrum [{lo[i]}, {hi[i]}]")
         self.observable_set = obset
         self.targets = targets
         self.dim = obset.dim
@@ -189,27 +190,25 @@ class EntropyViolation:
         return self.overlap_entropy - self.entropy_i - self.entropy_j
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    pair_distances: tuple  # ((i, j, trace distance), ...)
-    verdict: str
-
-
 def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
     """Replace each marginal by Pauli expectation targets.
 
     Emits one constraint per distinct non-identity string supported on
     some subset (dedup on the strings' letter codes, first-appearance
-    order).  Targets are read from the first constraint containing the
-    string and cross-checked against every other; disagreement beyond
-    TARGET_CONFLICT_ATOL is a pairwise-compatibility violation reported
-    as a conflict.  All 4^k - 1 targets of a constraint come from one
-    `pauli.trace_transform` of its marginal (real: the marginal passed
-    the density gate), and the dedup and the check are array operations
-    over every emitted string at once; the first offender, in constraint
-    then string order, raises.  The problem's subsets are the
-    constraints', so each string sits in the block of the first
-    constraint holding it, the one that emitted it first.
+    order).  Every command that reads marginals runs it, so it alone
+    decides whether they agree.  Targets are read from the first
+    constraint containing the string and cross-checked against every
+    other: the first disagreement beyond TARGET_CONFLICT_ATOL, in
+    constraint then string order, raises TargetConflictError.  Then each
+    overlapping pair must lie within COMPAT_ATOL in trace distance
+    (check_local_compatibility), or IncompatibleMarginalsError raises:
+    strings that each agree can add up to a larger distance.  All 4^k - 1
+    targets of a constraint come from one `pauli.trace_transform` of its
+    marginal (real: the marginal passed the density gate), and the dedup
+    and the check are array operations over every emitted string at
+    once.  The problem's subsets are the constraints', so each string
+    sits in the block of the first constraint holding it, the one that
+    emitted it first.
     """
     n = mp.n
     codes = [pauli.subset_codes(qubits, n) for qubits, _ in mp.constraints]
@@ -232,6 +231,9 @@ def reduce_to_expectations(mp: MarginalProblem) -> ExpectationProblem:
             float(t[a]),
             float(t[e]),
         )
+    pairs = check_local_compatibility(mp)
+    if any(dist > COMPAT_ATOL for _, _, dist in pairs):
+        raise IncompatibleMarginalsError(pairs)
     # |Tr(P rho)| <= 1 holds for any state, but round-off can poke past
     # the constructor's bound at targets that sit exactly on it.
     targets = np.clip(t[first], -1.0, 1.0)
@@ -318,19 +320,16 @@ def _overlapping_pairs(mp: MarginalProblem):
                 yield i, j, overlap
 
 
-def check_local_compatibility(mp: MarginalProblem) -> CompatibilityReport:
-    """Pairwise necessary condition: overlapping marginals must agree on
-    the intersection (trace distance <= COMPAT_ATOL per pair)."""
+def check_local_compatibility(mp: MarginalProblem) -> tuple:
+    """((i, j, trace distance), ...) between the marginals of each pair
+    i < j of overlapping constraints on their shared qubits.  The
+    reduction holds each to COMPAT_ATOL; `check` reports them."""
     pairs = []
-    verdict = COMPATIBLE
     for i, j, overlap in _overlapping_pairs(mp):
         ri = restrict_constraint(mp.constraints[i], overlap)
         rj = restrict_constraint(mp.constraints[j], overlap)
-        dist = linalg.trace_distance(ri, rj)
-        pairs.append((i, j, float(dist)))
-        if dist > COMPAT_ATOL:
-            verdict = LOCALLY_INCOMPATIBLE
-    return CompatibilityReport(tuple(pairs), verdict)
+        pairs.append((i, j, float(linalg.trace_distance(ri, rj))))
+    return tuple(pairs)
 
 
 def entropy_diagnostic(mp: MarginalProblem) -> list[EntropyViolation]:

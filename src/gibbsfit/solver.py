@@ -37,10 +37,8 @@ from . import linalg, pauli, problem as problem_mod
 from .partition import GibbsState
 from .problem import (
     ExpectationProblem,
-    IncompatibleMarginalsError,
     MarginalProblem,
     check_independence,
-    check_local_compatibility,
     reduce_to_expectations,
 )
 
@@ -493,9 +491,6 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     The fit starts from `marginal_start` (theta0 and H_0) when the region
     marginals allow it.
     """
-    report = check_local_compatibility(mp)
-    if report.verdict != problem_mod.COMPATIBLE:
-        raise IncompatibleMarginalsError(report)
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
     theta0, h0 = marginal_start(ep, options) or (None, None)

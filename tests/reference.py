@@ -7,7 +7,8 @@ permutation tables and the per-string Pauli sums and traces read from
 them, relabelling, the Pauli expansion's inverse, the Hessian of the
 log-partition function, a marginal solve's warm start read from the
 raw marginals and the (r+1) x (r+1) Gram matrix of an independence
-check.  None of them runs in a command.
+check.  None of them runs in a command.  `overlap_drift_marginals` is
+a fixture of marginals whose strings agree but whose overlaps do not.
 """
 
 from __future__ import annotations
@@ -331,3 +332,20 @@ def gram_rank(ep) -> problem.RankReport:
         max_eigenvalue=float(w[-1]),
         size=m,
     )
+
+
+def overlap_drift_marginals(eps: float = 0.9e-9, seed: int = 0) -> problem.MarginalProblem:
+    """Marginals on (0, 1, 2) and (0, 1, 2, 3) of one random 4-qubit state,
+    the first shifted by (eps / 8) sum_P P over the 63 strings on its
+    qubits.  Every shared string then differs by eps, within
+    TARGET_CONFLICT_ATOL, while the shift's trace norm is
+    (eps / 8) ||(I + X + Y + Z)^(x3) - I||_1 = 5.2 eps: the two marginals
+    on (0, 1, 2) lie 2.6 eps apart in trace distance, beyond COMPAT_ATOL."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    sigma = a @ a.conj().T
+    sigma /= np.trace(sigma).real
+    one = sum(pauli.materialize(pauli.parse_label(p, 1)) for p in ("", "X0", "Y0", "Z0"))
+    shift = np.kron(np.kron(one, one), one) - np.eye(8)
+    rho = linalg.partial_trace(sigma, 4, (0, 1, 2)) + eps / 8 * shift
+    return problem.MarginalProblem(4, (((0, 1, 2), rho), ((0, 1, 2, 3), sigma)))

@@ -545,15 +545,14 @@ def test_surface_rejections(tmp_path, capsys, chain_problem):
 
 def test_incompatible_marginals_exit_2_from_solve_and_verify(tmp_path, capsys):
     # qubit 1 is diag(0.75, 0.25) in the first marginal and I/2 in the
-    # second: solve stops at the compatibility check, and verify's
-    # reduction finds two targets for Z1
+    # second: the reduction both commands run finds two targets for Z1
     rho01 = np.kron(np.eye(2) / 2, np.diag([0.75, 0.25]))
     prob = write(tmp_path / "bad.json", {"n": 3, "marginals": [
         {"qubits": [0, 1], "rho": matrix_json(rho01)},
         {"qubits": [1, 2], "rho": matrix_json(np.eye(4) / 4)}]})
     out = tmp_path / "res.json"
     assert main(["solve", prob, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: marginals are locally incompatible")
+    assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
     assert not out.exists()
     digest = fileio.digest(Path(prob).read_bytes())
     res = write(out, {"status": "Converged", "theta": [0.0], "input_digest": digest})
@@ -583,6 +582,47 @@ def test_check_rejects_the_target_conflict_that_solve_rejects(tmp_path, capsys):
     assert rep["pairs"][0]["trace_distance"] == pytest.approx(7.5e-10, rel=1e-3)
     assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: conflicting targets for 'Z1'")
+
+
+def first_errors(tmp_path, capsys, prob):
+    """(exit code, first stderr line) of check, solve, verify and surface
+    on one problem file; verify reads a placeholder result bound to it."""
+    res = write(tmp_path / "placeholder.json", {"status": "Converged", "theta": [0.0],
+                                                "input_digest": fileio.digest(Path(prob).read_bytes())})
+    out = {}
+    for argv in (["check", prob, "--out", str(tmp_path / "c.json")],
+                 ["solve", prob, "--out", str(tmp_path / "r.json")],
+                 ["verify", prob, res], ["surface", prob]):
+        capsys.readouterr()
+        code = main(argv)
+        out[argv[0]] = (code, capsys.readouterr().err.splitlines()[0])
+    return out
+
+
+def test_overlaps_beyond_the_trace_distance_gate_exit_2_from_every_command(tmp_path, capsys):
+    # every shared string agrees within the conflict gate, the marginals on
+    # (0, 1, 2) lie 2.3e-9 apart: the reduction every command runs refuses
+    mp = reference.overlap_drift_marginals()
+    prob = write(tmp_path / "drift.json", {"n": mp.n, "marginals": [
+        {"qubits": list(q), "rho": matrix_json(rho)} for q, rho in mp.constraints]})
+    got = first_errors(tmp_path, capsys, prob)
+    line = "error: marginals are locally incompatible (worst overlap distance 2.338e-09)"
+    assert got == dict.fromkeys(("check", "solve", "verify", "surface"), (2, line))
+    rep = read(tmp_path / "c.json")
+    assert rep["verdict"] == "LocallyIncompatible"
+    assert rep["pairs"][0]["trace_distance"] == pytest.approx(2.338e-9, rel=1e-3)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_target_outside_its_spectrum_exits_65_from_every_command(tmp_path, capsys):
+    # 0.1 lies within the spectral radius of diag(0.2, 0.5), outside its
+    # spectrum: no state reaches it
+    prob = write(tmp_path / "low.json", {"n": 1, "observables": [
+        {"matrix": matrix_json(np.diag([0.2, 0.5])), "target": 0.1}]})
+    got = first_errors(tmp_path, capsys, prob)
+    line = "error: observables[0].target: 0.1 is outside spectrum [0.2, 0.5]"
+    assert got == dict.fromkeys(("check", "solve", "verify", "surface"), (65, line))
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_check_rejects_dependent_expectation_observables(tmp_path, capsys):

@@ -31,7 +31,9 @@ from gibbsfit.solver import SolveOptions
 # is gone, and each region's closed form is one helper (_closed_form).
 # A region fit starts as a marginal solve does, through marginal_start, so
 # its own start path (_region_fit) and the stacked H_0 pieces of a start
-# (_Pieces; MarginalStart is (theta0, apply)) are gone.
+# (_Pieces; MarginalStart is (theta0, apply)) are gone.  The reduction
+# decides whether marginals agree, so CompatibilityReport and its verdict
+# are gone: check_local_compatibility measures the pair distances.
 GONE = {
     linalg: ("matrix_exp", "psd_modulus", "psd_power", "expm_directional_derivative",
              "divided_difference_kernel", "_sym", "EXP_CAP", "_DD_SWITCH",
@@ -43,7 +45,7 @@ GONE = {
     fileio: ("matrix_to_json",),
     ObservableSet: ("hessian", "_parts"),
     ExpectationProblem: ("_accept",),
-    problem: ("ReducedProblem",),
+    problem: ("ReducedProblem", "CompatibilityReport"),
     SolveOptions: ("theta0",),
     solver: ("_constraint_start", "_capped", "_OUTSIDE", "_region_spectrum", "_log_coefficients",
              "_Region", "_region_fit", "_Pieces"),
@@ -52,7 +54,7 @@ GONE = {
 
 
 def test_every_exported_name_resolves():
-    assert len(gibbsfit.__all__) == len(set(gibbsfit.__all__)) == 35
+    assert len(gibbsfit.__all__) == len(set(gibbsfit.__all__)) == 34
     for name in gibbsfit.__all__:
         assert hasattr(gibbsfit, name), name
 

@@ -43,6 +43,12 @@ def qubit_state(z):
     return (np.eye(2, dtype=complex) + z * Z) / 2
 
 
+def mean_targets(ops, d):
+    """Each observable's mean eigenvalue Tr(T)/d, a target inside its spectrum."""
+    return np.array([0.0 if isinstance(op, pauli.PauliString) else np.trace(op).real / d
+                     for op in ops])
+
+
 def test_marginal_problem_validation():
     with pytest.raises(ValueError):
         MarginalProblem(2, ())
@@ -196,7 +202,7 @@ def test_independence_gram_matches_dense_reference():
     # X0 + 1.1 I duplicates X0 together with I
     for keep, independent in ((range(6), False), ([0, 1, 4, 5], True), ([1, 3], False)):
         ops = [obs[i] for i in keep]
-        ep = ExpectationProblem(tuple(ops), np.zeros(len(ops)), dim=4, n=2)
+        ep = ExpectationProblem(tuple(ops), mean_targets(ops, 4), dim=4, n=2)
         mats = [np.eye(4)] + [
             pauli.materialize(op) if isinstance(op, pauli.PauliString) else frobenius_sqrt_d(op)
             for op in ops
@@ -215,7 +221,7 @@ def test_independence_rejects_duplicates_and_identity_shift():
     ep = ExpectationProblem.from_paulis(1, [(p, 0.1), (p, 0.1)])
     assert not check_independence(ep).independent
     # a matrix observable equal to c*I duplicates the implicit identity row
-    ep2 = ExpectationProblem.from_matrices([0.5 * np.eye(2, dtype=complex)], [0.3], n=1)
+    ep2 = ExpectationProblem.from_matrices([0.5 * np.eye(2, dtype=complex)], [0.5], n=1)
     assert not check_independence(ep2).independent
     # shifted Pauli stays independent: Z + 0.6 I has Frobenius norm^2 2.72, so
     # rescaled to norm^2 2 with s = sqrt(2 / 2.72), {I, s (Z + 0.6 I)} has
@@ -257,7 +263,7 @@ def near_dependent_family(rng):
         noise = 10 ** rng.uniform(-12, 0) * random_hermitian(rng, d)
         obs.append(10 ** rng.uniform(-6, 6) * (mix + noise))
     obs = [obs[i] for i in rng.permutation(len(obs))]
-    return ExpectationProblem(tuple(obs), np.zeros(len(obs)), dim=d, n=n)
+    return ExpectationProblem(tuple(obs), mean_targets(obs, d), dim=d, n=n)
 
 
 def test_independence_matches_the_gram_reference_on_near_dependent_families():
@@ -364,14 +370,16 @@ def test_kikuchi_counting_numbers():
 
 
 def test_local_compatibility_verdicts():
+    # the pairs are a measurement; the reduction gives the verdict
     single = MarginalProblem(2, (((0, 1), BELL),))
-    rep = check_local_compatibility(single)
-    assert rep.verdict == problem.COMPATIBLE and rep.pair_distances == ()
+    assert check_local_compatibility(single) == ()
+    reduce_to_expectations(single)
 
     chain = MarginalProblem(3, (((0, 1), BELL), ((1, 2), BELL)))
-    rep = check_local_compatibility(chain)
-    assert rep.verdict == problem.COMPATIBLE
-    assert rep.pair_distances[0][2] < 1e-15  # both overlaps are I/2
+    pairs = check_local_compatibility(chain)
+    reduce_to_expectations(chain)
+    assert [(i, j) for i, j, _ in pairs] == [(0, 1)]
+    assert pairs[0][2] < 1e-15  # both overlaps are I/2
 
     up, down = qubit_state(0.5), qubit_state(0.0)
     bad = MarginalProblem(
@@ -381,9 +389,19 @@ def test_local_compatibility_verdicts():
             ((1, 2), np.kron(down, np.eye(2) / 2)),
         ),
     )
-    rep = check_local_compatibility(bad)
-    assert rep.verdict == problem.LOCALLY_INCOMPATIBLE
-    assert rep.pair_distances[0][2] == pytest.approx(0.25)  # half the z-gap
+    with pytest.raises(TargetConflictError, match="'Z1'"):
+        reduce_to_expectations(bad)
+    assert check_local_compatibility(bad)[0][2] == pytest.approx(0.25)  # half the z-gap
+
+    # every shared string agrees within the conflict gate, the marginals
+    # on (0, 1, 2) do not within the trace-distance gate
+    drift = reference.overlap_drift_marginals()
+    pairs = check_local_compatibility(drift)
+    assert [(i, j) for i, j, _ in pairs] == [(0, 1)]
+    assert pairs[0][2] == pytest.approx(2.34e-9, rel=1e-2)
+    with pytest.raises(problem.IncompatibleMarginalsError) as info:
+        reduce_to_expectations(drift)
+    assert info.value.pairs == pairs
 
 
 def test_entropy_diagnostic_bell_chain():
@@ -479,8 +497,24 @@ def test_target_bound_does_not_depend_on_observable_scale():
                 t = float((vec.conj() @ m @ vec).real)
                 ExpectationProblem.from_matrices([m], [t], n=3)
             bound = max(abs(w[0]), abs(w[-1]))
-            with pytest.raises(problem.InvalidEntryError, match="exceeds spectral radius"):
+            with pytest.raises(problem.InvalidEntryError, match="is outside spectrum"):
                 ExpectationProblem.from_matrices([m], [bound * (1 + 1e-9)], n=3)
+
+
+def test_target_outside_the_spectrum_is_rejected_at_every_scale():
+    # spec(diag(0.2, 0.5)) = [0.2, 0.5]: 0.1 and -0.3 lie within the
+    # spectral radius but no state reaches them; a target within the
+    # slack of an endpoint builds, and sits on it
+    for scale in 10.0 ** np.arange(-9, 10):
+        m = scale * np.diag([0.2, 0.5])
+        lo, hi = spectral_interval(m)
+        for t in (0.1, -0.3, 0.6):
+            with pytest.raises(problem.InvalidEntryError, match="is outside spectrum") as info:
+                ExpectationProblem.from_matrices([m], [scale * t], n=1)
+            assert (info.value.index, info.value.field) == (0, "target")
+        tol = problem.SPECTRAL_SLACK * max(hi, 1.0)
+        for t in (lo - 0.5 * tol, hi + 0.5 * tol):
+            assert ExpectationProblem.from_matrices([m], [t], n=1).extreme.tolist() == [True]
 
 
 def reference_reduce(mp):

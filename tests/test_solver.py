@@ -15,6 +15,7 @@ from gibbsfit.problem import (
     ExpectationProblem,
     IncompatibleMarginalsError,
     MarginalProblem,
+    TargetConflictError,
     reduce_to_expectations,
 )
 from gibbsfit.solver import (
@@ -144,8 +145,13 @@ def test_incompatible_marginals_raise():
             ((1, 2), np.kron(np.eye(2) / 2, np.eye(2) / 2)),
         ),
     )
-    with pytest.raises(IncompatibleMarginalsError):
+    # qubit 1 also disagrees string by string: Z1 is named first
+    with pytest.raises(TargetConflictError, match="'Z1'"):
         solve_marginals(mp)
+    # strings that agree, overlaps that do not
+    with pytest.raises(IncompatibleMarginalsError) as info:
+        solve_marginals(reference.overlap_drift_marginals())
+    assert [(i, j) for i, j, _ in info.value.pairs] == [(0, 1)]
 
 
 def test_dependent_observables_rejected():
