@@ -32,10 +32,10 @@ COMPAT_ATOL = 1e-9
 # Entropy diagnostic slack, in bits.
 ENTROPY_ATOL = 1e-9
 
-# Slack on spectral endpoints, relative to the spectral radius R of T_i
-# (as SPECTRAL_SLACK * max(R, 1)): a target beyond an endpoint by more is
-# rejected, and one within it of an endpoint is extreme (the solver's
-# boundary flag, `ExpectationProblem.extreme`).
+# Slack on spectral endpoints, SPECTRAL_SLACK * R for the spectral radius
+# R of T_i, so no verdict depends on T_i's scale: a target beyond an
+# endpoint by more is rejected, and one within it of an endpoint is
+# extreme (the solver's boundary flag, `ExpectationProblem.extreme`).
 SPECTRAL_SLACK = 1e-12
 
 
@@ -109,7 +109,7 @@ class ExpectationProblem:
     places its Pauli rows), and reads spec(T_i) = [lo_i, hi_i] once:
     (-1, 1) for a string, one eigvalsh for a matrix.  No state reaches a
     t_i outside [lo_i, hi_i]: one beyond it by more than SPECTRAL_SLACK
-    max(R_i, 1), R_i the spectral radius of T_i, is rejected.  The
+    R_i, R_i the spectral radius of T_i, is rejected.  The
     interval also gives `extreme` (t_i at an endpoint, up to that slack;
     only singular states reach one, so no Gibbs state ever will) and
     `half_widths` ((hi_i - lo_i)/2), which the solver reads.  `observables`
@@ -128,7 +128,7 @@ class ExpectationProblem:
         for i, m in zip(obset.matrix_index, obset.matrices):
             intervals[i] = spectral_interval(m)
         lo, hi = intervals.T
-        tol = SPECTRAL_SLACK * np.maximum(np.abs(intervals).max(axis=1), 1.0)
+        tol = SPECTRAL_SLACK * np.abs(intervals).max(axis=1)
         bad = np.flatnonzero((targets < lo - tol) | (targets > hi + tol))
         if bad.size:
             i = bad[0]

@@ -16,9 +16,9 @@ accepts leaves f where it was (f has saturated at float resolution).
 Interior-infeasible problems drift to the cap on their own because the
 residual stays bounded away from zero.
 
-A marginal problem starts from its own marginals when they allow it:
-see marginal_start for its ladder of cluster levels, the cost rule that
-picks the level and the fallbacks.
+Every solve starts through marginal_start: from the region marginals,
+read off a ladder of cluster levels that a cost rule picks, where the
+family allows it, and otherwise at theta = 0 with H_0 = gamma I.
 """
 
 from __future__ import annotations
@@ -173,11 +173,11 @@ def _armijo(theta, f, grad, direction, evaluate):
 
 
 def solve_expectations(ep: ExpectationProblem, options: SolveOptions | None = None) -> SolveResult:
-    """Check that {I, T_i} is independent, then fit (see _minimize)."""
+    """Check that {I, T_i} is independent, then fit from `marginal_start`."""
     rank = check_independence(ep)
     if not rank.independent:
         raise DependentObservablesError(rank)
-    return _minimize(ep, options)
+    return _minimize(ep, options, *(marginal_start(ep, options) or (None, None)))
 
 
 def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None, h0=None) -> SolveResult:
@@ -187,11 +187,12 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
     `h0`, when given, maps a vector q to H_0 q, the initial inverse
     Hessian of the two-loop recursion; otherwise H_0 = gamma I with the
     usual scaling gamma = s.y / y.y (the identity on the first step).
-    Every reported quantity is read from the Gibbs state of the last
-    accepted iterate, so no eigensolve happens after the loop.  Only psi
-    and the spectrum of an iterate outlive its convergence test: its
-    state is dropped before the line search builds the next, so one
-    d x d state is held at a time.
+    The iterate of step max_iter is tested too.  Every reported quantity
+    is read from the Gibbs state of the last accepted iterate, so no
+    eigensolve happens after the loop.  Only psi and the spectrum of an
+    iterate outlive its convergence test: its state is dropped before
+    the line search builds the next, so one d x d state is held at a
+    time.
 
     A failed line search ends a flagged problem BoundaryOrInfeasible;
     otherwise it clears the curvature memory and goes on from H_0, and
@@ -216,8 +217,8 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
     message = ""
     iterations = 0
 
-    for it in range(1, options.max_iter + 1):
-        iterations = it
+    for it in range(1, options.max_iter + 2):
+        iterations = min(it, options.max_iter)
         gmax = float(np.max(np.abs(grad)))
         trace.append(gmax)
         if gmax <= options.grad_tol and not flagged:
@@ -231,6 +232,8 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
                 f"with residual {gmax:.3e}"
             )
             break
+        if it > options.max_iter:
+            break  # the last allowed step's iterate is tested, not moved
 
         # two-loop recursion over stored curvature pairs
         q = grad.copy()
@@ -300,25 +303,22 @@ def _minimize(ep: ExpectationProblem, options: SolveOptions | None, theta0=None,
 
 
 class MarginalStart(NamedTuple):
-    """A marginal solve's start (see `marginal_start`): theta0, and
-    `apply`, the map g -> H_0 g over its closed-form regions (`_h0`), or
-    None where it has none and H_0 = gamma I."""
+    """A solve's start (see `marginal_start`): theta0, and `apply`, the
+    map g -> H_0 g over level 0's closed-form regions (`_h0`)."""
 
     theta0: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray] | None
+    apply: Callable[[np.ndarray], np.ndarray]
 
 
 def _h0(pieces: list):
     """g -> H_0 g = sum_R c_R coeffs_R(D log_{rho_R}[sum_{P in R} g_P P]) / 4^k
     over the closed-form regions `pieces` of `_kikuchi`, with
-    coeffs_R(Y)_P = Tr(P Y), or None where there are none.  -S(rho_R) is
-    the exact max-entropy dual on such a region, and its Hessian is the
-    inverse of the region's Kubo-Mori covariance, the Frechet derivative
-    of log at rho_R.  Matrix-free, through the Pauli transforms on each
-    region's 2^k x 2^k space, one pass per region size over its pieces
-    stacked in region order."""
-    if not pieces:
-        return None
+    coeffs_R(Y)_P = Tr(P Y).  -S(rho_R) is the exact max-entropy dual on
+    such a region, and its Hessian is the inverse of the region's
+    Kubo-Mori covariance, the Frechet derivative of log at rho_R.
+    Matrix-free, through the Pauli transforms on each region's
+    2^k x 2^k space, one pass per region size over its pieces stacked
+    in region order."""
     runs = itertools.groupby(pieces, key=lambda piece: len(piece[0]))
     groups = [tuple(map(np.stack, zip(*run))) for _, run in runs]
 
@@ -368,7 +368,8 @@ def _kikuchi(ep: ExpectationProblem, regions, closed: dict, options: SolveOption
     (`problem.kikuchi_regions`) by the rule of `marginal_start`, where
     `pieces` holds each closed-form region's (rows, c_R / 4^k,
     eigenvectors, log kernel) for `_h0`; or None when a region marginal
-    is singular, a region fit fails, or theta0 is non-finite or beyond
+    is singular, a region inside one of ep's subsets lacks some of its
+    strings, a region fit fails, or theta0 is non-finite or beyond
     THETA_CAP.  `closed` holds one solve's closed forms (`_closed_form`)
     by region size and targets, so every level and every region fit's
     start reads each rho_R once; `options` are the solve's own."""
@@ -386,14 +387,14 @@ def _kikuchi(ep: ExpectationProblem, regions, closed: dict, options: SolveOption
                 return None
             theta, v, kernel = closed[key]
             pieces.append((rows, count / 4 ** k, v, kernel))
+        elif any(set(qubits) <= set(s) for s in ep.observable_set.subsets):
+            return None
         else:
             obset = ep.observable_set
             subsets = [tuple(qubits.index(q) for q in s if q in qubits) for s in obset.subsets]
             codes = obset.codes[np.ix_(rows, qubits)]
             sub = ExpectationProblem(codes, targets, 1 << k, k, subsets=[s for s in subsets if s])
-            # where R is one of sub's subsets, sub's start would fit R again
-            recurs = k in map(len, sub.observable_set.subsets)
-            start = (None, None) if recurs else marginal_start(sub, options, closed)
+            start = marginal_start(sub, options, closed)
             if start is None:
                 return None
             fits = max(_FIT_SHARE * options.grad_tol, _FIT_FLOOR), min(options.max_iter, _FIT_ITER)
@@ -426,10 +427,12 @@ def _ladder(ep: ExpectationProblem) -> list:
 def marginal_start(
     ep: ExpectationProblem, options: SolveOptions | None = None, closed: dict | None = None
 ) -> MarginalStart | None:
-    """The start of a marginal solve from its reduction `ep`: theta0 and
-    H_0 from the region marginals rho_R = (I + sum_{P in R} t_P P) / 2^k
-    at the targets, or None, and the solve then starts at 0 with
-    H_0 = gamma I, as an expectation problem does.
+    """The start of a solve of `ep`: theta0 and H_0 from the region
+    marginals rho_R = (I + sum_{P in R} t_P P) / 2^k at the targets, or
+    None, and the solve then starts at 0 with H_0 = gamma I.  A family
+    with a dense observable gets None, as does one that lacks a string
+    on a region inside its own subsets (level 0 below), as no reduction
+    does.
 
     theta0 is the Bethe/Kikuchi approximation sum_R c_R theta_R of the
     fitted Hamiltonian over a region graph with the counting numbers of
@@ -443,18 +446,17 @@ def marginal_start(
     marginal_start, to _FIT_SHARE times the caller's grad_tol (at least
     _FIT_FLOOR, within _FIT_ITER iterations), so that theta0 is limited
     by the regions' size and not by where their fits stopped.  A fit
-    whose sub-problem has no start fails its level; where R is one of
-    the sub-problem's subsets, whose start would fit R again, it starts
-    at 0 with H_0 = gamma I.  The levels (`_ladder`):
+    whose sub-problem has no start fails its level.  The levels
+    (`_ladder`):
 
     - Level 0, the constraints closed under intersection.  Every region
       there lies inside a constraint, so it never fits.  It gives H_0
       = sum_R c_R D log at rho_R, the exact inverse Hessian on disjoint
       (or product) marginals, and the fallback theta0, which is exact
       for commuting Markov chains (Poulin & Hastings, PRL 106, 080403,
-      2011).  A singular region marginal, or a theta0 that is
-      non-finite or beyond THETA_CAP, gives None; it is checked before
-      any region fit.
+      2011).  A region that lacks some of its strings, a singular region
+      marginal, or a theta0 that is non-finite or beyond THETA_CAP,
+      gives None; it is checked before any region fit.
     - Level l + 1 grows each set of level l by every constraint that
       overlaps it, closed under intersection: 4-qubit windows at level
       1 of a pair chain, 6-qubit ones at level 2.  The ladder ends where
@@ -469,6 +471,8 @@ def marginal_start(
       next level read below it, and at last to level 0's theta0.  The
       README gives the rule's calibration.
     """
+    if len(ep.observable_set.matrix_index):
+        return None  # _region_rows takes Pauli rows for theta positions
     options = options or SolveOptions()
     closed = {} if closed is None else closed
     level0 = _kikuchi(ep, problem_mod.kikuchi_regions(ep.observable_set.subsets), closed, options)
@@ -493,8 +497,7 @@ def solve_marginals(mp: MarginalProblem, options: SolveOptions | None = None) ->
     """
     # distinct non-identity strings: {I, T_i} is orthogonal, so independent
     ep = reduce_to_expectations(mp)
-    theta0, h0 = marginal_start(ep, options) or (None, None)
-    result = _minimize(ep, options, theta0, h0)
+    result = _minimize(ep, options, *(marginal_start(ep, options) or (None, None)))
     if result.status != CONVERGED:
         return result
     local = decompose_local_terms(result.theta, ep)
@@ -561,6 +564,6 @@ def verify(
         entropy_bits=state.entropy_bits,
         min_eigenvalue=min_eig,
         tol=tol,
-        ok=bool(max_res <= tol and min_eig >= -linalg.PSD_FLOOR),
+        ok=bool(max_res <= tol),
         marginal_distances=dists,
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsfit import fileio, linalg, solver
+from gibbsfit import fileio, linalg, pauli, solver
 from gibbsfit.cli import generate_thermal_marginals, main
 from gibbsfit.partition import ObservableSet
 from gibbsfit.pauli import PauliString
@@ -448,6 +448,28 @@ def test_warm_started_solve_is_deterministic(tmp_path):
     for out in outs:
         assert main(["solve", str(prob), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_expectation_file_of_a_pair_chain_solves_as_its_marginal_file(tmp_path):
+    # every string on the pairs, with the reduction's targets: the file
+    # starts through marginal_start as the marginal file does (it started
+    # at 0 and took 18 iterations against 6)
+    n = 5
+    doc, _ = generate_thermal_marginals(n, [(i, i + 1) for i in range(n - 1)], 4.0, 0)
+    marginals = tmp_path / "marginals.json"
+    marginals.write_text(fileio.dump_json(doc))
+    mp, _ = fileio.load_problem(str(marginals))
+    ep = reduce_to_expectations(mp)
+    strings = pauli.strings_from_codes(ep.observable_set.codes)
+    entries = [{"pauli": str(p), "target": float(t)} for p, t in zip(strings, ep.targets)]
+    expectations = write(tmp_path / "expectations.json", {"n": n, "expectations": entries})
+    results = []
+    for prob in (str(marginals), expectations):
+        out = tmp_path / (Path(prob).stem + ".res")
+        assert main(["solve", prob, "--out", str(out)]) == 0
+        results.append(read(out))
+    assert results[0]["theta"] == results[1]["theta"]
+    assert results[0]["iterations"] == results[1]["iterations"]
 
 
 def test_gen_beta_zero_is_maximally_mixed(tmp_path):

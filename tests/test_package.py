@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,12 @@ def test_every_exported_name_resolves():
     assert len(gibbsfit.__all__) == len(set(gibbsfit.__all__)) == 34
     for name in gibbsfit.__all__:
         assert hasattr(gibbsfit, name), name
+
+
+def test_the_readme_counts_the_exported_names():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    counts = re.findall(r"exports (\d+) names", readme)
+    assert counts == [str(len(gibbsfit.__all__))]
 
 
 def test_test_only_helpers_are_gone_from_the_package():

@@ -3,13 +3,16 @@
 import collections
 import dataclasses
 import math
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbsfit import linalg, pauli, problem, solver
 from gibbsfit.cli import generate_thermal_marginals
+from gibbsfit.fileio import parse_problem
 from gibbsfit.partition import ObservableSet
 from gibbsfit.problem import (
     ExpectationProblem,
@@ -475,17 +478,17 @@ def ising_problem(n, k, beta=1.0):
 
 
 @pytest.mark.parametrize("n,k", [(4, 0), (6, 13), (8, 0)])
-def test_kikuchi_start_terminates_on_incomplete_supports(n, k):
-    # no Ising pair holds all 15 strings, so every region is a region fit;
-    # the fit of a pair is a sub-problem whose own subsets include that
-    # pair, so it starts at 0 (it recursed into RecursionError), and the
-    # start has no closed-form region
+def test_kikuchi_start_terminates_on_incomplete_supports(n, k, monkeypatch):
+    # no Ising pair holds all 15 strings, and each pair is one of the
+    # family's own subsets: level 0 ends there, with no region fit (a
+    # pair's fit once recursed into RecursionError), and the solve starts
+    # cold
     ep = ising_problem(n, k)
     regions = problem.kikuchi_regions(ep.observable_set.subsets)
-    theta0, pieces = solver._kikuchi(ep, regions, {}, SolveOptions())
-    assert pieces == [] and solver._h0(pieces) is None
-    assert np.isfinite(theta0).all()
-    assert max_residual(ep, theta0) * 100 < max_residual(ep, np.zeros(ep.size))
+    counts = count_evaluations(monkeypatch)
+    assert solver._kikuchi(ep, regions, {}, SolveOptions()) is None
+    assert marginal_start(ep) is None
+    assert counts["evaluations"] == 0
 
 
 @pytest.mark.parametrize("n,k", [(4, 13), (4, 97), (4, 165), (6, 13), (6, 44)])
@@ -614,6 +617,20 @@ def test_line_search_stall_ends_the_solve():
     assert res.message == "line search stalled"
     assert res.iterations <= 150
     assert len(res.trace) == res.iterations
+
+
+def test_the_last_allowed_step_is_tested():
+    # the fifth step reaches a residual of 7.4e-9: with max_iter = 5 that
+    # iterate went untested and the solve ended IterationLimit, where
+    # max_iter = 6 called the same theta Converged
+    ep = pauli_problem(1, [("Z0", -0.6)])
+    last, more = (solve_expectations(ep, SolveOptions(max_iter=m)) for m in (5, 6))
+    assert last.status == more.status == CONVERGED
+    assert last.iterations == more.iterations == 5
+    assert last.theta.tobytes() == more.theta.tobytes() and last.trace == more.trace
+    short = solve_expectations(ep, SolveOptions(max_iter=2))
+    assert short.status == ITERATION_LIMIT and short.iterations == 2
+    assert len(short.trace) == 3 and short.trace[-1] == short.max_residual
 
 
 def commuting_chain(n, rng):
@@ -780,11 +797,6 @@ def grow(sets, subsets):
     return [set().union(*(c for c in constraints if set(s) & c)) for s in sets]
 
 
-def neighbourhoods(subsets):
-    """Level 1: each constraint with every constraint overlapping it."""
-    return grow(subsets, subsets)
-
-
 def pair_chain(n, seed, beta):
     pairs = tuple((i, i + 1) for i in range(n - 1))
     return random_marginal_instance(np.random.default_rng([seed, 77]), n, pairs, beta)[0]
@@ -904,26 +916,6 @@ def test_singular_marginal_is_cold_before_any_region_fit(monkeypatch):
     counts = count_evaluations(monkeypatch)
     assert marginal_start(ep) is None
     assert counts["evaluations"] == 0
-
-
-def test_region_fits_without_closed_form_regions_use_gamma_i(monkeypatch):
-    # an Ising chain's neighbourhoods are windows whose sub-problems hold
-    # incomplete pairs only, so their starts have no closed-form region
-    # and an `apply` that maps every gradient to 0: each fit runs with
-    # H_0 = gamma I instead
-    ep = ising_problem(8, 0)
-    minimize = solver._minimize
-    h0s = []
-
-    def spy(sub, options, theta0=None, h0=None):
-        h0s.append(h0)
-        return minimize(sub, options, theta0, h0)
-
-    monkeypatch.setattr(solver, "_minimize", spy)
-    regions = problem.kikuchi_regions(neighbourhoods(ep.observable_set.subsets))
-    theta0, _ = solver._kikuchi(ep, regions, {}, SolveOptions())
-    assert h0s and all(h0 is None for h0 in h0s)
-    assert max_residual(ep, theta0) < 1e-6
 
 
 @pytest.mark.parametrize("value", [np.nan, 2 * solver.THETA_CAP])
@@ -1075,3 +1067,43 @@ def test_a_region_fit_is_a_solve(monkeypatch):
     assert {n for n, _, _ in fits} == {5, 6, 8}
     assert all(tol == pytest.approx(1e-11) and cap == 100 for _, tol, cap in fits)
     assert pieces == [] and np.isfinite(theta0).all()
+
+
+def benchmark_problems(workload, seed):
+    """The marginal problems of a benchmark workload, built by
+    perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    return [parse_problem(instance.doc) for instance in workloads["WORKLOADS"][workload](seed)]
+
+
+@pytest.mark.parametrize("workload,seed", [(w, s) for w in ("chain", "wide") for s in range(3)])
+def test_an_expectation_solve_of_a_reduction_is_its_marginal_solve(workload, seed):
+    # both solves start through marginal_start; the expectation solve
+    # started at 0 and took 6/8/21 iterations on chain seed 0, against
+    # 0/0/2 for the marginal solve
+    for mp in benchmark_problems(workload, seed):
+        marginal = solve_marginals(mp)
+        expectation = solve_expectations(reduce_to_expectations(mp))
+        assert expectation.theta.tobytes() == marginal.theta.tobytes()
+        assert (expectation.status, expectation.iterations) == (marginal.status, marginal.iterations)
+
+
+def test_a_dense_observable_gets_no_start():
+    # whole pair marginals plus one dense matrix: the start takes Pauli
+    # rows for theta positions and leaves a dense row's theta at 0.
+    # Forced on this family, the solve kept that theta at 0 and ended
+    # IterationLimit after 300 iterations at residual 2.2; cold, it
+    # converges in 74
+    n, rng = 3, np.random.default_rng(68)
+    mp, _ = random_marginal_instance(rng, n, ((0, 1), (1, 2)))
+    strings = pauli.strings_from_codes(reduce_to_expectations(mp).observable_set.codes)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    family = ObservableSet(strings + (a + a.conj().T,), dim=8, n=n)
+    theta = rng.uniform(-0.5, 0.5, family.size)
+    ep = ExpectationProblem(family.observables, family.expectations(family.gibbs(theta).rho), 8, n)
+    assert marginal_start(ep) is None
+    res = solve_expectations(ep)
+    assert res.status == CONVERGED
+    assert res.theta.tobytes() == solver._minimize(ep, None).theta.tobytes()
+    assert np.abs(res.theta - theta).max() < 1e-6
